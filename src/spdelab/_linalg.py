@@ -1,29 +1,25 @@
-"""Small shared linear-algebra helpers."""
+"""Small shared linear-algebra helpers (banded LAPACK through scipy)."""
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 
 def solve_tridiagonal(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Thomas algorithm, vectorized over leading batch axes.
+    """Tridiagonal solve, batched over leading axes, in one LAPACK ``gbsv`` call.
 
     ``dl[..., i]`` multiplies ``x[..., i-1]``, ``d[..., i]`` the diagonal and
     ``du[..., i]`` multiplies ``x[..., i+1]``; ``dl[..., 0]`` and
-    ``du[..., -1]`` are ignored.  No pivoting: intended for the (column-)
-    diagonally dominant Jacobians assembled by the proximal solvers.
+    ``du[..., -1]`` are ignored.  The arguments broadcast against each other.
+    The batch rows are laid end to end as one banded system whose couplings
+    between consecutive rows are zero, so the rows stay independent.
     """
-    n = d.shape[-1]
-    c = np.empty_like(d)
-    y = np.empty_like(d)
-    c[..., 0] = du[..., 0] / d[..., 0]
-    y[..., 0] = b[..., 0] / d[..., 0]
-    for i in range(1, n):
-        denom = d[..., i] - dl[..., i] * c[..., i - 1]
-        c[..., i] = du[..., i] / denom if i < n - 1 else 0.0
-        y[..., i] = (b[..., i] - dl[..., i] * y[..., i - 1]) / denom
-    x = np.empty_like(d)
-    x[..., n - 1] = y[..., n - 1]
-    for i in range(n - 2, -1, -1):
-        x[..., i] = y[..., i] - c[..., i] * x[..., i + 1]
-    return x
+    shape = np.broadcast_shapes(np.shape(dl), np.shape(d), np.shape(du), np.shape(b))
+    ab = np.zeros((3,) + shape)
+    ab[0, ..., 1:] = du[..., :-1]
+    ab[1] = d
+    ab[2, ..., :-1] = dl[..., 1:]
+    rhs = np.broadcast_to(b, shape).reshape(-1)
+    x = solve_banded((1, 1), ab.reshape(3, -1), rhs, overwrite_ab=True, check_finite=False)
+    return x.reshape(shape)

@@ -171,15 +171,13 @@ class SchemeParams:
     """Time-stepping parameters of the regularized scheme.
 
     delta is the Yosida parameter the potential must carry (None for
-    prox-friendly families like the quadratic ones); eps_visc adds the
-    viscosity energy; ic_smoothing applies that many implicit heat steps to
-    the initial state before time stepping.
+    prox-friendly families like the quadratic ones); ic_smoothing applies
+    that many implicit heat steps to the initial state before time stepping.
     """
 
     dt: float
     steps: int
     delta: float | None = None
-    eps_visc: float = 0.0
     ic_smoothing: int = 0
     drift: str = "implicit_prox"
     prox_tol: float = 1e-9

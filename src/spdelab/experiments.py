@@ -77,7 +77,6 @@ _SCHEMA = {
         "dt": float,
         "steps": int,
         "delta": float,
-        "eps_visc": float,
         "ic_smoothing": int,
         "drift": str,
         "prox_tol": float,
@@ -269,7 +268,6 @@ def _scheme(cfg: ExperimentConfig, delta=None) -> engine.SchemeParams:
         dt=cfg.require("scheme", "dt"),
         steps=cfg.require("scheme", "steps"),
         delta=delta,
-        eps_visc=cfg.get("scheme", "eps_visc", 0.0),
         ic_smoothing=cfg.get("scheme", "ic_smoothing", 0),
         drift=cfg.get("scheme", "drift", "implicit_prox"),
         prox_tol=cfg.get("scheme", "prox_tol", 1e-9),

@@ -158,9 +158,6 @@ class RescaledKernel:
     def __repr__(self):
         return f"RescaledKernel({self.base.profile}, eps={self.eps}, p={self.p})"
 
-    def _key(self):
-        return (self.base, self.eps, self.p)
-
 
 @lru_cache(maxsize=None)
 def _pair_stencil_cached(base: Kernel, eps: float, p: float, grid: Grid):

@@ -40,10 +40,6 @@ class MoscoReport:
     def converging_count(self) -> int:
         return sum(1 for v in self.verdicts if v == "converging")
 
-    def probe_trend(self, probe: int) -> np.ndarray:
-        """Lambda-averaged distance per sequence element for one probe."""
-        return self.distances[:, probe, :].mean(axis=1)
-
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("sequence_index,probe_id,lambda,distance\n")

@@ -301,22 +301,22 @@ def _newton_difference(core, lam, F, tol, max_iter, warm):
     scale = _h_norm_factor(core.grid)
     target = 0.25 * tol * (1.0 + np.sqrt(np.sum(F**2, axis=1)) * scale)
 
-    def objective(Vv):
+    def evaluate(Vv):
+        """Objective per row, plus G = K v and the profile maps at |G|."""
         G = (K @ Vv.T).T
-        pen = prof.value(np.abs(G)) @ W
+        value, slope, curv = prof.maps(np.abs(G))
+        pen = value @ W
         if np.any(Q):
             pen = pen + 0.5 * (G**2 @ Q)
-        return 0.5 * np.sum((Vv - F) ** 2, axis=1) + pen
+        return 0.5 * np.sum((Vv - F) ** 2, axis=1) + pen, G, slope, curv
 
-    obj = objective(V)
+    obj, G, slope, curv = evaluate(V)
     iters = 0
     resid = np.full(m, np.inf)
     best = np.inf
     stagnant = 0
     for iters in range(1, min(max_iter, 400) + 1):
-        G = (K @ V.T).T
-        absG = np.abs(G)
-        coeff = W * (np.sign(G) * prof.slope(absG)) + Q * G
+        coeff = W * (np.sign(G) * slope) + Q * G
         grad = V - F + (K.T @ coeff.T).T
         resid = np.sqrt(np.sum(grad**2, axis=1)) * scale
         live = resid > target
@@ -329,8 +329,7 @@ def _newton_difference(core, lam, F, tol, max_iter, warm):
             stagnant += 1
             if stagnant >= 25:
                 break
-        curv = W * prof.curvature(absG) + Q
-        step = _solve_difference_newton(core, curv, -grad)
+        step = _solve_difference_newton(core, W * curv + Q, -grad)
         # Armijo backtracking per row (Hessian >= I, so full steps dominate);
         # the slack term keeps full steps acceptable once the objective
         # improvement falls below floating-point resolution
@@ -338,17 +337,27 @@ def _newton_difference(core, lam, F, tol, max_iter, warm):
         t = np.ones(m)
         for _ in range(40):
             cand = V + t[:, None] * step
-            new_obj = objective(cand)
-            ok = ~live | (new_obj <= obj + 1e-4 * t * gd + 1e-14 * (1.0 + np.abs(obj)))
+            new = evaluate(cand)
+            ok = ~live | (new[0] <= obj + 1e-4 * t * gd + 1e-14 * (1.0 + np.abs(obj)))
             if np.all(ok):
+                # the accepted candidate is the next iterate: keep its maps
+                V, obj, G, slope, curv = _take_rows(live, (cand, *new), (V, obj, G, slope, curv))
                 break
             t = np.where(ok, t, 0.5 * t)
-        V = np.where(live[:, None], V + t[:, None] * step, V)
-        obj = objective(V)
+        else:
+            V = np.where(live[:, None], V + t[:, None] * step, V)
+            obj, G, slope, curv = evaluate(V)
     if np.any(resid > np.maximum(target, 0.25 * tol)):
         worst = float(np.max(resid))
         raise ProxDidNotConverge(f"Newton prox of {core.label} stalled", worst)
     return V, float(np.max(resid)), iters
+
+
+def _take_rows(live, new, old):
+    """Row-wise ``new if live else old`` over matching tuples of batch arrays."""
+    return tuple(
+        np.where(live.reshape((-1,) + (1,) * (np.ndim(a) - 1)), a, b) for a, b in zip(new, old)
+    )
 
 
 def _solve_difference_newton(core, curv, rhs):
@@ -373,15 +382,14 @@ def _solve_difference_newton(core, curv, rhs):
     return out
 
 
-def _fenchel_gap(core, lam, Y, F, conj):
+def _fenchel_gap(core, lam, Y, F, hstar):
     """Duality-gap certificate for dual iterates ``v = f - K^T y``.
 
     For any probe v' the variational-inequality violation of v is bounded by
     the edgewise Fenchel-Young gap ``sum_e [h(g_e) + h*(y_e) - y_e g_e]``
     (in H units), since ``(f - v, v' - v)_H = <y, Kv' - Kv>`` and Young's
-    inequality absorbs the probe term into ``h(Kv')``.  ``conj=None`` marks
-    the pure-kink case where y is kept inside the conjugate's box, so
-    ``h* = 0``.
+    inequality absorbs the probe term into ``h(Kv')``.  ``hstar`` holds the
+    conjugate values ``h*(y_e)``.
     """
     K = core.K
     prof = core.profile
@@ -390,7 +398,6 @@ def _fenchel_gap(core, lam, Y, F, conj):
     V = F - (K.T @ Y.T).T
     G = (K @ V.T).T
     hval = W * prof.value(np.abs(G)) + 0.5 * Q * G**2
-    hstar = conj.value(Y) if conj is not None else 0.0
     terms = hval + hstar - Y * G
     gap = core.grid.cell_volume * np.maximum(np.sum(terms, axis=1), 0.0)
     floor = 5e-14 * core.grid.cell_volume * np.sum(np.abs(hval) + np.abs(hstar) + np.abs(Y * G), axis=1)
@@ -419,22 +426,24 @@ def _dual_newton_smooth(core, lam, F, tol, max_iter):
     KF = (K @ F.T).T
 
     def dual_obj(Yv):
+        """Dual objective per row, plus the conjugate maps at y."""
         KT = (K.T @ Yv.T).T
-        return 0.5 * np.sum(KT**2, axis=1) - np.sum(Yv * KF, axis=1) + np.sum(conj.value(Yv), axis=1)
+        hstar, hslope, hcurv = conj.maps(Yv)
+        obj = 0.5 * np.sum(KT**2, axis=1) - np.sum(Yv * KF, axis=1) + np.sum(hstar, axis=1)
+        return obj, hstar, hslope, hcurv
 
-    obj = dual_obj(Y)
+    obj, hstar, hslope, curv = dual_obj(Y)
     resid = np.full(m, np.inf)
     floor = np.zeros(m)
     iters = 0
     tridiag = core._tridiagonal
     V = F.copy()
     for iters in range(1, min(max_iter, 500) + 1):
-        V, resid, floor = _fenchel_gap(core, lam, Y, F, conj)
+        V, resid, floor = _fenchel_gap(core, lam, Y, F, hstar)
         live = resid > np.maximum(target, floor)
         if not np.any(live):
             break
-        grad = -(K @ V.T).T + conj.slope(Y)
-        curv = conj.curvature(Y)
+        grad = -(K @ V.T).T + hslope
         if tridiag:
             s2 = core._edge_scale**2
             off = -(core._edge_scale[1:] * core._edge_scale[:-1])
@@ -453,13 +462,15 @@ def _dual_newton_smooth(core, lam, F, tol, max_iter):
         t = np.ones(m)
         for _ in range(50):
             cand = Y + t[:, None] * step
-            new_obj = dual_obj(cand)
-            ok = ~live | (new_obj <= obj + 1e-4 * t * gd + 1e-14 * (1.0 + np.abs(obj))) | (t < 1e-14)
+            new = dual_obj(cand)
+            ok = ~live | (new[0] <= obj + 1e-4 * t * gd + 1e-14 * (1.0 + np.abs(obj))) | (t < 1e-14)
             if np.all(ok):
+                Y, obj, hstar, hslope, curv = _take_rows(live, (cand, *new), (Y, obj, hstar, hslope, curv))
                 break
             t = np.where(ok, t, 0.5 * t)
-        Y = np.where(live[:, None], Y + t[:, None] * step, Y)
-        obj = dual_obj(Y)
+        else:
+            Y = np.where(live[:, None], Y + t[:, None] * step, Y)
+            obj, hstar, hslope, curv = dual_obj(Y)
     if np.any(resid > np.maximum(np.maximum(target, floor), 0.25 * tol)):
         raise ProxDidNotConverge(f"dual Newton prox of {core.label} stalled", float(np.max(resid)))
     return V, float(np.max(resid)), iters
@@ -472,7 +483,8 @@ def _dual_projected_newton(core, lam, F, tol, max_iter, dual_quad: float = 0.0):
     per row, the dual of the raw (``dual_quad = 0``) or Yosida-regularized
     (``dq_e = delta / (lam w_e)``) total-variation prox; the primal
     minimizer is ``v = f - K^T y``.  Pinned bound variables drop out of the
-    Newton system, which stays tridiagonal on 1D chains (batched Thomas).
+    Newton system, which stays tridiagonal on 1D chains (one banded LAPACK
+    solve per batch).
     """
     K = core.K
     prof = core.profile
@@ -663,33 +675,34 @@ class FastDiffusionPotential(Potential):
         # raw singular exponents (m < 1): accelerated proximal gradient
         return self._prox_fista(lam, F, tol, max_iter, warm)
 
-    def _merit(self, lam, Z, F):
-        lu = _dirichlet_solver(self.grid)
-        E = Z - F
-        GE = lu.solve(E.T).T
-        quad = 0.5 * np.einsum("ij,ij->i", E, GE)
-        return quad + lam * (self.profile.value(np.abs(Z)) @ self._a)
-
     def _prox_newton(self, lam, F, tol, max_iter, warm):
         """Globalized Newton on ``z + lam * L [a phi(z)] = f`` (column-dominant)."""
         L = self._L
         a = self._a
         prof = self.profile
+        lu = _dirichlet_solver(self.grid)
         Z = F.copy() if warm is None else np.array(warm, dtype=float, copy=True)
         m, n = F.shape
         scale_target = 0.25 * tol * (1.0 + self._hminus1_res(F))
-        merit = self._merit(lam, Z, F)
+
+        def evaluate(Zv):
+            """H^-1 merit per row, plus the profile slope and curvature at |z|."""
+            E = Zv - F
+            GE = lu.solve(E.T).T
+            value, slope, curv = prof.maps(np.abs(Zv))
+            return 0.5 * np.einsum("ij,ij->i", E, GE) + lam * (value @ a), slope, curv
+
+        merit, slope, curv = evaluate(Z)
         resid = np.full(m, np.inf)
         iters = 0
         tridiag = self.grid.dim == 1
         for iters in range(1, min(max_iter, 200) + 1):
-            phi = prof.signed_slope(Z)
-            R = Z - F + lam * (L @ (a * phi).T).T
+            R = Z - F + lam * (L @ (a * (np.sign(Z) * slope)).T).T
             resid = self._hminus1_res(R)
             live = resid > scale_target
             if not np.any(live):
                 break
-            c = lam * a * prof.curvature(np.abs(Z))
+            c = lam * a * curv
             if tridiag:
                 h2 = self.grid.spacing[0] ** 2
                 dl = np.zeros((m, n))
@@ -697,7 +710,7 @@ class FastDiffusionPotential(Potential):
                 d = 1.0 + 2.0 * c / h2
                 dl[:, 1:] = -c[:, :-1] / h2
                 du[:, :-1] = -c[:, 1:] / h2
-                step = solve_tridiagonal(dl, np.broadcast_to(d, (m, n)).copy(), du, -R)
+                step = solve_tridiagonal(dl, d, du, -R)
             else:
                 step = np.empty_like(R)
                 for r in range(m):
@@ -706,13 +719,15 @@ class FastDiffusionPotential(Potential):
             t = np.ones(m)
             for _ in range(40):
                 cand = Z + t[:, None] * step
-                new_merit = self._merit(lam, cand, F)
-                ok = ~live | (new_merit <= merit + 1e-10 * np.abs(merit))
+                new = evaluate(cand)
+                ok = ~live | (new[0] <= merit + 1e-10 * np.abs(merit))
                 if np.all(ok):
+                    Z, merit, slope, curv = _take_rows(live, (cand, *new), (Z, merit, slope, curv))
                     break
                 t = np.where(ok, t, 0.5 * t)
-            Z = np.where(live[:, None], Z + t[:, None] * step, Z)
-            merit = self._merit(lam, Z, F)
+            else:
+                Z = np.where(live[:, None], Z + t[:, None] * step, Z)
+                merit, slope, curv = evaluate(Z)
         if np.any(resid > np.maximum(scale_target, 0.25 * tol)):
             return self._prox_fista(lam, F, tol, max_iter, Z)
         return Z, float(np.max(resid)), iters

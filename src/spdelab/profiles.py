@@ -5,7 +5,9 @@ gradient, a pairwise difference, or the state itself.  A profile exposes the
 few scalar maps the solvers need: the value, the (minimal-section) slope, an
 almost-everywhere curvature for Newton steps, the slope limit at 0+ (nonzero
 only for kinked profiles like the raw absolute value), and the radial
-proximal map ``r + tau * psi'(r) = s``.
+proximal map ``r + tau * psi'(r) = s``.  ``maps`` returns value, slope and
+curvature together; for the Moreau-Yosida profiles all three come from a
+single resolvent radius, so Newton loops pay one radius solve per point.
 
 Supported families: raw powers ``s^p / p`` with p in [1, 2], their
 Moreau-Yosida regularizations, and an additive quadratic (used both for the
@@ -40,6 +42,10 @@ class RadialProfile:
 
     def curvature(self, s):
         raise NotImplementedError
+
+    def maps(self, s):
+        """``(value(s), slope(s), curvature(s))`` in one call."""
+        return self.value(s), self.slope(s), self.curvature(s)
 
     def prox_radius(self, tau, s):
         """Solve ``r + tau * psi'(r) = s`` for r >= 0 (s >= 0, tau > 0)."""
@@ -114,24 +120,30 @@ class YosidaPowerProfile(RadialProfile):
         self.slope_unbounded = self.p > 1.0
 
     def value(self, s):
-        return yosida.psi_delta(self.p, self.delta, np.asarray(s, dtype=float), axis=None)
+        return self.maps(s)[0]
 
     def slope(self, s):
-        return yosida.phi_delta_radial(self.p, self.delta, s)
+        s = np.asarray(s, dtype=float)
+        return (s - yosida.prox_radius(self.p, self.delta, s)) / self.delta
 
     def curvature(self, s):
+        return self.maps(s)[2]
+
+    def maps(self, s):
         s = np.asarray(s, dtype=float)
         p, d = self.p, self.delta
-        if p == 1.0:
-            return np.where(s < d, 1.0 / d, 0.0)
-        if p == 2.0:
-            return np.full_like(s, 1.0 / (1.0 + d))
         r = yosida.prox_radius(p, d, s)
+        slope = (s - r) / d
+        value = 0.5 * d * slope**2 + r**p / p
+        if p == 1.0:
+            return value, slope, np.where(s < d, 1.0 / d, 0.0)
+        if p == 2.0:
+            return value, slope, np.full_like(s, 1.0 / (1.0 + d))
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             phi_prime = (p - 1.0) * r ** (p - 2.0)
             ratio = phi_prime / (1.0 + d * phi_prime)
         # chain rule through the resolvent; limit 1/delta at r = 0
-        return np.where(np.isfinite(phi_prime), ratio, 1.0 / d)
+        return value, slope, np.where(np.isfinite(phi_prime), ratio, 1.0 / d)
 
     def slope_lipschitz(self) -> float:
         return 1.0 / self.delta
@@ -164,6 +176,11 @@ class ViscousProfile(RadialProfile):
     def curvature(self, s):
         return self.base.curvature(s) + self.mu
 
+    def maps(self, s):
+        s = np.asarray(s, dtype=float)
+        value, slope, curvature = self.base.maps(s)
+        return value + 0.5 * self.mu * s**2, slope + self.mu * s, curvature + self.mu
+
     def slope_lipschitz(self) -> float:
         return self.base.slope_lipschitz() + self.mu
 
@@ -184,12 +201,20 @@ class EdgeConjugate:
         self.profile = profile
         self.W = np.asarray(W, dtype=float)
         self.Q = np.asarray(Q, dtype=float)
+        # raw power without quadratic part: W r^(p-1) = t inverts in closed form
+        self._power = isinstance(profile, PowerProfile) and profile.p > 1.0 and not np.any(self.Q)
 
     def _radius(self, t):
-        """Solve ``W psi'(r) + Q r = t`` for r >= 0 given magnitudes t >= 0."""
+        """Solve ``W psi'(r) + Q r = t`` for r >= 0 given magnitudes t >= 0.
+
+        Returns r together with the profile's ``maps`` at r.
+        """
         prof = self.profile
         W, Q = self.W, self.Q
         t = np.asarray(t, dtype=float)
+        if self._power:
+            r = (t / W) ** (1.0 / (prof.p - 1.0))
+            return r, prof.maps(r)
         thresh = W * prof.kink
         active = t > thresh
         hi = np.maximum(t, 1.0)
@@ -202,36 +227,41 @@ class EdgeConjugate:
         lo = np.zeros_like(hi)
         r = np.where(active, 0.5 * hi, 0.0)
         for _ in range(_ROOT_MAX_ITER):
-            f = W * prof.slope(r) + Q * r - t
+            at_r = prof.maps(r)
+            f = W * at_r[1] + Q * r - t
             f = np.where(active, f, 0.0)
             if np.all(np.abs(f) <= _ROOT_TOL * (1.0 + np.abs(t))):
-                break
-            df = W * prof.curvature(r) + Q
+                return r, at_r
+            df = W * at_r[2] + Q
             lo = np.where(f < 0.0, r, lo)
             hi = np.where(f > 0.0, r, hi)
             with np.errstate(invalid="ignore", divide="ignore"):
                 cand = r - f / df
             bad = (cand <= lo) | (cand >= hi) | ~np.isfinite(cand)
             r = np.where(active, np.where(bad, 0.5 * (lo + hi), cand), 0.0)
-        return r
+        return r, prof.maps(r)
+
+    def maps(self, y):
+        """``(value(y), slope(y), curvature(y))`` from one radius solve."""
+        t = np.abs(y)
+        r, (psi, _, psi_curv) = self._radius(t)
+        value = t * r - (self.W * psi + 0.5 * self.Q * r**2)
+        # (h*)''(y) = 1 / h''(g(y)); zero inside a kink's flat region
+        denom = self.W * psi_curv + self.Q
+        flat = (r <= 0.0) & (self.profile.kink > 0.0)
+        with np.errstate(divide="ignore"):
+            curvature = np.where(denom > 0.0, 1.0 / denom, 0.0)
+        return value, np.sign(y) * r, np.where(flat, 0.0, curvature)
 
     def slope(self, y):
         """(h*)'(y): the g achieving the conjugate supremum (odd in y)."""
-        return np.sign(y) * self._radius(np.abs(y))
+        return np.sign(y) * self._radius(np.abs(y))[0]
 
     def value(self, y):
-        t = np.abs(y)
-        r = self._radius(t)
-        return t * r - (self.W * self.profile.value(r) + 0.5 * self.Q * r**2)
+        return self.maps(y)[0]
 
     def curvature(self, y):
-        """(h*)''(y) = 1 / h''(g(y)); zero inside a kink's flat region."""
-        r = self._radius(np.abs(y))
-        denom = self.W * self.profile.curvature(r) + self.Q
-        flat = (r <= 0.0) & (self.profile.kink > 0.0)
-        with np.errstate(divide="ignore"):
-            out = np.where(denom > 0.0, 1.0 / denom, 0.0)
-        return np.where(flat, 0.0, out)
+        return self.maps(y)[2]
 
 
 def _generic_prox_radius(profile: RadialProfile, tau, s):
@@ -244,11 +274,12 @@ def _generic_prox_radius(profile: RadialProfile, tau, s):
     lo = np.zeros_like(r)
     hi = np.array(np.broadcast_to(s, r.shape), dtype=float)
     for _ in range(_ROOT_MAX_ITER):
-        f = r + tau * profile.slope(r) - s
+        _, slope, curvature = profile.maps(r)
+        f = r + tau * slope - s
         f = np.where(active, f, 0.0)
         if np.all(np.abs(f) <= _ROOT_TOL):
             break
-        df = 1.0 + tau * profile.curvature(r)
+        df = 1.0 + tau * curvature
         lo = np.where(f < 0.0, r, lo)
         hi = np.where(f > 0.0, r, hi)
         with np.errstate(invalid="ignore"):

@@ -57,7 +57,7 @@ class TestProcess:
     def from_function(cls, z0: GridFunction, G=None, F=None) -> "TestProcess":
         return cls(z0.grid, z0.space, z0.flat, G=G, F=F)
 
-    def f_at(self, step: int, n_modes: int) -> np.ndarray | None:
+    def f_at(self, step: int) -> np.ndarray | None:
         if self.F is None:
             return None
         if self.F.ndim == 2:  # constant-in-time (K, cells)
@@ -74,7 +74,7 @@ class TestProcess:
         for s in range(steps):
             if self.G is not None:
                 cur = cur + ens.dt * self.G[s]
-            Fk = self.f_at(s, ens.increments.shape[2])
+            Fk = self.f_at(s)
             if Fk is not None:
                 cur = cur + ens.increments[:, s, :] @ Fk
             Z[:, s + 1, :] = cur
@@ -228,7 +228,6 @@ def check_variational(
     G = Z.g_values(ens)  # broadcastable (paths|1, steps, cells) or None
     g_pair = np.zeros((ens.n_paths, n_steps + 1))
     hs_term = np.zeros((ens.n_paths, n_steps + 1))
-    K = ens.increments.shape[2]
     solution_process = isinstance(Z, SolutionTestProcess)
     for s in range(n_steps):
         if G is not None:
@@ -238,7 +237,7 @@ def check_variational(
             g_pair[:, s] = _batched_inner(grid, space, g_row, diff[:, s, :])
         if not solution_process:
             # F = B(Z) holds identically for the solution decomposition
-            Fk = Z.f_at(s, K)
+            Fk = Z.f_at(s)
             BZ = model.responses(Zp[:, s, :])  # (paths, K, cells)
             mism = -BZ if Fk is None else Fk[None, :, :] - BZ
             hs_term[:, s] = np.sum(space_norm_sq(grid, mism, space), axis=-1)

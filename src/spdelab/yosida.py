@@ -1,9 +1,11 @@
 """Moreau-Yosida machinery for radial power laws ``|xi|^p / p`` with p in [1, 2].
 
 The regularized slope is ``phi_delta(xi) = (xi - R_delta xi) / delta`` where
-``R_delta xi`` is the unique solution zeta of ``zeta + delta * phi(zeta) = xi``
-(soft threshold for p = 1, linear shrinkage for p = 2, a scalar root solve in
-between).  The envelope value is
+``R_delta xi`` is the unique solution zeta of ``zeta + delta * phi(zeta) = xi``.
+Its magnitude has a closed form for p = 1 (soft threshold), p = 3/2 (the
+square root of the magnitude solves a quadratic) and p = 2 (linear
+shrinkage); other powers use a safeguarded scalar Newton solve.  The envelope
+value is
 
     psi_delta(xi) = (delta / 2) |phi_delta(xi)|^2 + psi(R_delta xi)
 
@@ -32,7 +34,10 @@ def _check_p(p: float):
 def prox_radius(p: float, delta: float, s) -> np.ndarray:
     """Radius r >= 0 solving ``r + delta * r^(p-1) = s`` for magnitudes s >= 0.
 
-    Safeguarded Newton on the bracket [0, s]; absolute tolerance 1e-13.
+    Closed forms for p = 1, 3/2 and 2.  For p = 3/2, ``q = sqrt(r)`` solves
+    ``q^2 + delta q = s``; its root is taken in the cancellation-free form
+    ``q = 2s / (delta + sqrt(delta^2 + 4s))``.  Other powers use safeguarded
+    Newton on the bracket [0, s] with absolute tolerance 1e-13.
     """
     _check_p(p)
     delta = np.asarray(delta, dtype=float)
@@ -45,6 +50,10 @@ def prox_radius(p: float, delta: float, s) -> np.ndarray:
         return np.maximum(s - delta, 0.0)
     if p == 2.0:
         return s / (1.0 + delta)
+    if p == 1.5:
+        s = np.maximum(s, 0.0)
+        q = 2.0 * s / (delta + np.sqrt(delta * delta + 4.0 * s))
+        return q * q
     r = np.array(s / (1.0 + delta), dtype=float)  # start below the root
     lo = np.zeros_like(r)
     hi = np.array(s, dtype=float)
@@ -85,12 +94,6 @@ def phi_delta(p: float, delta: float, xi, axis: int | None = -1) -> np.ndarray:
     """Yosida-regularized slope ``(xi - R_delta xi) / delta``; 1/delta-Lipschitz."""
     xi = np.asarray(xi, dtype=float)
     return (xi - resolvent_radial(p, delta, xi, axis)) / delta
-
-
-def phi_delta_radial(p: float, delta: float, s) -> np.ndarray:
-    """Magnitude of the regularized slope for magnitudes s >= 0."""
-    s = np.asarray(s, dtype=float)
-    return (s - prox_radius(p, delta, s)) / delta
 
 
 def psi_value(p: float, xi, axis: int | None = -1) -> np.ndarray:

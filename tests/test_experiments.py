@@ -49,6 +49,17 @@ def test_parse_rejects_unknown_key(tmp_path):
         parse_config(write_cfg(tmp_path, bad_key))
 
 
+def test_removed_eps_visc_key_is_rejected(tmp_path):
+    text = BASE.format(kind="trotter_plaplace", outdir=tmp_path / "o", schedule="1.9").replace(
+        "dt = 2e-3", "dt = 2e-3\neps_visc = 0.1"
+    )
+    path = write_cfg(tmp_path, text)
+    with pytest.raises(ConfigError, match="eps_visc"):
+        parse_config(path)
+    assert cli.main(["validate", str(path)]) == 1
+    assert cli.main(["run", str(path)]) == 1
+
+
 def test_parse_rejects_unknown_kind_and_missing_required(tmp_path):
     with pytest.raises(ConfigError):
         parse_config(write_cfg(tmp_path, BASE.format(kind="nope", outdir=tmp_path, schedule="1.9")))

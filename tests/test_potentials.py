@@ -308,3 +308,28 @@ def test_two_dimensional_gradient_prox_smoke():
     f = GridFunction(g, rng.standard_normal((8, 8)))
     res = pot.prox(0.1, f, tol=1e-8)
     assert res.kkt_residual <= 1e-8
+
+
+def test_newton_prox_solves_one_radius_per_evaluated_point(monkeypatch):
+    # the objective, slope and curvature of every evaluated point share one
+    # radius solve, and the accepted line-search candidate is reused as the
+    # next iterate instead of being solved again
+    from spdelab import yosida
+
+    g = interval_grid(40)
+    pot = potentials.p_dirichlet(g, 1.5, delta=1e-2)
+    F = np.stack([np.sin(3.0 * g.axis_centers(0)), rng.standard_normal(40)])
+    inputs = []
+    real = yosida.prox_radius
+
+    def counting(p, delta, s):
+        inputs.append(np.array(s, dtype=float).tobytes())
+        return real(p, delta, s)
+
+    monkeypatch.setattr(yosida, "prox_radius", counting)
+    _, resid, iters = potentials._newton_difference(pot, 0.05, F, 1e-10, 500, None)
+    assert resid <= 1e-10 and iters > 2
+    points = len(set(inputs))  # the start point plus every line-search candidate
+    candidates = points - 1
+    assert len(inputs) <= iters + candidates + 1
+    assert len(inputs) == points  # no point solved twice

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from spdelab._linalg import solve_tridiagonal
 from spdelab.profiles import (
     EdgeConjugate,
     PowerProfile,
@@ -108,3 +112,70 @@ def test_curvature_cap_and_bounded_flags():
     assert YosidaPowerProfile(1.2, 0.1).curvature_bounded
     c = PowerProfile(1.1).curvature(np.array([0.0, 1e-300]))
     assert np.all(np.isfinite(c))
+
+
+# ---------------------------------------------------------------------------
+# shared maps, closed-form conjugate radius, banded tridiagonal solve
+# ---------------------------------------------------------------------------
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+MAPS_PROFILES = [
+    make(p)
+    for p in (1.0, 1.3, 1.5, 2.0)
+    for make in (
+        PowerProfile,
+        lambda p: YosidaPowerProfile(p, 0.03),
+        lambda p: ViscousProfile(PowerProfile(p), 0.4),
+        lambda p: ViscousProfile(YosidaPowerProfile(p, 0.2), 0.1),
+    )
+]
+
+
+@pytest.mark.parametrize("prof", MAPS_PROFILES, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(s=arrays(float, st.integers(1, 40), elements=st.floats(min_value=0.0, max_value=1e4)))
+def test_maps_bit_identical_to_separate_calls(prof, s):
+    value, slope, curvature = prof.maps(s)
+    np.testing.assert_array_equal(bits(value), bits(prof.value(s)))
+    np.testing.assert_array_equal(bits(slope), bits(prof.slope(s)))
+    np.testing.assert_array_equal(bits(curvature), bits(prof.curvature(s)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.floats(min_value=1.1, max_value=2.0),
+    W=st.floats(min_value=1e-2, max_value=1e2),
+    # t >= 1e-8 keeps r = (t/W)^(1/(p-1)) above the double underflow range
+    t=arrays(float, st.integers(1, 20),
+             elements=st.one_of(st.just(0.0), st.floats(min_value=1e-8, max_value=1e3))),
+)
+def test_edge_conjugate_power_closed_form_inverts_slope(p, W, t):
+    conj = EdgeConjugate(PowerProfile(p), np.full_like(t, W), np.zeros_like(t))
+    r = conj.slope(t)
+    assert np.all(r >= 0.0)
+    np.testing.assert_allclose(W * r ** (p - 1.0), t, rtol=1e-12, atol=1e-300)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(1, 6),
+    n=st.integers(1, 12),
+    broadcast_d=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solve_tridiagonal_matches_dense_solve(m, n, broadcast_d, seed):
+    gen = np.random.default_rng(seed)
+    dl = gen.uniform(-1.0, 1.0, (m, n))
+    du = gen.uniform(-1.0, 1.0, (m, n))
+    d = gen.uniform(2.5, 4.0, n if broadcast_d else (m, n))
+    b = gen.standard_normal((m, n))
+    x = solve_tridiagonal(dl, d, du, b)
+    assert x.shape == (m, n)
+    dd = np.broadcast_to(d, (m, n))
+    for i in range(m):
+        A = np.diag(dd[i]) + np.diag(dl[i, 1:], -1) + np.diag(du[i, :-1], 1)
+        np.testing.assert_allclose(x[i], np.linalg.solve(A, b[i]), rtol=1e-12, atol=1e-12)

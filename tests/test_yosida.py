@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import bisect_root
 from spdelab import yosida
 
 rng = np.random.default_rng(2024)
+EPS = np.finfo(float).eps
 
 
 def test_soft_threshold_closed_form():
@@ -160,3 +163,63 @@ def test_invalid_power_rejected():
         yosida.prox_radius(2.5, 0.1, 1.0)
     with pytest.raises(ValueError):
         yosida.prox_radius(1.5, -0.1, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# closed-form radius for p = 3/2
+# ---------------------------------------------------------------------------
+
+
+def newton_radius(p: float, delta: float, s: float) -> float:
+    """Scalar safeguarded Newton for ``r + delta r^(p-1) = s`` on [0, s]."""
+    lo, hi = 0.0, s
+    r = s / (1.0 + delta)
+    for _ in range(200):
+        f = r + delta * r ** (p - 1.0) - s
+        if abs(f) <= 4.0 * EPS * (1.0 + s):
+            break
+        if f < 0.0:
+            lo = r
+        else:
+            hi = r
+        df = 1.0 + delta * (p - 1.0) * r ** (p - 2.0) if r > 0.0 else np.inf
+        cand = r - f / df
+        r = cand if lo < cand < hi else 0.5 * (lo + hi)
+    return r
+
+
+magnitudes = st.floats(min_value=0.0, max_value=1e6)
+deltas = st.floats(min_value=1e-6, max_value=1e2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=magnitudes, delta=deltas)
+def test_three_halves_radius_residual(s, delta):
+    r = float(yosida.prox_radius(1.5, delta, s))
+    assert r >= 0.0
+    assert abs(r + delta * np.sqrt(r) - s) <= 8.0 * EPS * (1.0 + s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=magnitudes, b=magnitudes, delta=deltas)
+def test_three_halves_radius_monotone(a, b, delta):
+    s1, s2 = min(a, b), max(a, b)
+    r1, r2 = yosida.prox_radius(1.5, delta, np.array([s1, s2]))
+    # monotone up to rounding: for neighbouring floats the quotient form can
+    # step back by up to ~3 ulp
+    assert r1 <= r2 * (1.0 + 4.0 * EPS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=st.floats(min_value=0.0, max_value=100.0), delta=st.floats(min_value=1e-4, max_value=10.0))
+def test_three_halves_radius_matches_newton_reference(s, delta):
+    r = float(yosida.prox_radius(1.5, delta, s))
+    assert abs(r - newton_radius(1.5, delta, s)) <= 1e-12
+
+
+def test_three_halves_radius_broadcasts_array_delta():
+    s = rng.uniform(0.0, 5.0, size=(4, 7))
+    delta = rng.uniform(1e-3, 1.0, size=7)
+    r = yosida.prox_radius(1.5, delta, s)
+    assert r.shape == s.shape
+    assert np.abs(r + delta * np.sqrt(r) - s).max() <= 8.0 * EPS * (1.0 + s.max())
