@@ -7,7 +7,7 @@ from scipy.linalg import solve_banded
 
 
 def solve_tridiagonal(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tridiagonal solve, batched over leading axes, in one LAPACK ``gbsv`` call.
+    """Tridiagonal solve, batched over leading axes, in one LAPACK ``gtsv`` call.
 
     ``dl[..., i]`` multiplies ``x[..., i-1]``, ``d[..., i]`` the diagonal and
     ``du[..., i]`` multiplies ``x[..., i+1]``; ``dl[..., 0]`` and

@@ -373,7 +373,7 @@ def _trotter_gradient_potentials(cfg, grid, delta):
     return out, p_target
 
 
-def run_trotter_plaplace(cfg: ExperimentConfig) -> ConvergenceTable:
+def run_trotter_plaplace(cfg: ExperimentConfig, outdir: Path | None = None) -> ConvergenceTable:
     grid = _parse_grid(cfg)
     delta = cfg.get("scheme", "delta", 1e-2)
     seq, p_target = _trotter_gradient_potentials(cfg, grid, delta)
@@ -382,7 +382,7 @@ def run_trotter_plaplace(cfg: ExperimentConfig) -> ConvergenceTable:
     return _run_schedule(cfg, grid, L2, seq, target_sim, target_raw)
 
 
-def run_trotter_fastdiffusion(cfg: ExperimentConfig) -> ConvergenceTable:
+def run_trotter_fastdiffusion(cfg: ExperimentConfig, outdir: Path | None = None) -> ConvergenceTable:
     grid = _parse_grid(cfg)
     delta = cfg.get("scheme", "delta", 1e-2)
     schedule = cfg.require("potential", "schedule")
@@ -422,7 +422,7 @@ def _run_schedule(cfg, grid, space, seq, target_sim, target_raw) -> ConvergenceT
     return ConvergenceTable(rows)
 
 
-def run_nonlocal_to_local(cfg: ExperimentConfig) -> ConvergenceTable:
+def run_nonlocal_to_local(cfg: ExperimentConfig, outdir: Path | None = None) -> ConvergenceTable:
     grid = _parse_grid(cfg)
     p = cfg.require("potential", "p")
     delta = cfg.get("scheme", "delta", 1e-2)
@@ -451,7 +451,7 @@ def run_nonlocal_to_local(cfg: ExperimentConfig) -> ConvergenceTable:
     return ConvergenceTable(rows)
 
 
-def run_homogenize_plaplace(cfg: ExperimentConfig) -> ConvergenceTable:
+def run_homogenize_plaplace(cfg: ExperimentConfig, outdir: Path | None = None) -> ConvergenceTable:
     grid = _parse_grid(cfg)
     p = cfg.get("potential", "p", 2.0)
     delta = cfg.get("scheme", "delta", 1e-2)
@@ -482,7 +482,7 @@ def run_homogenize_plaplace(cfg: ExperimentConfig) -> ConvergenceTable:
     return ConvergenceTable(rows, extra_columns=("mean_weight",))
 
 
-def run_homogenize_fastdiffusion(cfg: ExperimentConfig) -> ConvergenceTable:
+def run_homogenize_fastdiffusion(cfg: ExperimentConfig, outdir: Path | None = None) -> ConvergenceTable:
     grid = _parse_grid(cfg)
     m = cfg.get("potential", "m", 0.5)
     delta = cfg.get("scheme", "delta", 1e-2)
@@ -586,12 +586,15 @@ def run_mosco_table(cfg: ExperimentConfig, outdir: Path | None = None) -> Conver
     return ConvergenceTable(rows)
 
 
+# every runner takes (cfg, outdir); per-kind reports go to outdir unless it is None
 _RUNNERS = {
     "trotter_plaplace": run_trotter_plaplace,
     "trotter_fastdiffusion": run_trotter_fastdiffusion,
     "nonlocal_to_local": run_nonlocal_to_local,
     "homogenize_plaplace": run_homogenize_plaplace,
     "homogenize_fastdiffusion": run_homogenize_fastdiffusion,
+    "svi_audit_run": run_svi_audit,
+    "mosco_table": run_mosco_table,
 }
 
 
@@ -599,12 +602,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     """Execute the configured experiment; returns the output directory."""
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    if cfg.kind == "svi_audit_run":
-        table = run_svi_audit(cfg, outdir)
-    elif cfg.kind == "mosco_table":
-        table = run_mosco_table(cfg, outdir)
-    else:
-        table = _RUNNERS[cfg.kind](cfg)
+    table = _RUNNERS[cfg.kind](cfg, outdir)
     table.to_csv(outdir / "table.csv")
     _write_manifest(cfg, outdir)
     return outdir

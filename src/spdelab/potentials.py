@@ -17,10 +17,12 @@ Families
 
       eval(u) = vol * sum_e [ w_e psi(|K u|_e) + (q_e / 2) (K u)_e^2 ].
 
-Proximal maps minimize ``1/2 ||v - f||_H^2 + lam * eval(v)``.  Smooth
-profiles use damped Newton (batched tridiagonal solves on 1D grids); the
-raw kinked case (p = 1 total variation) uses an active-set projected Newton
-method on the box-constrained dual over face variables.  Every returned
+Proximal maps minimize ``1/2 ||v - f||_H^2 + lam * eval(v)``.  Primal
+Newton, Newton on the smooth face dual, active-set projected Newton on the
+box-constrained dual of total variation and Newton in H^-1 for fast diffusion
+supply objective, residual, Newton direction and acceptance test to one
+batched damped-Newton driver (banded solves on 1D grids); FISTA handles raw
+singular fast diffusion.  Every returned
 minimizer carries a certificate: the max violation of the variational
 inequality over a probe panel plus the solver's own optimality residual.
 
@@ -49,12 +51,14 @@ from .grids import (
     Grid,
     GridFunction,
     _dirichlet_solver,
+    dirichlet_solve,
     face_difference_matrix,
+    hminus1_norm_sq,
     inner,
     neg_laplacian_matrix,
-    norm,
+    space_norm_sq,
 )
-from .profiles import PowerProfile, RadialProfile, YosidaPowerProfile
+from .profiles import EdgeConjugate, PowerProfile, RadialProfile, YosidaPowerProfile
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
@@ -155,8 +159,7 @@ class Potential:
             )
         Z, residual, iters = self.prox_batch(lam, f.flat[None, :], tol=tol, max_iter=max_iter)
         z = GridFunction(self.grid, Z[0].reshape(self.grid.shape), self.space)
-        violation = self._probe_violation(lam, f, z)
-        kkt = residual + max(violation, 0.0)
+        kkt = residual + self._probe_violation(lam, f, z)
         diff = f - z
         obj = 0.5 * inner(diff, diff) + lam * self.eval(z)
         return ProxResult(minimizer=z, objective_value=obj, kkt_residual=kkt, iterations=iters)
@@ -164,18 +167,18 @@ class Potential:
     def _probe_violation(self, lam: float, f: GridFunction, z: GridFunction) -> float:
         """Max violation of ``(f - z, v - z)_H <= lam (eval(v) - eval(z))``.
 
-        Probes: unit-H-norm random directions around z, plus v = f and v = 0.
+        Probes: unit-H-norm random directions around z, plus v = f and v = 0,
+        evaluated as one stacked batch with z as its last row.
         """
+        zf = z.flat
         dirs = _probe_directions(self.grid, self.space, _PROBE_COUNT)
-        ez = self.eval(z)
-        fz = f - z
-        worst = 0.0
-        for dvals in dirs:
-            v = GridFunction(self.grid, z.values + dvals, self.space)
-            worst = max(worst, inner(fz, v - z) - lam * (self.eval(v) - ez))
-        for v in (f, GridFunction(self.grid, np.zeros(self.grid.shape), self.space)):
-            worst = max(worst, inner(fz, v - z) - lam * (self.eval(v) - ez))
-        return worst
+        V = np.vstack([zf + dirs, f.flat, np.zeros_like(zf), zf])
+        ev = self.eval_batch(V)
+        # (f - z, w)_H = vol <rep, w> with rep the Riesz representative of f - z
+        fz = f.flat - zf
+        rep = dirichlet_solve(self.grid, fz) if self.space == HMINUS1 else fz
+        pairing = self.grid.cell_volume * ((V[:-1] - zf) @ rep)
+        return max(float(np.max(pairing - lam * (ev[:-1] - ev[-1]))), 0.0)
 
     # -- drift ----------------------------------------------------------------
     def yosida_gradient_batch(self, U: np.ndarray) -> np.ndarray:
@@ -200,16 +203,12 @@ class Potential:
 
 
 @lru_cache(maxsize=None)
-def _probe_directions(grid: Grid, space: str, count: int) -> tuple[np.ndarray, ...]:
-    from .grids import space_norm_sq
-
-    rng = np.random.default_rng(20_240_501)
-    dirs = []
-    for _ in range(count):
-        v = rng.standard_normal(grid.num_cells)
-        nrm = float(np.sqrt(space_norm_sq(grid, v, space)))
-        dirs.append((v / nrm).reshape(grid.shape))
-    return tuple(dirs)
+def _probe_directions(grid: Grid, space: str, count: int) -> np.ndarray:
+    """``count`` unit-H-norm random directions, one read-only flat row each."""
+    V = np.random.default_rng(20_240_501).standard_normal((count, grid.num_cells))
+    dirs = V / np.sqrt(space_norm_sq(grid, V, space))[:, None]
+    dirs.flags.writeable = False
+    return dirs
 
 
 # ---------------------------------------------------------------------------
@@ -285,72 +284,46 @@ class _DifferencePenaltyPotential(Potential):
         return _dual_newton_smooth(self, lam, F, tol, max_iter)
 
 
-def _h_norm_factor(grid: Grid) -> float:
-    # converts plain l2 residual norms to L2(O) norms
-    return float(np.sqrt(grid.cell_volume))
+def _damped_newton(evaluate, X, residual, direction, accept, cap, t_min, patience=0):
+    """Batched damped Newton with a per-row halving line search.
 
-
-def _newton_difference(core, lam, F, tol, max_iter, warm):
-    """Damped Newton on the strongly convex smoothed objective (batched)."""
-    K = core.K
-    prof = core.profile
-    W = lam * core.edge_w
-    Q = lam * core.edge_q
-    V = F.copy() if warm is None else np.array(warm, dtype=float, copy=True)
-    m, n = F.shape
-    scale = _h_norm_factor(core.grid)
-    target = 0.25 * tol * (1.0 + np.sqrt(np.sum(F**2, axis=1)) * scale)
-
-    def evaluate(Vv):
-        """Objective per row, plus G = K v and the profile maps at |G|."""
-        G = (K @ Vv.T).T
-        value, slope, curv = prof.maps(np.abs(G))
-        pen = value @ W
-        if np.any(Q):
-            pen = pen + 0.5 * (G**2 @ Q)
-        return 0.5 * np.sum((Vv - F) ** 2, axis=1) + pen, G, slope, curv
-
-    obj, G, slope, curv = evaluate(V)
-    iters = 0
-    resid = np.full(m, np.inf)
-    best = np.inf
-    stagnant = 0
-    for iters in range(1, min(max_iter, 400) + 1):
-        coeff = W * (np.sign(G) * slope) + Q * G
-        grad = V - F + (K.T @ coeff.T).T
-        resid = np.sqrt(np.sum(grad**2, axis=1)) * scale
-        live = resid > target
+    ``evaluate(X)`` gives the state ``(X, obj, *maps)`` at the (projected)
+    iterates X; ``residual(state)`` gives ``(resid, threshold, grad)``, rows
+    with ``resid > threshold`` are live, and ``direction(state, grad, live)``
+    gives their step.  A live row halves its step length t until
+    ``accept(new_obj, obj, t, <grad, step>)`` holds or ``t < t_min``; the
+    accepted candidate, maps included, is its next state.  With ``patience``
+    the loop stops once the worst residual has not dropped below 0.9 of its
+    best for that many iterations.  Returns ``(state, worst residual, iters,
+    converged)``; live rows left at the end mean not converged.
+    """
+    state = evaluate(X)
+    resid = np.full(X.shape[0], np.inf)
+    live = np.ones(X.shape[0], dtype=bool)
+    best, stagnant, iters = np.inf, 0, 0
+    for iters in range(1, cap + 1):
+        resid, threshold, grad = residual(state)
+        live = resid > threshold
         if not np.any(live):
             break
-        worst_now = float(np.max(resid))
-        if worst_now < 0.9 * best:
-            best, stagnant = worst_now, 0
+        worst = float(np.max(resid))
+        if worst < 0.9 * best:
+            best, stagnant = worst, 0
         else:
             stagnant += 1
-            if stagnant >= 25:
-                break
-        step = _solve_difference_newton(core, W * curv + Q, -grad)
-        # Armijo backtracking per row (Hessian >= I, so full steps dominate);
-        # the slack term keeps full steps acceptable once the objective
-        # improvement falls below floating-point resolution
+        if patience and stagnant >= patience:
+            break
+        step = direction(state, grad, live)
         gd = np.sum(grad * step, axis=1)
-        t = np.ones(m)
-        for _ in range(40):
-            cand = V + t[:, None] * step
-            new = evaluate(cand)
-            ok = ~live | (new[0] <= obj + 1e-4 * t * gd + 1e-14 * (1.0 + np.abs(obj)))
+        t = np.ones(X.shape[0])
+        while True:
+            new = evaluate(state[0] + t[:, None] * step)
+            ok = ~live | accept(new[1], state[1], t, gd) | (t < t_min)
             if np.all(ok):
-                # the accepted candidate is the next iterate: keep its maps
-                V, obj, G, slope, curv = _take_rows(live, (cand, *new), (V, obj, G, slope, curv))
                 break
             t = np.where(ok, t, 0.5 * t)
-        else:
-            V = np.where(live[:, None], V + t[:, None] * step, V)
-            obj, G, slope, curv = evaluate(V)
-    if np.any(resid > np.maximum(target, 0.25 * tol)):
-        worst = float(np.max(resid))
-        raise ProxDidNotConverge(f"Newton prox of {core.label} stalled", worst)
-    return V, float(np.max(resid)), iters
+        state = _take_rows(live, new, state)
+    return state, float(np.max(resid)), iters, not np.any(live)
 
 
 def _take_rows(live, new, old):
@@ -360,26 +333,75 @@ def _take_rows(live, new, old):
     )
 
 
-def _solve_difference_newton(core, curv, rhs):
-    """Solve ``(I + K^T diag(c) K) x = rhs`` per batch row."""
-    if core._tridiagonal:
-        s2 = core._edge_scale**2  # per-edge (1/h)^2 factors
-        c = curv * s2
-        m, n = rhs.shape
-        d = np.ones((m, n))
-        d[:, :-1] += c
-        d[:, 1:] += c
-        dl = np.zeros((m, n))
-        dl[:, 1:] = -c
-        du = np.zeros((m, n))
-        du[:, :-1] = -c
-        return solve_tridiagonal(dl, d, du, rhs)
+def _armijo(new, obj, t, gd):
+    """Armijo test; the slack term keeps full steps acceptable once the
+    objective improvement falls below floating-point resolution."""
+    return new <= obj + 1e-4 * t * gd + 1e-14 * (1.0 + np.abs(obj))
+
+
+def _solve_live_rows(live, rhs, system, free=None):
+    """Sparse solves for the live rows; ``system(r, idx)`` is row r's CSC
+    matrix on its free unknowns ``idx`` (all of them unless the mask ``free``
+    says otherwise).  Every other row and unknown gets a zero step."""
+    step = np.zeros_like(rhs)
+    for r in np.flatnonzero(live):
+        idx = np.arange(rhs.shape[1]) if free is None else np.flatnonzero(free[r])
+        if idx.size:
+            step[r, idx] = spla.spsolve(system(r, idx), rhs[r, idx])
+    return step
+
+
+def _solve_chain(rhs, d, lo, up):
+    """Tridiagonal solve per batch row; ``lo`` and ``up`` hold the n - 1
+    couplings below and above the diagonal."""
+    dl = np.zeros_like(rhs)
+    du = np.zeros_like(rhs)
+    dl[:, 1:] = lo
+    du[:, :-1] = up
+    return solve_tridiagonal(dl, d, du, rhs)
+
+
+def _newton_difference(core, lam, F, tol, max_iter, warm):
+    """Damped Newton on the strongly convex smoothed objective (batched)."""
     K = core.K
-    out = np.empty_like(rhs)
-    for r in range(rhs.shape[0]):
-        H = sp.eye(K.shape[1], format="csr") + K.T @ sp.diags(curv[r]) @ K
-        out[r] = spla.spsolve(H.tocsc(), rhs[r])
-    return out
+    prof = core.profile
+    W = lam * core.edge_w
+    Q = lam * core.edge_q
+    V = F.copy() if warm is None else np.array(warm, dtype=float, copy=True)
+    scale = np.sqrt(core.grid.cell_volume)  # converts plain l2 residual norms to L2(O) norms
+    target = 0.25 * tol * (1.0 + np.sqrt(np.sum(F**2, axis=1)) * scale)
+
+    def evaluate(Vv):
+        """Objective per row, plus G = K v and the profile maps at |G|."""
+        G = (K @ Vv.T).T
+        value, slope, curv = prof.maps(np.abs(G))
+        pen = value @ W
+        if np.any(Q):
+            pen = pen + 0.5 * (G**2 @ Q)
+        return Vv, 0.5 * np.sum((Vv - F) ** 2, axis=1) + pen, G, slope, curv
+
+    def residual(state):
+        Vv, _, G, slope, _ = state
+        grad = Vv - F + (K.T @ (W * (np.sign(G) * slope) + Q * G).T).T
+        return np.sqrt(np.sum(grad**2, axis=1)) * scale, target, grad
+
+    def direction(state, grad, live):
+        """Solve ``(I + K^T diag(c) K) x = -grad`` per batch row."""
+        curv = W * state[4] + Q
+        if core._tridiagonal:
+            c = curv * core._edge_scale**2  # per-edge (1/h)^2 factors
+            d = 1.0 + np.pad(c, ((0, 0), (0, 1))) + np.pad(c, ((0, 0), (1, 0)))  # 1 + c_i + c_(i-1)
+            return _solve_chain(-grad, d, -c, -c)
+        eye = sp.eye(K.shape[1], format="csr")
+        return _solve_live_rows(live, -grad, lambda r, idx: (eye + K.T @ sp.diags(curv[r]) @ K).tocsc())
+
+    # Armijo backtracking per row (Hessian >= I, so full steps dominate)
+    (V, *_), worst, iters, converged = _damped_newton(
+        evaluate, V, residual, direction, _armijo, min(max_iter, 400), 1e-12, patience=25
+    )
+    if not converged:
+        raise ProxDidNotConverge(f"Newton prox of {core.label} stalled", worst)
+    return V, worst, iters
 
 
 def _fenchel_gap(core, lam, Y, F, hstar):
@@ -404,6 +426,14 @@ def _fenchel_gap(core, lam, Y, F, hstar):
     return V, gap, floor
 
 
+def _dual_start(core, F, tol):
+    """The face Gram matrix ``K K^T`` (cached), the gap target and ``K f``."""
+    if core._gram is None:
+        core._gram = (core.K @ core.K.T).tocsr()
+    fnorm = np.sqrt(np.sum(F**2, axis=1)) * np.sqrt(core.grid.cell_volume)
+    return core._gram, 0.25 * tol * (1.0 + fnorm) ** 2, (core.K @ F.T).T
+
+
 def _dual_newton_smooth(core, lam, F, tol, max_iter):
     """Newton on the smooth Fenchel dual over face/pair variables.
 
@@ -411,69 +441,36 @@ def _dual_newton_smooth(core, lam, F, tol, max_iter):
     vanishing (not blowing up) at the origin, so Newton behaves where the
     primal Hessian degenerates.  Primal recovery: ``v = f - K^T y``.
     """
-    from .profiles import EdgeConjugate
-
     K = core.K
     conj = EdgeConjugate(core.profile, lam * core.edge_w, lam * core.edge_q)
-    if core._gram is None:
-        core._gram = (K @ K.T).tocsr()
-    gram = core._gram
-    m, n_edges = F.shape[0], K.shape[0]
-    scale = _h_norm_factor(core.grid)
-    fnorm = np.sqrt(np.sum(F**2, axis=1)) * scale
-    target = 0.25 * tol * (1.0 + fnorm) ** 2
-    Y = np.zeros((m, n_edges))
-    KF = (K @ F.T).T
+    gram, target, KF = _dual_start(core, F, tol)
+    ridge = 1e-13 * sp.eye(K.shape[0])
 
-    def dual_obj(Yv):
+    def evaluate(Y):
         """Dual objective per row, plus the conjugate maps at y."""
-        KT = (K.T @ Yv.T).T
-        hstar, hslope, hcurv = conj.maps(Yv)
-        obj = 0.5 * np.sum(KT**2, axis=1) - np.sum(Yv * KF, axis=1) + np.sum(hstar, axis=1)
-        return obj, hstar, hslope, hcurv
+        KT = (K.T @ Y.T).T
+        hstar, hslope, hcurv = conj.maps(Y)
+        obj = 0.5 * np.sum(KT**2, axis=1) - np.sum(Y * KF, axis=1) + np.sum(hstar, axis=1)
+        return Y, obj, hstar, hslope, hcurv
 
-    obj, hstar, hslope, curv = dual_obj(Y)
-    resid = np.full(m, np.inf)
-    floor = np.zeros(m)
-    iters = 0
-    tridiag = core._tridiagonal
-    V = F.copy()
-    for iters in range(1, min(max_iter, 500) + 1):
-        V, resid, floor = _fenchel_gap(core, lam, Y, F, hstar)
-        live = resid > np.maximum(target, floor)
-        if not np.any(live):
-            break
-        grad = -(K @ V.T).T + hslope
-        if tridiag:
-            s2 = core._edge_scale**2
-            off = -(core._edge_scale[1:] * core._edge_scale[:-1])
-            d = 2.0 * s2 + curv
-            dl = np.zeros_like(Y)
-            du = np.zeros_like(Y)
-            dl[:, 1:] = off
-            du[:, :-1] = off
-            step = solve_tridiagonal(dl, d, du, -grad)
-        else:
-            step = np.empty_like(Y)
-            for r in range(m):
-                H = gram + sp.diags(curv[r]) + 1e-13 * sp.eye(n_edges)
-                step[r] = spla.spsolve(H.tocsc(), -grad[r])
-        gd = np.sum(grad * step, axis=1)
-        t = np.ones(m)
-        for _ in range(50):
-            cand = Y + t[:, None] * step
-            new = dual_obj(cand)
-            ok = ~live | (new[0] <= obj + 1e-4 * t * gd + 1e-14 * (1.0 + np.abs(obj))) | (t < 1e-14)
-            if np.all(ok):
-                Y, obj, hstar, hslope, curv = _take_rows(live, (cand, *new), (Y, obj, hstar, hslope, curv))
-                break
-            t = np.where(ok, t, 0.5 * t)
-        else:
-            Y = np.where(live[:, None], Y + t[:, None] * step, Y)
-            obj, hstar, hslope, curv = dual_obj(Y)
-    if np.any(resid > np.maximum(np.maximum(target, floor), 0.25 * tol)):
-        raise ProxDidNotConverge(f"dual Newton prox of {core.label} stalled", float(np.max(resid)))
-    return V, float(np.max(resid)), iters
+    def residual(state):
+        Y, _, hstar, hslope, _ = state
+        V, gap, floor = _fenchel_gap(core, lam, Y, F, hstar)
+        return gap, np.maximum(target, floor), -(K @ V.T).T + hslope
+
+    def direction(state, grad, live):
+        curv = state[4]
+        if core._tridiagonal:
+            s = core._edge_scale
+            return _solve_chain(-grad, 2.0 * s**2 + curv, -(s[1:] * s[:-1]), -(s[1:] * s[:-1]))
+        return _solve_live_rows(live, -grad, lambda r, idx: (gram + sp.diags(curv[r]) + ridge).tocsc())
+
+    (Y, *_), worst, iters, converged = _damped_newton(
+        evaluate, np.zeros(KF.shape), residual, direction, _armijo, min(max_iter, 500), 1e-14
+    )
+    if not converged:
+        raise ProxDidNotConverge(f"dual Newton prox of {core.label} stalled", worst)
+    return F - (K.T @ Y.T).T, worst, iters
 
 
 def _dual_projected_newton(core, lam, F, tol, max_iter, dual_quad: float = 0.0):
@@ -487,95 +484,45 @@ def _dual_projected_newton(core, lam, F, tol, max_iter, dual_quad: float = 0.0):
     solve per batch).
     """
     K = core.K
-    prof = core.profile
-    if core._gram is None:
-        core._gram = (K @ K.T).tocsr()
-    gram = core._gram
+    gram, target, KF = _dual_start(core, F, tol)
     bound = lam * core.edge_w
     dq = (dual_quad / bound) if dual_quad > 0.0 else np.zeros_like(bound)
-    scale = _h_norm_factor(core.grid)
-    m, n_edges = F.shape[0], K.shape[0]
-    fnorm = np.sqrt(np.sum(F**2, axis=1)) * scale
-    target = 0.25 * tol * (1.0 + fnorm) ** 2
-    Y = np.zeros((m, n_edges))
-    KF = (K @ F.T).T
+    edge = bound * (1 - 1e-14)  # pinning threshold
 
-    def gap_of(Yv):
-        V = F - (K.T @ Yv.T).T
-        G = (K @ V.T).T
-        W = lam * core.edge_w
-        hval = W * prof.value(np.abs(G))
-        hstar = 0.5 * dq * Yv**2
-        terms = hval + hstar - Yv * G
-        gap = core.grid.cell_volume * np.maximum(np.sum(terms, axis=1), 0.0)
-        floor = 5e-14 * core.grid.cell_volume * np.sum(
-            np.abs(hval) + np.abs(hstar) + np.abs(Yv * G), axis=1
-        )
-        return V, gap, floor
+    def evaluate(Y):
+        Y = np.clip(Y, -bound, bound)
+        KT = (K.T @ Y.T).T
+        return Y, 0.5 * np.sum(KT**2, axis=1) - np.sum(Y * KF, axis=1) + 0.5 * np.sum(dq * Y**2, axis=1)
 
-    def dual_obj(Yv):
-        KT = (K.T @ Yv.T).T
-        return 0.5 * np.sum(KT**2, axis=1) - np.sum(Yv * KF, axis=1) + 0.5 * np.sum(dq * Yv**2, axis=1)
+    def residual(state):
+        Y = state[0]
+        _, gap, floor = _fenchel_gap(core, lam, Y, F, 0.5 * dq * Y**2)
+        return gap, np.maximum(target, floor), (gram @ Y.T).T - KF + dq * Y
 
-    tridiag = core._tridiagonal
-    obj = dual_obj(Y)
-    V = F.copy()
-    resid = np.full(m, np.inf)
-    floor = np.zeros(m)
-    iters = 0
-    eps_pin = 1e-14
-    for iters in range(1, min(max_iter, 300) + 1):
-        V, resid, floor = gap_of(Y)
-        live = resid > np.maximum(target, floor)
-        if not np.any(live):
-            break
-        grad = (gram @ Y.T).T - KF + dq * Y
-        pinned = ((Y >= bound * (1 - eps_pin)) & (grad <= 0)) | (
-            (Y <= -bound * (1 - eps_pin)) & (grad >= 0)
-        )
+    def direction(state, grad, live):
+        Y = state[0]
+        pinned = ((Y >= edge) & (grad <= 0)) | ((Y <= -edge) & (grad >= 0))
         rhs = np.where(pinned, 0.0, -grad)
-        if tridiag:
-            s2 = core._edge_scale**2
-            off = -(core._edge_scale[1:] * core._edge_scale[:-1])
-            d = np.broadcast_to(2.0 * s2 + dq, Y.shape).copy()
-            dl = np.zeros_like(Y)
-            du = np.zeros_like(Y)
-            dl[:, 1:] = off
-            du[:, :-1] = off
-            # pinned rows become identity rows so their step is zero
-            d = np.where(pinned, 1.0, d)
-            dl[:, 1:] = np.where(pinned[:, 1:] | pinned[:, :-1], 0.0, dl[:, 1:])
-            du[:, :-1] = np.where(pinned[:, :-1] | pinned[:, 1:], 0.0, du[:, :-1])
-            step = solve_tridiagonal(dl, d, du, rhs)
-        else:
-            step = np.empty_like(Y)
-            for r in range(m):
-                if not live[r]:
-                    step[r] = 0.0
-                    continue
-                idx = np.flatnonzero(~pinned[r])
-                step[r] = 0.0
-                if idx.size == 0:
-                    continue
-                sub = gram[idx][:, idx].tocsc() + sp.diags(dq[idx] if np.ndim(dq) else np.full(idx.size, dq))
-                ridge = 1e-13 * (1.0 + sub.diagonal().max())
-                sub = sub + ridge * sp.eye(idx.size, format="csc")
-                step[r][idx] = spla.spsolve(sub, rhs[r][idx])
-        t = np.ones(m)
-        accepted = None
-        for _ in range(60):
-            cand = np.clip(Y + t[:, None] * step, -bound, bound)
-            new_obj = dual_obj(cand)
-            ok = ~live | (new_obj <= obj + 1e-14 * (1.0 + np.abs(obj))) | (t < 1e-12)
-            if np.all(ok):
-                accepted = cand
-                break
-            t = np.where(ok, t, 0.5 * t)
-        Y = np.where(live[:, None], accepted, Y)
-        obj = dual_obj(Y)
-    if np.any(resid > np.maximum(np.maximum(target, floor), 0.25 * tol)):
-        raise ProxDidNotConverge(f"dual prox of {core.label} stalled", float(np.max(resid)))
-    return V, float(np.max(resid)), iters
+        if core._tridiagonal:
+            # pinned unknowns become identity rows, so their step is zero
+            s = core._edge_scale
+            off = np.where(pinned[:, 1:] | pinned[:, :-1], 0.0, -(s[1:] * s[:-1]))
+            return _solve_chain(rhs, np.where(pinned, 1.0, 2.0 * s**2 + dq), off, off)
+
+        def system(r, idx):
+            sub = gram[idx][:, idx].tocsc() + sp.diags(dq[idx])
+            ridge = 1e-13 * (1.0 + sub.diagonal().max())
+            return sub + ridge * sp.eye(idx.size, format="csc")
+
+        return _solve_live_rows(live, rhs, system, free=~pinned)
+
+    (Y, _), worst, iters, converged = _damped_newton(
+        evaluate, np.zeros(KF.shape), residual, direction,
+        lambda new, obj, t, gd: new <= obj + 1e-14 * (1.0 + np.abs(obj)), min(max_iter, 300), 1e-12,
+    )
+    if not converged:
+        raise ProxDidNotConverge(f"dual prox of {core.label} stalled", worst)
+    return F - (K.T @ Y.T).T, worst, iters
 
 
 # ---------------------------------------------------------------------------
@@ -664,9 +611,7 @@ class FastDiffusionPotential(Potential):
         return float(np.max(np.abs(M).sum(axis=1)))
 
     def _hminus1_res(self, R: np.ndarray) -> np.ndarray:
-        lu = _dirichlet_solver(self.grid)
-        sol = lu.solve(R.T)
-        return np.sqrt(np.maximum(self.grid.cell_volume * np.einsum("ij,ji->i", R, sol), 0.0))
+        return np.sqrt(np.maximum(hminus1_norm_sq(self.grid, R), 0.0))
 
     def prox_batch(self, lam, F, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, warm=None):
         F = np.asarray(F, dtype=float)
@@ -682,55 +627,35 @@ class FastDiffusionPotential(Potential):
         prof = self.profile
         lu = _dirichlet_solver(self.grid)
         Z = F.copy() if warm is None else np.array(warm, dtype=float, copy=True)
-        m, n = F.shape
-        scale_target = 0.25 * tol * (1.0 + self._hminus1_res(F))
+        target = 0.25 * tol * (1.0 + self._hminus1_res(F))
 
         def evaluate(Zv):
             """H^-1 merit per row, plus the profile slope and curvature at |z|."""
             E = Zv - F
             GE = lu.solve(E.T).T
             value, slope, curv = prof.maps(np.abs(Zv))
-            return 0.5 * np.einsum("ij,ij->i", E, GE) + lam * (value @ a), slope, curv
+            return Zv, 0.5 * np.einsum("ij,ij->i", E, GE) + lam * (value @ a), slope, curv
 
-        merit, slope, curv = evaluate(Z)
-        resid = np.full(m, np.inf)
-        iters = 0
-        tridiag = self.grid.dim == 1
-        for iters in range(1, min(max_iter, 200) + 1):
-            R = Z - F + lam * (L @ (a * (np.sign(Z) * slope)).T).T
-            resid = self._hminus1_res(R)
-            live = resid > scale_target
-            if not np.any(live):
-                break
-            c = lam * a * curv
-            if tridiag:
+        def residual(state):
+            Zv, _, slope, _ = state
+            R = Zv - F + lam * (L @ (a * (np.sign(Zv) * slope)).T).T
+            return self._hminus1_res(R), target, R
+
+        def direction(state, R, live):
+            c = lam * a * state[3]
+            if self.grid.dim == 1:
                 h2 = self.grid.spacing[0] ** 2
-                dl = np.zeros((m, n))
-                du = np.zeros((m, n))
-                d = 1.0 + 2.0 * c / h2
-                dl[:, 1:] = -c[:, :-1] / h2
-                du[:, :-1] = -c[:, 1:] / h2
-                step = solve_tridiagonal(dl, d, du, -R)
-            else:
-                step = np.empty_like(R)
-                for r in range(m):
-                    J = sp.eye(n, format="csr") + L @ sp.diags(c[r])
-                    step[r] = spla.spsolve(J.tocsc(), -R[r])
-            t = np.ones(m)
-            for _ in range(40):
-                cand = Z + t[:, None] * step
-                new = evaluate(cand)
-                ok = ~live | (new[0] <= merit + 1e-10 * np.abs(merit))
-                if np.all(ok):
-                    Z, merit, slope, curv = _take_rows(live, (cand, *new), (Z, merit, slope, curv))
-                    break
-                t = np.where(ok, t, 0.5 * t)
-            else:
-                Z = np.where(live[:, None], Z + t[:, None] * step, Z)
-                merit, slope, curv = evaluate(Z)
-        if np.any(resid > np.maximum(scale_target, 0.25 * tol)):
+                return _solve_chain(-R, 1.0 + 2.0 * c / h2, -c[:, :-1] / h2, -c[:, 1:] / h2)
+            eye = sp.eye(R.shape[1], format="csr")
+            return _solve_live_rows(live, -R, lambda r, idx: (eye + L @ sp.diags(c[r])).tocsc())
+
+        (Z, *_), worst, iters, converged = _damped_newton(
+            evaluate, Z, residual, direction,
+            lambda new, merit, t, gd: new <= merit + 1e-10 * np.abs(merit), min(max_iter, 200), 1e-12,
+        )
+        if not converged:
             return self._prox_fista(lam, F, tol, max_iter, Z)
-        return Z, float(np.max(resid)), iters
+        return Z, worst, iters
 
     def _prox_fista(self, lam, F, tol, max_iter, warm):
         """Accelerated proximal gradient for the kinked (m = 0) case.
@@ -740,8 +665,7 @@ class FastDiffusionPotential(Potential):
         handled by the per-cell radial prox.
         """
         lu = _dirichlet_solver(self.grid)
-        lam_max = _laplacian_extreme(self.grid, largest=True)
-        lam_min = _laplacian_extreme(self.grid, largest=False)
+        lam_min, lam_max = _laplacian_extremes(self.grid)
         lip = 1.0 / lam_min
         mu = 1.0 / lam_max
         qratio = mu / lip
@@ -775,15 +699,12 @@ class FastDiffusionPotential(Potential):
         return Z, float(np.max(resid)), it
 
 
-@lru_cache(maxsize=None)
-def _laplacian_extreme(grid: Grid, largest: bool) -> float:
-    L = neg_laplacian_matrix(grid, DIRICHLET)
-    if L.shape[0] <= 400:
-        vals = np.linalg.eigvalsh(L.toarray())
-        return float(vals[-1] if largest else vals[0])
-    if largest:
-        return float(spla.eigsh(L, k=1, which="LA", return_eigenvectors=False)[0])
-    return float(spla.eigsh(L, k=1, sigma=0.0, return_eigenvectors=False)[0])
+def _laplacian_extremes(grid: Grid) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of the Dirichlet ``-Laplacian``: sums
+    over axes of the tridiag(-1, 2, -1)/h^2 eigenvalues
+    ``4/h^2 sin^2(k pi / (2(n+1)))`` at k = 1 and k = n."""
+    n, h = np.array(grid.shape), np.array(grid.spacing)
+    return tuple(float(np.sum(4.0 / h**2 * np.sin(k * np.pi / (2 * (n + 1))) ** 2)) for k in (1, n))
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,14 @@ def test_run_experiment_writes_deterministic_outputs(tmp_path):
     assert (d1 / "manifest.txt").exists()
 
 
+def test_every_kind_has_a_runner_taking_cfg_and_outdir():
+    import inspect
+
+    assert set(experiments._RUNNERS) == set(experiments.EXPERIMENT_KINDS)
+    for runner in experiments._RUNNERS.values():
+        assert list(inspect.signature(runner).parameters) == ["cfg", "outdir"]
+
+
 def test_mosco_table_experiment(tmp_path):
     text = BASE.format(kind="mosco_table", outdir=tmp_path / "out", schedule="1.0,0.5,0.25")
     text = text.replace("schedule_kind = power", "schedule_kind = delta")
