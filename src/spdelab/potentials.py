@@ -21,8 +21,8 @@ Proximal maps minimize ``1/2 ||v - f||_H^2 + lam * eval(v)``.  Primal
 Newton, Newton on the smooth face dual, active-set projected Newton on the
 box-constrained dual of total variation and Newton in H^-1 for fast diffusion
 supply objective, residual, Newton direction and acceptance test to one
-batched damped-Newton driver (banded solves on 1D grids); FISTA handles raw
-singular fast diffusion.  Every returned
+batched damped-Newton driver (on 1D chains ``K`` and ``K^T`` are stencils and
+the solves banded); FISTA handles raw singular fast diffusion.  Every returned
 minimizer carries a certificate: the max violation of the variational
 inequality over a probe panel plus the solver's own optimality residual.
 
@@ -231,24 +231,43 @@ class _DifferencePenaltyPotential(Potential):
         self._tridiagonal = tridiagonal
         self._gram = None
         if tridiagonal:
-            # chain structure: edge e couples cells (e, e+1); cache stencil scale
-            rows = np.arange(self.K.shape[0])
-            self._edge_scale = np.asarray(self.K[rows, rows + 1]).reshape(-1)
+            # chain structure: edge e couples cells (e, e+1) with -s_e and s_e
+            self._edge_scale = self.K[:, 1:].diagonal()
 
     def _accepts(self, space: str) -> bool:
         return space in (L2, H1)
 
+    def _grad(self, V: np.ndarray) -> np.ndarray:
+        """``K v`` per row; on chains a stencil bit-identical to CSR, in its layout."""
+        if not self._tridiagonal:
+            return (self.K @ V.T).T
+        s, Vt = self._edge_scale[:, None], np.ascontiguousarray(V.T)  # a column per batch row
+        G = s * Vt[1:]
+        G -= s * Vt[:-1]
+        G += 0.0  # CSR sums start from +0, so an exact zero is +0 there too
+        return G.T
+
+    def _div(self, Y: np.ndarray) -> np.ndarray:
+        """``K^T y`` per row; on chains edge e scatters into cell e + 1, then e."""
+        if not self._tridiagonal:
+            return (self.K.T @ Y.T).T
+        sY = self._edge_scale[:, None] * np.ascontiguousarray(Y.T)
+        out = np.zeros((sY.shape[0] + 1, sY.shape[1]))
+        out[1:] += sY
+        out[:-1] -= sY
+        return out.T
+
     def eval_batch(self, U: np.ndarray) -> np.ndarray:
-        G = (self.K @ np.asarray(U, dtype=float).T).T
+        G = self._grad(np.asarray(U, dtype=float))
         vals = self.profile.value(np.abs(G)) @ self.edge_w
         if np.any(self.edge_q):
             vals = vals + 0.5 * (G**2 @ self.edge_q)
         return self.grid.cell_volume * vals
 
     def yosida_gradient_batch(self, U: np.ndarray) -> np.ndarray:
-        G = (self.K @ np.asarray(U, dtype=float).T).T
+        G = self._grad(np.asarray(U, dtype=float))
         coeff = self.edge_w * self.profile.signed_slope(G) + self.edge_q * G
-        return (self.K.T @ coeff.T).T
+        return self._div(coeff)
 
     def drift_lipschitz_bound(self) -> float | None:
         """Upper bound on the Lipschitz constant of the Yosida drift."""
@@ -263,7 +282,7 @@ class _DifferencePenaltyPotential(Potential):
         F = np.asarray(F, dtype=float)
         prof = self.profile
         no_quad = not np.any(self.edge_q)
-        if no_quad and prof.is_kinked:
+        if no_quad and prof.is_kinked and not prof.slope_unbounded:
             # raw total variation: box-constrained dual
             return _dual_projected_newton(self, lam, F, tol, max_iter)
         if no_quad and isinstance(prof, YosidaPowerProfile) and prof.p == 1.0:
@@ -363,7 +382,6 @@ def _solve_chain(rhs, d, lo, up):
 
 def _newton_difference(core, lam, F, tol, max_iter, warm):
     """Damped Newton on the strongly convex smoothed objective (batched)."""
-    K = core.K
     prof = core.profile
     W = lam * core.edge_w
     Q = lam * core.edge_q
@@ -373,7 +391,7 @@ def _newton_difference(core, lam, F, tol, max_iter, warm):
 
     def evaluate(Vv):
         """Objective per row, plus G = K v and the profile maps at |G|."""
-        G = (K @ Vv.T).T
+        G = core._grad(Vv)
         value, slope, curv = prof.maps(np.abs(G))
         pen = value @ W
         if np.any(Q):
@@ -382,7 +400,7 @@ def _newton_difference(core, lam, F, tol, max_iter, warm):
 
     def residual(state):
         Vv, _, G, slope, _ = state
-        grad = Vv - F + (K.T @ (W * (np.sign(G) * slope) + Q * G).T).T
+        grad = Vv - F + core._div(W * (np.sign(G) * slope) + Q * G)
         return np.sqrt(np.sum(grad**2, axis=1)) * scale, target, grad
 
     def direction(state, grad, live):
@@ -390,9 +408,11 @@ def _newton_difference(core, lam, F, tol, max_iter, warm):
         curv = W * state[4] + Q
         if core._tridiagonal:
             c = curv * core._edge_scale**2  # per-edge (1/h)^2 factors
-            d = 1.0 + np.pad(c, ((0, 0), (0, 1))) + np.pad(c, ((0, 0), (1, 0)))  # 1 + c_i + c_(i-1)
+            d = np.ones_like(grad)
+            d[:, :-1] += c  # 1 + c_i + c_(i-1)
+            d[:, 1:] += c
             return _solve_chain(-grad, d, -c, -c)
-        eye = sp.eye(K.shape[1], format="csr")
+        K, eye = core.K, sp.eye(grad.shape[1], format="csr")
         return _solve_live_rows(live, -grad, lambda r, idx: (eye + K.T @ sp.diags(curv[r]) @ K).tocsc())
 
     # Armijo backtracking per row (Hessian >= I, so full steps dominate)
@@ -413,12 +433,11 @@ def _fenchel_gap(core, lam, Y, F, hstar):
     inequality absorbs the probe term into ``h(Kv')``.  ``hstar`` holds the
     conjugate values ``h*(y_e)``.
     """
-    K = core.K
     prof = core.profile
     W = lam * core.edge_w
     Q = lam * core.edge_q
-    V = F - (K.T @ Y.T).T
-    G = (K @ V.T).T
+    V = F - core._div(Y)
+    G = core._grad(V)
     hval = W * prof.value(np.abs(G)) + 0.5 * Q * G**2
     terms = hval + hstar - Y * G
     gap = core.grid.cell_volume * np.maximum(np.sum(terms, axis=1), 0.0)
@@ -431,7 +450,7 @@ def _dual_start(core, F, tol):
     if core._gram is None:
         core._gram = (core.K @ core.K.T).tocsr()
     fnorm = np.sqrt(np.sum(F**2, axis=1)) * np.sqrt(core.grid.cell_volume)
-    return core._gram, 0.25 * tol * (1.0 + fnorm) ** 2, (core.K @ F.T).T
+    return core._gram, 0.25 * tol * (1.0 + fnorm) ** 2, core._grad(F)
 
 
 def _dual_newton_smooth(core, lam, F, tol, max_iter):
@@ -441,14 +460,13 @@ def _dual_newton_smooth(core, lam, F, tol, max_iter):
     vanishing (not blowing up) at the origin, so Newton behaves where the
     primal Hessian degenerates.  Primal recovery: ``v = f - K^T y``.
     """
-    K = core.K
     conj = EdgeConjugate(core.profile, lam * core.edge_w, lam * core.edge_q)
     gram, target, KF = _dual_start(core, F, tol)
-    ridge = 1e-13 * sp.eye(K.shape[0])
+    ridge = 1e-13 * sp.eye(KF.shape[1])
 
     def evaluate(Y):
         """Dual objective per row, plus the conjugate maps at y."""
-        KT = (K.T @ Y.T).T
+        KT = core._div(Y)
         hstar, hslope, hcurv = conj.maps(Y)
         obj = 0.5 * np.sum(KT**2, axis=1) - np.sum(Y * KF, axis=1) + np.sum(hstar, axis=1)
         return Y, obj, hstar, hslope, hcurv
@@ -456,7 +474,7 @@ def _dual_newton_smooth(core, lam, F, tol, max_iter):
     def residual(state):
         Y, _, hstar, hslope, _ = state
         V, gap, floor = _fenchel_gap(core, lam, Y, F, hstar)
-        return gap, np.maximum(target, floor), -(K @ V.T).T + hslope
+        return gap, np.maximum(target, floor), -core._grad(V) + hslope
 
     def direction(state, grad, live):
         curv = state[4]
@@ -470,7 +488,7 @@ def _dual_newton_smooth(core, lam, F, tol, max_iter):
     )
     if not converged:
         raise ProxDidNotConverge(f"dual Newton prox of {core.label} stalled", worst)
-    return F - (K.T @ Y.T).T, worst, iters
+    return F - core._div(Y), worst, iters
 
 
 def _dual_projected_newton(core, lam, F, tol, max_iter, dual_quad: float = 0.0):
@@ -483,7 +501,6 @@ def _dual_projected_newton(core, lam, F, tol, max_iter, dual_quad: float = 0.0):
     Newton system, which stays tridiagonal on 1D chains (one banded LAPACK
     solve per batch).
     """
-    K = core.K
     gram, target, KF = _dual_start(core, F, tol)
     bound = lam * core.edge_w
     dq = (dual_quad / bound) if dual_quad > 0.0 else np.zeros_like(bound)
@@ -491,7 +508,7 @@ def _dual_projected_newton(core, lam, F, tol, max_iter, dual_quad: float = 0.0):
 
     def evaluate(Y):
         Y = np.clip(Y, -bound, bound)
-        KT = (K.T @ Y.T).T
+        KT = core._div(Y)
         return Y, 0.5 * np.sum(KT**2, axis=1) - np.sum(Y * KF, axis=1) + 0.5 * np.sum(dq * Y**2, axis=1)
 
     def residual(state):
@@ -522,7 +539,7 @@ def _dual_projected_newton(core, lam, F, tol, max_iter, dual_quad: float = 0.0):
     )
     if not converged:
         raise ProxDidNotConverge(f"dual prox of {core.label} stalled", worst)
-    return F - (K.T @ Y.T).T, worst, iters
+    return F - core._div(Y), worst, iters
 
 
 # ---------------------------------------------------------------------------

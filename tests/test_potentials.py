@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import chain_dp_prox
-from spdelab import grids, potentials
+from spdelab import _linalg, grids, mosco, potentials
 from spdelab.grids import (
     DIRICHLET,
     HMINUS1,
@@ -18,6 +20,7 @@ from spdelab.grids import (
     norm,
 )
 from spdelab.kernels import Kernel
+from spdelab.profiles import PowerProfile, ViscousProfile
 
 rng = np.random.default_rng(404)
 
@@ -391,6 +394,20 @@ def test_traced_solver_entry_points_keep_names_results_and_nesting(monkeypatch):
         assert isinstance(resid, float) and resid <= 1e-9
         assert isinstance(iters, int) and iters >= 1
 
+    # the tracer counts tridiagonal solves through the alias the chain paths call
+    assert potentials.solve_tridiagonal is _linalg.solve_tridiagonal
+    solves = []
+
+    def counting(*args):
+        solves.append(args[3].shape)
+        return _linalg.solve_tridiagonal(*args)
+
+    monkeypatch.setattr(potentials, "solve_tridiagonal", counting)
+    _, _, iters = potentials._newton_difference(potentials.p_dirichlet(g, 1.5, delta=0.05), 0.1, F[:1],
+                                                1e-9, 500, None)
+    # one solve per Newton step; the last iteration only finds the row converged
+    assert iters > 2 and solves == [(1, 12)] * (iters - 1)
+
     # the tracer counts a fallback when prox_batch catches the primal Newton's
     # failure, and when _prox_newton itself hands over to _prox_fista
     def stall(*args, **kwargs):
@@ -402,6 +419,70 @@ def test_traced_solver_entry_points_keep_names_results_and_nesting(monkeypatch):
     monkeypatch.setattr(FD, "_prox_fista", lambda self, lam, F, tol, max_iter, warm: ("fista", warm))
     out = potentials.fast_diffusion(g, 0.5, delta=0.05)._prox_newton(0.1, F, 1e-9, 1, None)
     assert out[0] == "fista" and out[1].shape == F.shape
+
+
+# ---------------------------------------------------------------------------
+# 1D chains: stencil K and K^T, trajectories, routing
+# ---------------------------------------------------------------------------
+
+
+def _signed_magnitudes(gen, shape):
+    """Values of either sign with magnitudes 1e-8 .. 1e3, some signed zeros and
+    some entries equal to their left neighbour (exact zero differences)."""
+    x = gen.choice([-1.0, 1.0], shape) * 10.0 ** gen.uniform(-8.0, 3.0, shape)
+    x[gen.random(shape) < 0.1] *= 0.0
+    same = gen.random(shape) < 0.1
+    same[:, 0] = False
+    x[same] = np.roll(x, 1, axis=1)[same]
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([2, 17, 64]), m=st.sampled_from([1, 5, 64]), seed=st.integers(0, 2**32 - 1))
+def test_chain_stencils_bit_identical_to_sparse_products(n, m, seed):
+    pot = potentials.p_dirichlet(interval_grid(n), 1.5)
+    gen = np.random.default_rng(seed)
+    V = _signed_magnitudes(gen, (m, n))
+    Y = _signed_magnitudes(gen, (m, n - 1))
+    for got, want in [(pot._grad(V), (pot.K @ V.T).T), (pot._div(Y), (pot.K.T @ Y.T).T)]:
+        assert got.tobytes() == want.tobytes()
+        # same memory layout, so later row sums and matvecs add in the same order
+        assert got.shape == want.shape and got.strides == want.strides
+
+
+# iteration counts of the certified chain solvers on the mosco_table probes
+# (64 cells, p = 1.5, lam = 1, tol 1e-9); the last raises in the primal Newton
+# and prox_batch falls back to the smooth dual
+CHAIN_TRAJECTORIES = [(0.1, "trig0", 39, 39), (0.025, "piecewise3", 352, 352), (0.05, "gauss0", None, 3)]
+
+
+@pytest.mark.parametrize("delta,probe,newton_iters,prox_iters", CHAIN_TRAJECTORIES)
+def test_chain_newton_trajectories_on_mosco_probes(delta, probe, newton_iters, prox_iters):
+    g = interval_grid(64)
+    F = dict(mosco.default_probes(g))[probe].flat[None, :]
+    pot = potentials.p_dirichlet(g, 1.5, delta=delta)
+    args = (pot, 1.0, F, 1e-9, potentials.DEFAULT_MAX_ITER, None)
+    if newton_iters is None:
+        with pytest.raises(potentials.ProxDidNotConverge):
+            potentials._newton_difference(*args)
+    else:
+        assert potentials._newton_difference(*args)[2] == newton_iters
+    _, resid, iters = pot.prox_batch(1.0, F, tol=1e-9)
+    assert resid <= 1e-9 and iters == prox_iters
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.5])
+def test_kinked_viscous_profile_takes_smooth_dual(lam, monkeypatch):
+    # |s| + (mu/2) s^2 has an unbounded slope, so its face dual is smooth; the
+    # box dual of raw total variation would drop the quadratic
+    def box_dual(*args, **kwargs):
+        raise AssertionError("kink + viscosity reached the box dual")
+
+    monkeypatch.setattr(potentials, "_dual_projected_newton", box_dual)
+    g = interval_grid(48)
+    pot = potentials.general_gradient(g, ViscousProfile(PowerProfile(1.0), 0.1))
+    f = GridFunction(g, np.random.default_rng(11).standard_normal(48))
+    assert pot.prox(lam, f, tol=1e-9).kkt_residual <= 1e-8
 
 
 @pytest.mark.parametrize("shape", [(64,), (16, 16), (20, 10)])

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import LinAlgError, solve_banded
 
 from spdelab._linalg import solve_tridiagonal
 from spdelab.profiles import (
@@ -167,6 +168,10 @@ def test_edge_conjugate_power_closed_form_inverts_slope(p, W, t):
     broadcast_d=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(m=1, n=1, broadcast_d=False, seed=0)
+@example(m=5, n=1, broadcast_d=False, seed=1)
+@example(m=1, n=9, broadcast_d=True, seed=2)
+@example(m=4, n=9, broadcast_d=True, seed=3)
 def test_solve_tridiagonal_matches_dense_solve(m, n, broadcast_d, seed):
     gen = np.random.default_rng(seed)
     dl = gen.uniform(-1.0, 1.0, (m, n))
@@ -176,6 +181,17 @@ def test_solve_tridiagonal_matches_dense_solve(m, n, broadcast_d, seed):
     x = solve_tridiagonal(dl, d, du, b)
     assert x.shape == (m, n)
     dd = np.broadcast_to(d, (m, n))
+    # bit-identical to scipy's banded solver on the rows laid end to end
+    ab = np.zeros((3, m, n))
+    ab[0, :, 1:], ab[1], ab[2, :, :-1] = du[:, :-1], dd, dl[:, 1:]
+    banded = solve_banded((1, 1), ab.reshape(3, -1), b.reshape(-1)).reshape(m, n)
+    assert x.tobytes() == banded.tobytes()
     for i in range(m):
         A = np.diag(dd[i]) + np.diag(dl[i, 1:], -1) + np.diag(du[i, :-1], 1)
         np.testing.assert_allclose(x[i], np.linalg.solve(A, b[i]), rtol=1e-12, atol=1e-12)
+
+
+def test_solve_tridiagonal_singular_row_raises():
+    ones = np.ones((2, 3))
+    with pytest.raises(LinAlgError):
+        solve_tridiagonal(ones, np.array([[4.0, 4.0, 4.0], [0.0, 0.0, 0.0]]), ones, ones)
