@@ -230,9 +230,6 @@ class TrajectoryEnsemble:
     def state(self, path: int, step: int) -> GridFunction:
         return GridFunction(self.grid, self.states[path, step].reshape(self.grid.shape), self.space)
 
-    def states_at(self, step: int) -> np.ndarray:
-        return self.states[:, step, :]
-
     def mean_norm_sq(self) -> np.ndarray:
         """E ||X_t||_H^2 estimate per stored step."""
         return np.mean(space_norm_sq(self.grid, self.states, self.space), axis=0)

@@ -170,21 +170,22 @@ def _validate(cfg: ExperimentConfig):
     dt = cfg.require("scheme", "dt")
     if dt <= 0 or steps <= 0:
         raise ConfigError("dt and steps must be positive")
-    n_runs = 1 + len(cfg.get("potential", "schedule", cfg.get("kernel", "eps_schedule", [0.0])))
+    kind = cfg.kind
+    eps_kinds = ("nonlocal_to_local", "homogenize_plaplace", "homogenize_fastdiffusion")
+    schedule = cfg.get("kernel", "eps_schedule") if kind in eps_kinds else cfg.get("potential", "schedule")
+    n_runs = 1 + len(schedule or [0.0])
     work = grid.num_cells * max(cfg.n_paths, 1) * steps * n_runs
     if work > cfg.budget:
         raise ConfigError(
             f"work estimate cells*paths*steps*runs = {work} exceeds budget {cfg.budget}"
         )
-    kind = cfg.kind
     if kind in ("trotter_plaplace", "trotter_fastdiffusion", "mosco_table"):
         cfg.require("potential", "schedule")
-    if kind in ("nonlocal_to_local",):
+    if kind in eps_kinds:
         cfg.require("kernel", "eps_schedule")
+    if kind in ("nonlocal_to_local",):
         cfg.require("potential", "p")
     if kind in ("homogenize_plaplace", "homogenize_fastdiffusion"):
-        if cfg.get("kernel", "eps_schedule") is None and cfg.get("potential", "schedule") is None:
-            raise ConfigError("homogenization needs an eps schedule")
         if cfg.get("potential", "weight") in (None, "none"):
             raise ConfigError("homogenization needs a periodic weight (cosine or checkerboard)")
     noise_kind = cfg.get("noise", "kind", "additive")
@@ -274,15 +275,6 @@ def _scheme(cfg: ExperimentConfig, delta=None) -> engine.SchemeParams:
     )
 
 
-def _weight_array(cfg: ExperimentConfig, grid: Grid, eps: float | None) -> np.ndarray | None:
-    name = cfg.get("potential", "weight", "none")
-    if name == "none":
-        return None
-    a = weight_function(name)
-    xs = grid.centers()[0]
-    return a(xs / eps) if eps is not None else np.full(grid.shape, cell_average_over_period(a))
-
-
 @dataclass
 class TableRow:
     index: int
@@ -348,67 +340,47 @@ def _write_manifest(cfg: ExperimentConfig, outdir: Path, extra_lines=()):
 # ---------------------------------------------------------------------------
 
 
-def _trotter_gradient_potentials(cfg, grid, delta):
-    """(schedule label/value, engine potential, raw potential) triples."""
-    schedule = cfg.require("potential", "schedule")
-    kind = cfg.get("potential", "schedule_kind", "power")
+def _gradient_schedule(cfg, grid, default_kind):
+    """``(value, simulated potential, raw potential)`` per schedule element,
+    with the simulated and raw targets; ``[potential] visc`` enters every one."""
+    kind = cfg.get("potential", "schedule_kind", default_kind)
     p_target = cfg.get("potential", "p", 1.5)
     visc = cfg.get("potential", "visc", 0.0)
-    out = []
-    for value in schedule:
+    delta = cfg.get("scheme", "delta", 1e-2)
+    seq = []
+    for value in cfg.require("potential", "schedule"):
         if kind == "power":
             sim_pot = potentials.p_dirichlet(grid, value, delta=delta, visc=visc)
             raw_pot = potentials.p_dirichlet(grid, value, visc=visc)
         elif kind == "viscosity":
             prof_sim = ViscousProfile(YosidaPowerProfile(p_target, delta), 1.0 / value)
             prof_raw = ViscousProfile(PowerProfile(p_target), 1.0 / value)
-            sim_pot = potentials.general_gradient(grid, prof_sim)
-            raw_pot = potentials.general_gradient(grid, prof_raw)
+            sim_pot = potentials.general_gradient(grid, prof_sim, visc=visc)
+            raw_pot = potentials.general_gradient(grid, prof_raw, visc=visc)
         elif kind == "delta":
-            sim_pot = potentials.p_dirichlet(grid, p_target, delta=value)
-            raw_pot = potentials.p_dirichlet(grid, p_target, delta=value)
+            sim_pot = raw_pot = potentials.p_dirichlet(grid, p_target, delta=value, visc=visc)
         else:
             raise ConfigError(f"unknown schedule_kind {kind!r}")
-        out.append((value, sim_pot, raw_pot))
-    return out, p_target
+        seq.append((value, sim_pot, raw_pot))
+    target_sim = potentials.p_dirichlet(grid, p_target, delta=delta, visc=visc)
+    target_raw = potentials.p_dirichlet(grid, p_target, visc=visc)
+    return seq, target_sim, target_raw
 
 
-def run_trotter_plaplace(cfg: ExperimentConfig, outdir: Path | None = None) -> ConvergenceTable:
-    grid = _parse_grid(cfg)
-    delta = cfg.get("scheme", "delta", 1e-2)
-    seq, p_target = _trotter_gradient_potentials(cfg, grid, delta)
-    target_sim = potentials.p_dirichlet(grid, p_target, delta=delta, visc=cfg.get("potential", "visc", 0.0))
-    target_raw = potentials.p_dirichlet(grid, p_target, visc=cfg.get("potential", "visc", 0.0))
-    return _run_schedule(cfg, grid, L2, seq, target_sim, target_raw)
-
-
-def run_trotter_fastdiffusion(cfg: ExperimentConfig, outdir: Path | None = None) -> ConvergenceTable:
-    grid = _parse_grid(cfg)
-    delta = cfg.get("scheme", "delta", 1e-2)
-    schedule = cfg.require("potential", "schedule")
-    kind = cfg.get("potential", "schedule_kind", "power")
-    m_target = cfg.get("potential", "m", 0.5)
-    seq = []
-    for value in schedule:
-        if kind == "power":
-            seq.append((value, potentials.fast_diffusion(grid, value, delta=delta),
-                        potentials.fast_diffusion(grid, value)))
-        elif kind == "delta":
-            seq.append((value, potentials.fast_diffusion(grid, m_target, delta=value),
-                        potentials.fast_diffusion(grid, m_target, delta=value)))
-        else:
-            raise ConfigError(f"unknown schedule_kind {kind!r} for fast diffusion")
-    target_sim = potentials.fast_diffusion(grid, m_target, delta=delta)
-    raw_delta = None if m_target > 0.0 else delta  # m = 0 raw resolvents are slow; keep regularized target
-    target_raw = potentials.fast_diffusion(grid, m_target, delta=raw_delta)
-    return _run_schedule(cfg, grid, HMINUS1, seq, target_sim, target_raw)
-
-
-def _run_schedule(cfg, grid, space, seq, target_sim, target_raw) -> ConvergenceTable:
+def _run_schedule(cfg, grid, space, seq, target_sim, target_raw, probes=None, gap=None,
+                  extras=None) -> ConvergenceTable:
+    """One table row per ``(value, sim_pot, raw_pot)`` of ``seq``: the weak
+    metric of the simulated ensemble against the target's on common noise,
+    the mean resolvent distance of the raw potentials over ``probes`` (8
+    default probes) and ``gap(raw_pot, target_raw, probes)`` (the largest
+    positive energy excess by default).  ``extras`` are constant columns."""
     sp = _scheme(cfg)
     x0 = _initial_state(cfg, grid, space)
     model = _noise_model(cfg, grid, space)
-    probes = mosco.default_probes(grid, space, count=8)
+    if probes is None:
+        probes = mosco.default_probes(grid, space, count=8)
+    gap = gap or _energy_gap
+    extras = extras or {}
     fns = svi.default_test_functionals(grid)
     ens_target = engine.simulate(x0, target_sim, model, sp, cfg.n_paths, cfg.seed)
     rows = []
@@ -417,104 +389,100 @@ def _run_schedule(cfg, grid, space, seq, target_sim, target_raw) -> ConvergenceT
         ens = engine.simulate(x0, sim_pot, model, sp, cfg.n_paths, cfg.seed)
         wm = svi.weak_convergence_metric(ens, ens_target, fns)
         rd = _mean_resolvent_distance(raw_pot, target_raw, probes)
-        eg = _energy_gap(raw_pot, target_raw, probes)
-        rows.append(TableRow(i, float(value), wm, rd, eg, time.perf_counter() - t0))
-    return ConvergenceTable(rows)
+        eg = gap(raw_pot, target_raw, probes)
+        rows.append(TableRow(i, float(value), wm, rd, eg, time.perf_counter() - t0, extras=extras))
+    return ConvergenceTable(rows, extra_columns=tuple(extras))
+
+
+def run_trotter_plaplace(cfg: ExperimentConfig, outdir: Path | None = None) -> ConvergenceTable:
+    grid = _parse_grid(cfg)
+    return _run_schedule(cfg, grid, L2, *_gradient_schedule(cfg, grid, "power"))
+
+
+def run_trotter_fastdiffusion(cfg: ExperimentConfig, outdir: Path | None = None) -> ConvergenceTable:
+    grid = _parse_grid(cfg)
+    delta = cfg.get("scheme", "delta", 1e-2)
+    kind = cfg.get("potential", "schedule_kind", "power")
+    m_target = cfg.get("potential", "m", 0.5)
+    seq = []
+    for value in cfg.require("potential", "schedule"):
+        if kind == "power":
+            seq.append((value, potentials.fast_diffusion(grid, value, delta=delta),
+                        potentials.fast_diffusion(grid, value)))
+        elif kind == "delta":
+            pot = potentials.fast_diffusion(grid, m_target, delta=value)
+            seq.append((value, pot, pot))
+        else:
+            raise ConfigError(f"unknown schedule_kind {kind!r} for fast diffusion")
+    target_sim = potentials.fast_diffusion(grid, m_target, delta=delta)
+    raw_delta = None if m_target > 0.0 else delta  # m = 0 raw resolvents are slow; keep regularized target
+    target_raw = potentials.fast_diffusion(grid, m_target, delta=raw_delta)
+    return _run_schedule(cfg, grid, HMINUS1, seq, target_sim, target_raw)
 
 
 def run_nonlocal_to_local(cfg: ExperimentConfig, outdir: Path | None = None) -> ConvergenceTable:
     grid = _parse_grid(cfg)
     p = cfg.require("potential", "p")
     delta = cfg.get("scheme", "delta", 1e-2)
-    eps_schedule = cfg.require("kernel", "eps_schedule")
     kern = Kernel(cfg.get("kernel", "profile", "bump"), grid.dim, cfg.get("kernel", "support_radius", 1.0))
-    sp = _scheme(cfg)
-    x0 = _initial_state(cfg, grid, L2)
-    model = _noise_model(cfg, grid, L2)
-    fns = svi.default_test_functionals(grid)
-    local_sim = potentials.p_dirichlet(grid, p, delta=delta)
-    local_raw = potentials.p_dirichlet(grid, p)
-    ens_target = engine.simulate(x0, local_sim, model, sp, cfg.n_paths, cfg.seed)
     xs = grid.centers()[0]
     probe = GridFunction(grid, np.sin(np.pi * xs / grid.extents[0]), L2)
-    rows = []
-    for i, eps in enumerate(eps_schedule):
-        t0 = time.perf_counter()
-        rk = RescaledKernel(kern, eps, p)
+
+    def element(eps):
         nl_sim = potentials.nonlocal_p(grid, kern, eps, p, delta=delta)
-        nl_raw = potentials.nonlocal_p(grid, kern, eps, p)
-        ens = engine.simulate(x0, nl_sim, model, sp, cfg.n_paths, cfg.seed)
-        wm = svi.weak_convergence_metric(ens, ens_target, fns)
-        rd = mosco.resolvent_distance(nl_raw, local_raw, probe, 1.0, tol=1e-9)
-        eg = abs(nonlocal_energy(rk, probe) - local_raw.eval(probe))
-        rows.append(TableRow(i, float(eps), wm, rd, eg, time.perf_counter() - t0))
-    return ConvergenceTable(rows)
+        return eps, nl_sim, potentials.nonlocal_p(grid, kern, eps, p)
+
+    def gap(nl_raw, local_raw, probes):
+        return abs(nonlocal_energy(nl_raw.rescaled, probe) - local_raw.eval(probe))
+
+    seq = map(element, cfg.require("kernel", "eps_schedule"))
+    local_sim = potentials.p_dirichlet(grid, p, delta=delta)
+    local_raw = potentials.p_dirichlet(grid, p)
+    return _run_schedule(cfg, grid, L2, seq, local_sim, local_raw, probes=[("sine", probe)], gap=gap)
+
+
+def _homogenize(cfg, space, make, extras) -> ConvergenceTable:
+    """Oscillating weights ``a(x/eps)`` against their cell average; ``make(grid,
+    weight, delta)`` builds the potential, raw when delta is None."""
+    grid = _parse_grid(cfg)
+    delta = cfg.get("scheme", "delta", 1e-2)
+    a = weight_function(cfg.require("potential", "weight"))
+    mean_weight = cell_average_over_period(a)
+    xs = grid.centers()[0]
+
+    def element(eps):
+        w = a(xs / eps)
+        return eps, make(grid, w, delta), make(grid, w, None)
+
+    seq = map(element, cfg.require("kernel", "eps_schedule"))
+    avg_weight = np.full(grid.shape, mean_weight)
+    target_sim = make(grid, avg_weight, delta)
+    target_raw = make(grid, avg_weight, None)
+    return _run_schedule(cfg, grid, space, seq, target_sim, target_raw,
+                         extras={"mean_weight": mean_weight, **extras})
 
 
 def run_homogenize_plaplace(cfg: ExperimentConfig, outdir: Path | None = None) -> ConvergenceTable:
-    grid = _parse_grid(cfg)
     p = cfg.get("potential", "p", 2.0)
-    delta = cfg.get("scheme", "delta", 1e-2)
-    eps_schedule = cfg.get("kernel", "eps_schedule") or cfg.require("potential", "schedule")
-    name = cfg.require("potential", "weight")
-    mean_weight = cell_average_over_period(weight_function(name))
-    sp = _scheme(cfg)
-    x0 = _initial_state(cfg, grid, L2)
-    model = _noise_model(cfg, grid, L2)
-    probes = mosco.default_probes(grid, L2, count=8)
-    fns = svi.default_test_functionals(grid)
-    avg_weight = np.full(grid.shape, mean_weight)
-    target_sim = potentials.p_dirichlet(grid, p, weight=avg_weight, delta=delta)
-    target_raw = potentials.p_dirichlet(grid, p, weight=avg_weight)
-    ens_target = engine.simulate(x0, target_sim, model, sp, cfg.n_paths, cfg.seed)
-    rows = []
-    for i, eps in enumerate(eps_schedule):
-        t0 = time.perf_counter()
-        w = _weight_array(cfg, grid, eps)
-        pot_sim = potentials.p_dirichlet(grid, p, weight=w, delta=delta)
-        pot_raw = potentials.p_dirichlet(grid, p, weight=w)
-        ens = engine.simulate(x0, pot_sim, model, sp, cfg.n_paths, cfg.seed)
-        wm = svi.weak_convergence_metric(ens, ens_target, fns)
-        rd = _mean_resolvent_distance(pot_raw, target_raw, probes)
-        eg = _energy_gap(pot_raw, target_raw, probes)
-        rows.append(TableRow(i, float(eps), wm, rd, eg, time.perf_counter() - t0,
-                             extras={"mean_weight": mean_weight}))
-    return ConvergenceTable(rows, extra_columns=("mean_weight",))
+
+    def make(grid, weight, delta):
+        return potentials.p_dirichlet(grid, p, weight=weight, delta=delta)
+
+    return _homogenize(cfg, L2, make, {})
 
 
 def run_homogenize_fastdiffusion(cfg: ExperimentConfig, outdir: Path | None = None) -> ConvergenceTable:
-    grid = _parse_grid(cfg)
     m = cfg.get("potential", "m", 0.5)
-    delta = cfg.get("scheme", "delta", 1e-2)
-    eps_schedule = cfg.get("kernel", "eps_schedule") or cfg.require("potential", "schedule")
-    name = cfg.require("potential", "weight")
-    a_fn = weight_function(name)
+    a_fn = weight_function(cfg.require("potential", "weight"))
     mean_weight = cell_average_over_period(a_fn)
     # signed Jensen diagnostic: published direction says avg(a^{-1/m}) <= avg(a)^{-1/m},
     # convexity of t^{-1/m} gives the reverse; report the signed gap as data
     jensen_gap = mean_weight ** (-1.0 / m) - cell_average_over_period(lambda y: a_fn(y) ** (-1.0 / m))
-    sp = _scheme(cfg)
-    x0 = _initial_state(cfg, grid, HMINUS1)
-    model = _noise_model(cfg, grid, HMINUS1)
-    probes = mosco.default_probes(grid, HMINUS1, count=8)
-    fns = svi.default_test_functionals(grid)
-    avg_weight = np.full(grid.shape, mean_weight)
-    target_sim = potentials.fast_diffusion(grid, m, weight=avg_weight, delta=delta)
-    target_raw = potentials.fast_diffusion(grid, m, weight=avg_weight)
-    ens_target = engine.simulate(x0, target_sim, model, sp, cfg.n_paths, cfg.seed)
-    rows = []
-    for i, eps in enumerate(eps_schedule):
-        t0 = time.perf_counter()
-        w = _weight_array(cfg, grid, eps)
-        pot_sim = potentials.fast_diffusion(grid, m, weight=w, delta=delta)
-        pot_raw = potentials.fast_diffusion(grid, m, weight=w)
-        ens = engine.simulate(x0, pot_sim, model, sp, cfg.n_paths, cfg.seed)
-        wm = svi.weak_convergence_metric(ens, ens_target, fns)
-        rd = _mean_resolvent_distance(pot_raw, target_raw, probes)
-        eg = _energy_gap(pot_raw, target_raw, probes)
-        rows.append(TableRow(i, float(eps), wm, rd, eg, time.perf_counter() - t0,
-                             extras={"mean_weight": mean_weight, "jensen_gap": jensen_gap}))
-    return ConvergenceTable(rows, extra_columns=("mean_weight", "jensen_gap"))
+
+    def make(grid, weight, delta):
+        return potentials.fast_diffusion(grid, m, weight=weight, delta=delta)
+
+    return _homogenize(cfg, HMINUS1, make, {"jensen_gap": jensen_gap})
 
 
 def run_svi_audit(cfg: ExperimentConfig, outdir: Path | None = None) -> ConvergenceTable:
@@ -559,26 +527,13 @@ def structured_test_family(ens, model, x0):
 
 def run_mosco_table(cfg: ExperimentConfig, outdir: Path | None = None) -> ConvergenceTable:
     grid = _parse_grid(cfg)
-    schedule = cfg.require("potential", "schedule")
-    kind = cfg.get("potential", "schedule_kind", "delta")
-    p_target = cfg.get("potential", "p", 1.5)
-    if kind == "delta":
-        pots = [potentials.p_dirichlet(grid, p_target, delta=d) for d in schedule]
-        target = potentials.p_dirichlet(grid, p_target)
-    elif kind == "power":
-        pots = [potentials.p_dirichlet(grid, pn) for pn in schedule]
-        target = potentials.p_dirichlet(grid, p_target)
-    elif kind == "viscosity":
-        pots = [potentials.general_gradient(grid, ViscousProfile(PowerProfile(p_target), 1.0 / n)) for n in schedule]
-        target = potentials.p_dirichlet(grid, p_target)
-    else:
-        raise ConfigError(f"unknown schedule_kind {kind!r}")
-    report = mosco.mosco_trend(pots, target, lambdas=(1.0,))
+    seq, _, target = _gradient_schedule(cfg, grid, "delta")
+    report = mosco.mosco_trend([raw_pot for _, _, raw_pot in seq], target, lambdas=(1.0,))
     if outdir is not None:
         report.to_csv(outdir / "mosco_report.csv")
         (outdir / "mosco_summary.txt").write_text(report.summary() + "\n", encoding="utf-8")
     rows = []
-    for i, value in enumerate(schedule):
+    for i, (value, _, _) in enumerate(seq):
         rows.append(
             TableRow(i, float(value), 0.0, float(report.distances[i].mean()),
                      float(report.limsup_gaps[i]), 0.0)

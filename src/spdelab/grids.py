@@ -145,9 +145,6 @@ class GridFunction:
     def copy(self) -> "GridFunction":
         return GridFunction(self.grid, self.values, self.space)
 
-    def with_space(self, space: str) -> "GridFunction":
-        return GridFunction(self.grid, self.values, space)
-
     @property
     def flat(self) -> np.ndarray:
         return self.values.reshape(-1)

@@ -5,7 +5,8 @@ gradient, a pairwise difference, or the state itself.  A profile exposes the
 few scalar maps the solvers need: the value, the (minimal-section) slope, an
 almost-everywhere curvature for Newton steps, the slope limit at 0+ (nonzero
 only for kinked profiles like the raw absolute value), and the radial
-proximal map ``r + tau * psi'(r) = s``.  ``maps`` returns value, slope and
+proximal map ``r + tau * psi'(r) = s`` (closed forms over
+``yosida.prox_radius``).  ``maps`` returns value, slope and
 curvature together; for the Moreau-Yosida profiles all three come from a
 single resolvent radius, so Newton loops pay one radius solve per point.
 
@@ -49,7 +50,7 @@ class RadialProfile:
 
     def prox_radius(self, tau, s):
         """Solve ``r + tau * psi'(r) = s`` for r >= 0 (s >= 0, tau > 0)."""
-        return _generic_prox_radius(self, tau, s)
+        raise NotImplementedError
 
     def signed_slope(self, x):
         x = np.asarray(x, dtype=float)
@@ -145,6 +146,13 @@ class YosidaPowerProfile(RadialProfile):
         # chain rule through the resolvent; limit 1/delta at r = 0
         return value, slope, np.where(np.isfinite(phi_prime), ratio, 1.0 / d)
 
+    def prox_radius(self, tau, s):
+        # prox of a Moreau envelope: (delta s + tau prox_{(tau+delta) psi}(s)) / (tau + delta)
+        tau = np.asarray(tau, dtype=float)
+        s = np.asarray(s, dtype=float)
+        d = self.delta
+        return (d * s + tau * yosida.prox_radius(self.p, tau + d, s)) / (tau + d)
+
     def slope_lipschitz(self) -> float:
         return 1.0 / self.delta
 
@@ -180,6 +188,11 @@ class ViscousProfile(RadialProfile):
         s = np.asarray(s, dtype=float)
         value, slope, curvature = self.base.maps(s)
         return value + 0.5 * self.mu * s**2, slope + self.mu * s, curvature + self.mu
+
+    def prox_radius(self, tau, s):
+        # r + tau (psi'(r) + mu r) = s is the base prox at tau / (1 + tau mu), s / (1 + tau mu)
+        scale = 1.0 + np.asarray(tau, dtype=float) * self.mu
+        return self.base.prox_radius(tau / scale, np.asarray(s, dtype=float) / scale)
 
     def slope_lipschitz(self) -> float:
         return self.base.slope_lipschitz() + self.mu
@@ -263,27 +276,3 @@ class EdgeConjugate:
     def curvature(self, y):
         return self.maps(y)[2]
 
-
-def _generic_prox_radius(profile: RadialProfile, tau, s):
-    """Safeguarded Newton for ``r + tau * psi'(r) = s`` on the bracket [0, s]."""
-    s = np.asarray(s, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    thresh = tau * profile.kink
-    active = s > thresh
-    r = np.where(active, 0.5 * np.maximum(s - thresh, 0.0), 0.0)
-    lo = np.zeros_like(r)
-    hi = np.array(np.broadcast_to(s, r.shape), dtype=float)
-    for _ in range(_ROOT_MAX_ITER):
-        _, slope, curvature = profile.maps(r)
-        f = r + tau * slope - s
-        f = np.where(active, f, 0.0)
-        if np.all(np.abs(f) <= _ROOT_TOL):
-            break
-        df = 1.0 + tau * curvature
-        lo = np.where(f < 0.0, r, lo)
-        hi = np.where(f > 0.0, r, hi)
-        with np.errstate(invalid="ignore"):
-            cand = r - f / df
-        bad = (cand <= lo) | (cand >= hi) | ~np.isfinite(cand)
-        r = np.where(active, np.where(bad, 0.5 * (lo + hi), cand), 0.0)
-    return r

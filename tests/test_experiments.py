@@ -161,8 +161,15 @@ def test_nonlocal_experiment_smoke(tmp_path):
 
 def test_homogenize_requires_weight(tmp_path):
     text = BASE.format(kind="homogenize_plaplace", outdir=tmp_path / "out", schedule="0.25,0.125")
-    with pytest.raises(ConfigError):
+    text += "\n[kernel]\neps_schedule = 0.25, 0.125\n"
+    with pytest.raises(ConfigError, match="weight"):
         parse_config(write_cfg(tmp_path, text))
+
+
+def test_homogenize_reads_only_kernel_eps_schedule(tmp_path):
+    text = BASE.format(kind="homogenize_plaplace", outdir=tmp_path / "out", schedule="0.25,0.125")
+    with pytest.raises(ConfigError, match="eps_schedule"):
+        parse_config(write_cfg(tmp_path, text.replace("p = 1.5", "p = 1.5\nweight = cosine")))
 
 
 def test_cli_validate_run_and_listing(tmp_path, capsys):
@@ -198,3 +205,94 @@ def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "run_experiment", boom)
     assert cli.main(["run", str(cfg_path)]) == 2
+
+
+# One tiny case per schedule kind: 24 cells, 3 paths, 4 steps.
+TINY = """
+[experiment]
+kind = {kind}
+seed = 5
+n_paths = 3
+output_dir = {outdir}
+
+[grid]
+cells = 24
+
+[potential]
+{potential}
+
+[noise]
+kind = additive
+modes = 2
+amplitude = 0.1
+
+[scheme]
+dt = 2e-3
+steps = 4
+delta = 1e-2
+{kernel}
+"""
+
+TINY_CASES = {
+    "trotter_plaplace": ("trotter_plaplace", "p = 1.5\nschedule = 1.9, 1.7\nschedule_kind = power", ""),
+    "trotter_fastdiffusion": ("trotter_fastdiffusion", "m = 0.5\nschedule = 0.9, 0.8\nschedule_kind = power", ""),
+    "nonlocal_to_local": ("nonlocal_to_local", "p = 2.0",
+                          "[kernel]\nprofile = bump\neps_schedule = 0.3, 0.2"),
+    "homogenize_plaplace": ("homogenize_plaplace", "p = 1.5\nweight = cosine",
+                            "[kernel]\neps_schedule = 0.25, 0.125"),
+    "homogenize_fastdiffusion": ("homogenize_fastdiffusion", "m = 0.5\nweight = cosine",
+                                 "[kernel]\neps_schedule = 0.25, 0.125"),
+    "mosco_table": ("mosco_table", "p = 1.5\nschedule = 1.0, 0.5", ""),
+    "mosco_table_visc": ("mosco_table", "p = 1.5\nschedule = 1.0, 0.5\nvisc = 0.1", ""),
+}
+
+
+def tiny_table(tmp_path, case):
+    """Numeric columns of the case's ``table.csv`` (wall time dropped) as ``float.hex``."""
+    kind, potential, kernel = TINY_CASES[case]
+    text = TINY.format(kind=kind, outdir=tmp_path / "out", potential=potential, kernel=kernel)
+    outdir = experiments.run_experiment(parse_config(write_cfg(tmp_path, text)))
+    header, *rows = (outdir / "table.csv").read_text().strip().splitlines()
+    wall = header.split(",").index("wall_time")
+    return [[float.hex(float(v)) for j, v in enumerate(r.split(",")[1:], 1) if j != wall] for r in rows]
+
+
+# float.hex of parameter, weak_metric, resolvent_distance, energy_gap and the
+# extra columns.  The visc-free cases were recorded before the runners shared
+# one schedule loop.  mosco_table used to ignore [potential] visc; its visc
+# case equals mosco.mosco_trend over p_dirichlet(..., visc=0.1) potentials.
+TINY_GOLDEN = {
+    'homogenize_fastdiffusion': [
+        ['0x1.0000000000000p-2', '0x1.8a356fa60091bp-18', '0x1.5e2327a007c8ep-14', '0x1.80bd26fc16200p-5', '0x1.0000000000000p+1', '-0x1.14468b980884cp-3'],
+        ['0x1.0000000000000p-3', '0x1.2ec3c9522fadfp-17', '0x1.ef67b6344bc4cp-14', '0x1.4508e7837f680p-4', '0x1.0000000000000p+1', '-0x1.14468b980884cp-3'],
+    ],
+    'homogenize_plaplace': [
+        ['0x1.0000000000000p-2', '0x1.cf0a9814aea53p-14', '0x1.2c94e36fe92a0p-11', '0x1.8ce5e6ea4b180p+2', '0x1.0000000000000p+1'],
+        ['0x1.0000000000000p-3', '0x1.39850cec478a3p-17', '0x1.e940ed520eccfp-14', '0x1.fefb7bd007880p+0', '0x1.0000000000000p+1'],
+    ],
+    'mosco_table': [
+        ['0x1.0000000000000p+0', '0x0.0p+0', '0x1.56289eaab7802p-6', '0x0.0p+0'],
+        ['0x1.0000000000000p-1', '0x0.0p+0', '0x1.6433232fba01cp-7', '0x0.0p+0'],
+    ],
+    'mosco_table_visc': [
+        ['0x1.0000000000000p+0', '0x0.0p+0', '0x1.2e731f604e956p-6', '0x0.0p+0'],
+        ['0x1.0000000000000p-1', '0x0.0p+0', '0x1.46d1dba812a96p-7', '0x0.0p+0'],
+    ],
+    'nonlocal_to_local': [
+        ['0x1.3333333333333p-2', '0x1.e81998cc42de8p-15', '0x1.97e72977fdbfdp-10', '0x1.3c7688020bdecp-1'],
+        ['0x1.999999999999ap-3', '0x1.d3f7a533fa284p-16', '0x1.0f06292533240p-11', '0x1.568d87f3bc2f8p-2'],
+    ],
+    'trotter_fastdiffusion': [
+        ['0x1.ccccccccccccdp-1', '0x1.9a58d46dbc35cp-19', '0x1.b0578ba53331cp-8', '0x0.0p+0'],
+        ['0x1.999999999999ap-1', '0x1.3e643fdbeb166p-19', '0x1.16b68f8e8f352p-8', '0x0.0p+0'],
+    ],
+    'trotter_plaplace': [
+        ['0x1.e666666666666p+0', '0x1.936935d94ae31p-15', '0x1.2f4b97c00941ap-6', '0x1.8d744fba9f44dp+8'],
+        ['0x1.b333333333333p+0', '0x1.9a7fd9f2d2864p-16', '0x1.14d211ecafa4cp-7', '0x1.088ed0a3e1fd2p+7'],
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(TINY_CASES))
+def test_schedule_kind_numeric_columns_are_pinned(tmp_path, case):
+    assert tiny_table(tmp_path, case) == TINY_GOLDEN[case]

@@ -393,6 +393,9 @@ def test_traced_solver_entry_points_keep_names_results_and_nesting(monkeypatch):
         assert Z.shape == F.shape
         assert isinstance(resid, float) and resid <= 1e-9
         assert isinstance(iters, int) and iters >= 1
+    # FISTA on a Yosida profile: the radial prox is the closed-form envelope prox
+    Z, resid, iters = potentials.fast_diffusion(g, 0.5, delta=0.05)._prox_fista(0.1, F, 1e-9, 10_000, None)
+    assert Z.shape == F.shape and resid <= 1e-9 and iters == 50
 
     # the tracer counts tridiagonal solves through the alias the chain paths call
     assert potentials.solve_tridiagonal is _linalg.solve_tridiagonal

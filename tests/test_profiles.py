@@ -23,6 +23,8 @@ PROFILES = [
     YosidaPowerProfile(1.5, 0.01),
     ViscousProfile(PowerProfile(1.3), 0.2),
     ViscousProfile(YosidaPowerProfile(1.0, 0.1), 0.5),
+    YosidaPowerProfile(1.7, 0.02),
+    ViscousProfile(PowerProfile(1.0), 0.3),
 ]
 
 
