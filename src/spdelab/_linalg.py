@@ -1,4 +1,4 @@
-"""Small shared linear-algebra helpers (LAPACK ``gtsv``, called directly)."""
+"""Small shared linear-algebra helpers (LAPACK ``gtsv`` and ``pbsv``, called directly)."""
 
 from __future__ import annotations
 
@@ -31,3 +31,34 @@ def solve_tridiagonal(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarr
     if info:
         raise LinAlgError(f"singular tridiagonal system (gtsv info {info})")
     return x.reshape(shape)
+
+
+def solve_banded_spd(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Symmetric positive definite banded solve per batch row, in one LAPACK ``pbsv`` call.
+
+    ``ab`` has shape ``(m, n, kd + 1)`` and holds each row's lower band,
+    ``ab[r, j, k] = A_r[j + k, j]``; entries with ``j + k >= n`` are ignored.
+    ``b`` has shape ``(m, n)``.  The rows lie end to end as independent
+    blocks of one band matrix, each followed by at least kd identity rows
+    and starting at a multiple of 32, the block size of LAPACK's blocked band
+    Cholesky.  So every row meets the same arithmetic wherever it sits in the
+    batch, and a row's solution is bit-identical to solving it alone.  The
+    buffer's ``(rows, kd + 1)`` reshape, transposed, is already the
+    Fortran-ordered band storage ``pbsv`` factors in place.  A system that
+    is not positive definite raises ``LinAlgError``.
+    """
+    m, n, w = ab.shape
+    stride = n + w - 1 + (1 - n - w) % 32  # n cells, kd identity rows, up to a multiple of 32
+    buf = np.zeros((m, stride, w))
+    buf[:, :n] = ab
+    for k in range(1, w):
+        buf[:, max(n - k, 0) : n, k] = 0.0
+    buf[:, n:, 0] = 1.0
+    rhs = np.zeros((m, stride))
+    rhs[:, :n] = b
+    pbsv = get_lapack_funcs("pbsv", dtype=np.float64)
+    _, x, info = pbsv(buf.reshape(m * stride, w).T, rhs.reshape(m * stride, 1),
+                      lower=1, overwrite_ab=1, overwrite_b=1)
+    if info:
+        raise LinAlgError(f"banded system not positive definite (pbsv info {info})")
+    return x.reshape(m, stride)[:, :n]

@@ -10,7 +10,10 @@ is applied through the proximal map,
 which is unconditionally stable and dissipates the energy exactly along
 noise-free paths.  An explicit mode using the Lipschitz Yosida drift is
 available behind ``drift="explicit_yosida"`` with the step bound
-``dt <= delta / 4`` enforced.
+``dt <= delta / 4`` enforced, and ``simulate`` also enforces the explicit
+Euler stability limit ``dt * Lip <= 2`` for the potential's drift bound.
+A non-finite state after any step of ``simulate`` raises
+``NumericalFailure``.
 
 Randomness is counter-based: every path derives its stream from
 ``SeedSequence((seed, path_index))`` over the Philox generator, so ensembles
@@ -31,6 +34,7 @@ __all__ = [
     "AdditiveNoise",
     "LinearMultiplicativeNoise",
     "NemytskiiNoise",
+    "NumericalFailure",
     "SchemeParams",
     "TrajectoryEnsemble",
     "gaussian_increments",
@@ -164,6 +168,16 @@ def hs_norm_sq(model: DiffusionModel, u: GridFunction) -> float:
 # ---------------------------------------------------------------------------
 # scheme and trajectories
 # ---------------------------------------------------------------------------
+
+
+class NumericalFailure(FloatingPointError):
+    """A scheme step left a non-finite state; ``step`` indexes ``states``."""
+
+    def __init__(self, path: int, step: int, solver: str):
+        super().__init__(f"non-finite state on path {path} at step {step} ({solver} drift)")
+        self.path = path
+        self.step = step
+        self.solver = solver
 
 
 @dataclass(frozen=True)
@@ -352,9 +366,15 @@ def simulate(
     """Monte-Carlo ensemble of the scheme; stores all states and increments.
 
     ``x0`` is a GridFunction or a callable ``path_rng -> GridFunction``
-    sampled per path from a child stream of the ensemble seed.
+    sampled per path from a child stream of the ensemble seed.  The explicit
+    drift is refused unless ``dt`` times the drift's Lipschitz bound is at
+    most 2, and a non-finite state raises ``NumericalFailure``.
     """
     _check_scheme_potential(pot, sp)
+    drift_bound = pot.drift_lipschitz_bound()
+    dt_lip = sp.dt * drift_bound if drift_bound is not None else None
+    if sp.drift == "explicit_yosida" and (dt_lip is None or dt_lip > 2.0):
+        raise ValueError(f"explicit Yosida drift needs dt * Lip <= 2 for stability, got {dt_lip}")
     grid = pot.grid
     n = grid.num_cells
     X = np.empty((n_paths, n))
@@ -369,12 +389,13 @@ def simulate(
         X[:] = x0.flat
     X = _smooth_initial(grid, X, sp.ic_smoothing)
     increments = gaussian_increments(seed, n_paths, sp.steps, model.mode_count, sp.dt)
-    drift_bound = pot.drift_lipschitz_bound()
-    dt_lip = sp.dt * drift_bound if drift_bound is not None else None
     states = np.empty((n_paths, sp.steps + 1, n))
     states[:, 0, :] = X
     for nstep in range(sp.steps):
         X = _advance(X, pot, model, sp, increments[:, nstep, :])
+        finite = np.isfinite(X).all(axis=1)
+        if not finite.all():
+            raise NumericalFailure(int(np.argmin(finite)), nstep + 1, sp.drift)
         states[:, nstep + 1, :] = X
     return TrajectoryEnsemble(
         grid=grid,

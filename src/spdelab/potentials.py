@@ -21,10 +21,15 @@ Proximal maps minimize ``1/2 ||v - f||_H^2 + lam * eval(v)``.  Primal
 Newton, Newton on the smooth face dual, active-set projected Newton on the
 box-constrained dual of total variation and Newton in H^-1 for fast diffusion
 supply objective, residual, Newton direction and acceptance test to one
-batched damped-Newton driver (on 1D chains ``K`` and ``K^T`` are stencils and
-the solves banded); FISTA handles raw singular fast diffusion.  Every returned
-minimizer carries a certificate: the max violation of the variational
-inequality over a probe panel plus the solver's own optimality residual.
+batched damped-Newton driver; FISTA handles raw singular fast diffusion.
+The Newton systems are banded.  On 1D chains ``K`` and ``K^T`` are stencils
+and every system is tridiagonal (LAPACK ``gtsv``).  On 2D grids and nonlocal
+stencils the two primal Newton systems, ``I + K^T diag(c) K`` and fast
+diffusion's ``I + L diag(c)`` in a symmetric form, are positive definite
+banded solves (LAPACK ``pbsv``), one call per step for all live rows; only
+the face duals there keep a sparse LU per row.  Every returned minimizer
+carries a certificate: the max violation of the variational inequality over
+a probe panel plus the solver's own optimality residual.
 
 On a finite grid every function has finite energy, so the
 lower-semicontinuous-hull construction that extends these energies to the
@@ -41,7 +46,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import kernels as kernels_mod
-from ._linalg import solve_tridiagonal
+from ._linalg import solve_banded_spd, solve_tridiagonal
 from .grids import (
     DIRICHLET,
     H1,
@@ -230,6 +235,7 @@ class _DifferencePenaltyPotential(Potential):
         self.label = label
         self._tridiagonal = tridiagonal
         self._gram = None
+        self._band = None
         if tridiagonal:
             # chain structure: edge e couples cells (e, e+1) with -s_e and s_e
             self._edge_scale = self.K[:, 1:].diagonal()
@@ -359,7 +365,8 @@ def _armijo(new, obj, t, gd):
 
 
 def _solve_live_rows(live, rhs, system, free=None):
-    """Sparse solves for the live rows; ``system(r, idx)`` is row r's CSC
+    """Sparse solves for the live rows of the 2D and nonlocal duals, whose
+    face Gram matrix is not narrow-banded; ``system(r, idx)`` is row r's CSC
     matrix on its free unknowns ``idx`` (all of them unless the mask ``free``
     says otherwise).  Every other row and unknown gets a zero step."""
     step = np.zeros_like(rhs)
@@ -378,6 +385,31 @@ def _solve_chain(rhs, d, lo, up):
     dl[:, 1:] = lo
     du[:, :-1] = up
     return solve_tridiagonal(dl, d, du, rhs)
+
+
+def _hessian_band(core, curv):
+    """Lower bands of ``I + K^T diag(c) K``, one per row of ``curv``, laid out
+    for ``solve_banded_spd``.
+
+    Edge e couples cells i < j through the entries s_i, s_j of K: it adds
+    c_e s_i^2 and c_e s_j^2 to the diagonal at i and j, and c_e s_i s_j at
+    offset j - i in column i.  That scatter, with the bandwidth kd (the
+    largest cell gap of any edge), is built once per potential.
+    """
+    if core._band is None:
+        K = core.K.sorted_indices()
+        if not np.all(np.diff(K.indptr) == 2):
+            raise ValueError(f"{core.label}: every edge must couple exactly two cells")
+        (i, j), (si, sj) = K.indices.reshape(-1, 2).T, K.data.reshape(-1, 2).T
+        kd = int(np.max(j - i, initial=0))
+        slots = np.concatenate([i * (kd + 1), j * (kd + 1), i * (kd + 1) + j - i])
+        edges = np.tile(np.arange(K.shape[0]), 3)
+        coef = np.concatenate([si * si, sj * sj, si * sj])
+        core._band = sp.csr_matrix((coef, (slots, edges)), shape=(K.shape[1] * (kd + 1), K.shape[0])), kd
+    scatter, kd = core._band
+    ab = (scatter @ curv.T).T.reshape(curv.shape[0], -1, kd + 1)
+    ab[:, :, 0] += 1.0
+    return ab
 
 
 def _newton_difference(core, lam, F, tol, max_iter, warm):
@@ -412,8 +444,9 @@ def _newton_difference(core, lam, F, tol, max_iter, warm):
             d[:, :-1] += c  # 1 + c_i + c_(i-1)
             d[:, 1:] += c
             return _solve_chain(-grad, d, -c, -c)
-        K, eye = core.K, sp.eye(grad.shape[1], format="csr")
-        return _solve_live_rows(live, -grad, lambda r, idx: (eye + K.T @ sp.diags(curv[r]) @ K).tocsc())
+        step = np.zeros_like(grad)
+        step[live] = solve_banded_spd(_hessian_band(core, curv[live]), -grad[live])
+        return step
 
     # Armijo backtracking per row (Hessian >= I, so full steps dominate)
     (V, *_), worst, iters, converged = _damped_newton(
@@ -663,8 +696,9 @@ class FastDiffusionPotential(Potential):
             if self.grid.dim == 1:
                 h2 = self.grid.spacing[0] ** 2
                 return _solve_chain(-R, 1.0 + 2.0 * c / h2, -c[:, :-1] / h2, -c[:, 1:] / h2)
-            eye = sp.eye(R.shape[1], format="csr")
-            return _solve_live_rows(live, -R, lambda r, idx: (eye + L @ sp.diags(c[r])).tocsc())
+            step = np.zeros_like(R)
+            step[live] = self._newton_solve(c[live], -R[live])
+            return step
 
         (Z, *_), worst, iters, converged = _damped_newton(
             evaluate, Z, residual, direction,
@@ -673,6 +707,22 @@ class FastDiffusionPotential(Potential):
         if not converged:
             return self._prox_fista(lam, F, tol, max_iter, Z)
         return Z, worst, iters
+
+    def _newton_solve(self, c: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Solve ``(I + L diag(c)) x = b`` per row for ``c >= 0`` (exact zeros
+        allowed), L the Dirichlet ``-Laplacian``.
+
+        With ``S = diag(sqrt c)`` that is ``x = b - L S z`` with
+        ``(I + S L S) z = S b``, a symmetric positive definite banded system.
+        """
+        sc = np.sqrt(c)
+        n, diagonals = sc.shape[1], _laplacian_diagonals(self.grid)
+        ab = np.zeros((sc.shape[0], n, max(diagonals) + 1))
+        for k, d in diagonals.items():  # (S L S)[j + k, j] = s_(j+k) L[j + k, j] s_j
+            ab[:, : n - k, k] = sc[:, k:] * d * sc[:, : n - k]
+        ab[:, :, 0] += 1.0
+        z = solve_banded_spd(ab, sc * b)
+        return b - (self._L @ (sc * z).T).T
 
     def _prox_fista(self, lam, F, tol, max_iter, warm):
         """Accelerated proximal gradient for the kinked (m = 0) case.
@@ -714,6 +764,20 @@ class FastDiffusionPotential(Potential):
         if np.any(resid > np.maximum(target, 0.25 * tol)):
             raise ProxDidNotConverge(f"FISTA prox of {self.label} stalled", float(np.max(resid)))
         return Z, float(np.max(resid)), it
+
+
+@lru_cache(maxsize=None)
+def _laplacian_diagonals(grid: Grid) -> dict[int, np.ndarray]:
+    """The nonzero lower diagonals of the Dirichlet ``-Laplacian`` by offset:
+    ``k -> L[j + k, j]`` for ``j < n - k`` (read-only); in 2D, k = 0, 1 and
+    the fast-axis cell count."""
+    L = neg_laplacian_matrix(grid, DIRICHLET).todia()
+    diagonals = {}
+    for off, data in zip(L.offsets, L.data):
+        if off <= 0:
+            diagonals[-int(off)] = d = data[: grid.num_cells + off].copy()
+            d.flags.writeable = False
+    return diagonals
 
 
 def _laplacian_extremes(grid: Grid) -> tuple[float, float]:

@@ -171,6 +171,38 @@ def test_explicit_drift_requires_small_steps():
     assert sp.drift == "explicit_yosida"
 
 
+def test_simulate_rejects_explicit_drift_past_the_stability_limit():
+    # dt = delta/4 passes SchemeParams, but dt * Lip = 4096 on 64 cells
+    g = grid64()
+    pot = potentials.p_dirichlet(g, 1.5, delta=1e-2)
+    sp = SchemeParams(dt=2.5e-3, steps=100, delta=1e-2, drift="explicit_yosida")
+    assert sp.dt * pot.drift_lipschitz_bound() == pytest.approx(4096.0)
+    with pytest.raises(ValueError, match="dt \\* Lip <= 2"):
+        simulate(sine_ic(g), pot, additive_model(g), sp, n_paths=2, seed=0)
+    stable = SchemeParams(dt=1.9 / pot.drift_lipschitz_bound(), steps=3, delta=1e-2, drift="explicit_yosida")
+    assert np.all(np.isfinite(simulate(sine_ic(g), pot, additive_model(g), stable, n_paths=2, seed=0).states))
+
+
+def test_simulate_raises_numerical_failure_on_non_finite_state(monkeypatch):
+    g = grid64()
+    pot = potentials.p_dirichlet(g, 1.5, delta=1e-2)
+    real, calls = pot.prox_batch, []
+
+    def nan_on_third_step(lam, F, **kwargs):
+        Z, resid, iters = real(lam, F, **kwargs)
+        calls.append(None)
+        if len(calls) == 3:
+            Z[2, 5] = np.nan
+        return Z, resid, iters
+
+    monkeypatch.setattr(pot, "prox_batch", nan_on_third_step)
+    with pytest.raises(engine.NumericalFailure) as err:
+        simulate(sine_ic(g), pot, additive_model(g), SchemeParams(dt=1e-3, steps=5, delta=1e-2),
+                 n_paths=4, seed=0)
+    assert isinstance(err.value, FloatingPointError)
+    assert (err.value.path, err.value.step, err.value.solver) == (2, 3, "implicit_prox")
+
+
 def test_explicit_drift_matches_yosida_gradient_formula():
     g = grid64()
     pot = potentials.p_dirichlet(g, 1.5, delta=0.1)

@@ -207,6 +207,21 @@ def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch):
     assert cli.main(["run", str(cfg_path)]) == 2
 
 
+def test_cli_non_finite_state_exit_code(tmp_path, monkeypatch, capsys):
+    from spdelab import potentials
+
+    cfg_path = write_cfg(
+        tmp_path, BASE.format(kind="trotter_plaplace", outdir=tmp_path / "o", schedule="1.6")
+    )
+
+    def nan_prox(self, lam, F, tol=1e-9, max_iter=1, warm=None):
+        return np.full_like(F, np.nan), 0.0, 1
+
+    monkeypatch.setattr(potentials._DifferencePenaltyPotential, "prox_batch", nan_prox)
+    assert cli.main(["run", str(cfg_path)]) == 2
+    assert "non-finite state on path 0 at step 1" in capsys.readouterr().err
+
+
 # One tiny case per schedule kind: 24 cells, 3 paths, 4 steps.
 TINY = """
 [experiment]
@@ -261,6 +276,9 @@ def tiny_table(tmp_path, case):
 # extra columns.  The visc-free cases were recorded before the runners shared
 # one schedule loop.  mosco_table used to ignore [potential] visc; its visc
 # case equals mosco.mosco_trend over p_dirichlet(..., visc=0.1) potentials.
+# nonlocal_to_local was re-recorded when its Newton direction moved from a
+# sparse LU per row to one banded Cholesky per step (rounding only, <= 7e-14
+# relative).
 TINY_GOLDEN = {
     'homogenize_fastdiffusion': [
         ['0x1.0000000000000p-2', '0x1.8a356fa60091bp-18', '0x1.5e2327a007c8ep-14', '0x1.80bd26fc16200p-5', '0x1.0000000000000p+1', '-0x1.14468b980884cp-3'],
@@ -279,8 +297,8 @@ TINY_GOLDEN = {
         ['0x1.0000000000000p-1', '0x0.0p+0', '0x1.46d1dba812a96p-7', '0x0.0p+0'],
     ],
     'nonlocal_to_local': [
-        ['0x1.3333333333333p-2', '0x1.e81998cc42de8p-15', '0x1.97e72977fdbfdp-10', '0x1.3c7688020bdecp-1'],
-        ['0x1.999999999999ap-3', '0x1.d3f7a533fa284p-16', '0x1.0f06292533240p-11', '0x1.568d87f3bc2f8p-2'],
+        ['0x1.3333333333333p-2', '0x1.e81998cc42de5p-15', '0x1.97e72977fdc7bp-10', '0x1.3c7688020bdecp-1'],
+        ['0x1.999999999999ap-3', '0x1.d3f7a533fa284p-16', '0x1.0f0629253310ep-11', '0x1.568d87f3bc2f8p-2'],
     ],
     'trotter_fastdiffusion': [
         ['0x1.ccccccccccccdp-1', '0x1.9a58d46dbc35cp-19', '0x1.b0578ba53331cp-8', '0x0.0p+0'],

@@ -373,6 +373,32 @@ def test_sparse_path_prox_certificate(make, iters):
         assert np.array_equal(pot.prox(0.1, c, tol=1e-8).minimizer.values, c.values)
 
 
+def test_fast_diffusion_spd_newton_solve_matches_sparse_solve():
+    # the curvature of the Huber-type m = 0 profile is 1/delta inside the
+    # kink and exactly zero outside it
+    pot = potentials.fast_diffusion(GRID_8X8, 0.0, delta=0.05)
+    gen = np.random.default_rng(5)
+    Z = 0.1 * gen.standard_normal((4, 64))
+    c = 0.3 * pot.profile.maps(np.abs(Z))[2]
+    assert np.any(c == 0.0) and np.any(c > 0.0)
+    B = gen.standard_normal((4, 64))
+    X = pot._newton_solve(c, B)
+    L = neg_laplacian_matrix(GRID_8X8, DIRICHLET)
+    for r in range(4):
+        want = spla.spsolve((sp.eye(64) + L @ sp.diags(c[r])).tocsc(), B[r])
+        assert np.linalg.norm(X[r] - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_hessian_band_needs_two_cells_per_edge():
+    # Dirichlet boundary faces touch one cell, so their rows cannot be paired
+    g = GRID_8X8
+    K = face_difference_matrix(g, DIRICHLET)
+    ones = np.ones(K.shape[0])
+    pot = potentials._DifferencePenaltyPotential(g, K, ones, 0 * ones, PowerProfile(2.0), "dirichlet", False)
+    with pytest.raises(ValueError, match="exactly two cells"):
+        potentials._hessian_band(pot, ones[None, :])
+
+
 # the non-chain families, built once each: primal Newton for the Yosida 2D
 # gradient, the nonlocal and the fast-diffusion potentials, the smooth face
 # dual for the raw 2D gradient
@@ -396,10 +422,11 @@ def test_non_chain_prox_is_certified_and_firmly_nonexpansive(family, lam, scale,
     pot = NON_CHAIN_FAMILIES[family]
     g, gen, tol = pot.grid, np.random.default_rng(seed), 1e-9
     f1, f2 = (GridFunction(g, scale * gen.standard_normal(g.shape), pot.space) for _ in range(2))
-    for f in (f1, f2):
-        rel = (1.0 + norm(f)) ** (2 if family == "p15_2d_raw" else 1)
-        assert pot.prox(lam, f, tol=tol).kkt_residual <= tol * rel
-    dz = pot.prox(lam, f1, tol=tol).minimizer - pot.prox(lam, f2, tol=tol).minimizer
+    r1, r2 = pot.prox(lam, f1, tol=tol), pot.prox(lam, f2, tol=tol)
+    power = 2 if family == "p15_2d_raw" else 1
+    for f, r in ((f1, r1), (f2, r2)):
+        assert r.kkt_residual <= tol * (1.0 + norm(f)) ** power
+    dz = r1.minimizer - r2.minimizer
     assert inner(dz, dz) <= inner(dz, f1 - f2) + 1e-9
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import LinAlgError, solve_banded
 
-from spdelab._linalg import solve_tridiagonal
+from spdelab._linalg import solve_banded_spd, solve_tridiagonal
 from spdelab.profiles import (
     EdgeConjugate,
     PowerProfile,
@@ -197,3 +197,54 @@ def test_solve_tridiagonal_singular_row_raises():
     ones = np.ones((2, 3))
     with pytest.raises(LinAlgError):
         solve_tridiagonal(ones, np.array([[4.0, 4.0, 4.0], [0.0, 0.0, 0.0]]), ones, ones)
+
+
+def _spd_bands(gen, m, n, kd):
+    """Random diagonally dominant lower bands ``ab[r, j, k] = A_r[j + k, j]``
+    and their dense matrices; the band entries past the last cell hold junk."""
+    ab = gen.uniform(-1.0, 1.0, (m, n, kd + 1))
+    A = np.zeros((m, n, n))
+    for k in range(1, kd + 1):
+        for r in range(m):
+            A[r] += np.diag(ab[r, : n - k, k], -k) + np.diag(ab[r, : n - k, k], k)
+    ab[:, :, 0] = 0.5 + np.sum(np.abs(A), axis=2) * gen.uniform(1.0, 2.0, (m, n))
+    for r in range(m):
+        A[r] += np.diag(ab[r, :, 0])
+    return ab, A
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(1, 5), n=st.integers(1, 24), kd_frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(m=1, n=12, kd_frac=0.5, seed=0)
+@example(m=3, n=10, kd_frac=1.0, seed=1)  # kd = n - 1: a dense row
+@example(m=4, n=1, kd_frac=0.0, seed=2)  # 1 x 1 blocks: a division
+def test_solve_banded_spd_matches_dense_solve(m, n, kd_frac, seed):
+    gen = np.random.default_rng(seed)
+    ab, A = _spd_bands(gen, m, n, int(kd_frac * (n - 1)))
+    b = gen.standard_normal((m, n))
+    x = solve_banded_spd(ab, b.copy())
+    assert x.shape == (m, n)
+    np.testing.assert_allclose(x, np.linalg.solve(A, b[..., None])[..., 0], rtol=1e-11, atol=1e-12)
+    if n == 1:
+        np.testing.assert_allclose(x, b / A[:, 0], rtol=1e-15)
+
+
+@pytest.mark.parametrize("n,kd", [(24, 3), (64, 8), (40, 39), (96, 32), (200, 70)])
+def test_solve_banded_spd_rows_together_equal_rows_alone(n, kd):
+    # the identity rows between blocks keep each row's arithmetic its own,
+    # also where the band triangular solve (kd >= 32) or the blocked Cholesky
+    # (kd > 64) would round a row by its neighbours
+    gen = np.random.default_rng(n + kd)
+    ab, _ = _spd_bands(gen, 6, n, kd)
+    b = gen.standard_normal((6, n))
+    together = solve_banded_spd(ab.copy(), b)
+    for r in range(6):
+        assert solve_banded_spd(ab[r : r + 1].copy(), b[r : r + 1]).tobytes() == together[r : r + 1].tobytes()
+
+
+def test_solve_banded_spd_indefinite_band_raises():
+    ab = np.zeros((2, 3, 2))
+    ab[:, :, 0], ab[:, :, 1] = 1.0, 0.1
+    ab[1, 1, 0] = -1.0
+    with pytest.raises(LinAlgError):
+        solve_banded_spd(ab, np.ones((2, 3)))
