@@ -194,6 +194,9 @@ def _validate(cfg: ExperimentConfig):
     drift = cfg.get("scheme", "drift", "implicit_prox")
     if drift not in ("implicit_prox", "explicit_yosida"):
         raise ConfigError(f"unknown drift {drift!r}")
+    if drift == "explicit_yosida" and kind != "svi_audit_run":
+        # the schedule runs build their scheme without delta (_scheme)
+        raise ConfigError(f"drift = explicit_yosida is honoured by svi_audit_run only, not {kind}")
     weight = cfg.get("potential", "weight", "none")
     if weight not in ("none", "cosine", "checkerboard") and not str(weight).startswith("constant:"):
         raise ConfigError(f"unknown weight {weight!r}")

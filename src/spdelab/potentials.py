@@ -22,14 +22,17 @@ Newton, Newton on the smooth face dual, active-set projected Newton on the
 box-constrained dual of total variation and Newton in H^-1 for fast diffusion
 supply objective, residual, Newton direction and acceptance test to one
 batched damped-Newton driver; FISTA handles raw singular fast diffusion.
-The Newton systems are banded.  On 1D chains ``K`` and ``K^T`` are stencils
-and every system is tridiagonal (LAPACK ``gtsv``).  On 2D grids and nonlocal
-stencils the two primal Newton systems, ``I + K^T diag(c) K`` and fast
-diffusion's ``I + L diag(c)`` in a symmetric form, are positive definite
-banded solves (LAPACK ``pbsv``), one call per step for all live rows; only
-the face duals there keep a sparse LU per row.  Every returned minimizer
-carries a certificate: the max violation of the variational inequality over
-a probe panel plus the solver's own optimality residual.
+The driver alone tracks which batch rows are live: the callbacks see only
+the unconverged sub-batch, so a settled row is not evaluated or solved
+again.  The Newton systems are banded.  On 1D chains ``K`` and ``K^T`` are
+stencils and every system is tridiagonal (LAPACK ``gtsv``).  On 2D grids
+and nonlocal stencils the two primal Newton systems, ``I + K^T diag(c) K``
+and fast diffusion's ``I + L diag(c)`` in a symmetric form, are positive
+definite banded solves (LAPACK ``pbsv``), one call per step for all live
+rows; only the face duals there keep a sparse LU per live row.  Every
+returned minimizer carries a certificate: the max violation of the
+variational inequality over a probe panel plus the solver's own optimality
+residual.
 
 On a finite grid every function has finite energy, so the
 lower-semicontinuous-hull construction that extends these energies to the
@@ -312,24 +315,32 @@ class _DifferencePenaltyPotential(Potential):
 def _damped_newton(evaluate, X, residual, direction, accept, cap, t_min, patience=0):
     """Batched damped Newton with a per-row halving line search.
 
-    ``evaluate(X)`` gives the state ``(X, obj, *maps)`` at the (projected)
-    iterates X; ``residual(state)`` gives ``(resid, threshold, grad)``, rows
-    with ``resid > threshold`` are live, and ``direction(state, grad, live)``
-    gives their step.  A live row halves its step length t until
-    ``accept(new_obj, obj, t, <grad, step>)`` holds or ``t < t_min``; the
-    accepted candidate, maps included, is its next state.  With ``patience``
-    the loop stops once the worst residual has not dropped below 0.9 of its
-    best for that many iterations.  Returns ``(state, worst residual, iters,
-    converged)``; live rows left at the end mean not converged.
+    Rows with ``resid > threshold`` are live, and the callbacks see only the
+    live sub-batch, ``rows`` its batch indices for per-row data:
+    ``evaluate(X, rows)`` gives the state ``(X, obj, *maps)`` at the
+    (projected) iterates X, ``residual(state, rows)`` gives ``(resid,
+    threshold, grad)`` and ``direction(state, grad)`` the step.  A live row
+    halves its step length t until ``accept(new_obj, obj, t, <grad, step>)``
+    holds or ``t < t_min``; the accepted candidate, maps included, is its
+    next state.  A row's iterate is written into the returned X once, when
+    it settles or the loop ends.  With ``patience`` the loop stops once the
+    worst residual has not dropped below 0.9 of its best for that many
+    iterations.  Returns ``(X, worst residual, iters, converged)``; live rows
+    left at the end mean not converged.
     """
-    state = evaluate(X)
+    rows = np.arange(X.shape[0])
+    state = evaluate(X, rows)
+    out = state[0]
     resid = np.full(X.shape[0], np.inf)
-    live = np.ones(X.shape[0], dtype=bool)
     best, stagnant, iters = np.inf, 0, 0
     for iters in range(1, cap + 1):
-        resid, threshold, grad = residual(state)
-        live = resid > threshold
-        if not np.any(live):
+        res, threshold, grad = residual(state, rows)
+        resid[rows] = res
+        live = res > threshold
+        if not np.all(live):
+            out[rows[~live]] = state[0][~live]
+            rows, grad, state = rows[live], grad[live], tuple(a[live] for a in state)
+        if rows.size == 0:
             break
         worst = float(np.max(resid))
         if worst < 0.9 * best:
@@ -338,24 +349,18 @@ def _damped_newton(evaluate, X, residual, direction, accept, cap, t_min, patienc
             stagnant += 1
         if patience and stagnant >= patience:
             break
-        step = direction(state, grad, live)
+        step = direction(state, grad)
         gd = np.sum(grad * step, axis=1)
-        t = np.ones(X.shape[0])
+        t = np.ones(rows.size)
         while True:
-            new = evaluate(state[0] + t[:, None] * step)
-            ok = ~live | accept(new[1], state[1], t, gd) | (t < t_min)
+            new = evaluate(state[0] + t[:, None] * step, rows)
+            ok = accept(new[1], state[1], t, gd) | (t < t_min)
             if np.all(ok):
                 break
             t = np.where(ok, t, 0.5 * t)
-        state = _take_rows(live, new, state)
-    return state, float(np.max(resid)), iters, not np.any(live)
-
-
-def _take_rows(live, new, old):
-    """Row-wise ``new if live else old`` over matching tuples of batch arrays."""
-    return tuple(
-        np.where(live.reshape((-1,) + (1,) * (np.ndim(a) - 1)), a, b) for a, b in zip(new, old)
-    )
+        state = new
+    out[rows] = state[0]
+    return out, float(np.max(resid)), iters, rows.size == 0
 
 
 def _armijo(new, obj, t, gd):
@@ -364,13 +369,13 @@ def _armijo(new, obj, t, gd):
     return new <= obj + 1e-4 * t * gd + 1e-14 * (1.0 + np.abs(obj))
 
 
-def _solve_live_rows(live, rhs, system, free=None):
-    """Sparse solves for the live rows of the 2D and nonlocal duals, whose
-    face Gram matrix is not narrow-banded; ``system(r, idx)`` is row r's CSC
-    matrix on its free unknowns ``idx`` (all of them unless the mask ``free``
-    says otherwise).  Every other row and unknown gets a zero step."""
+def _solve_live_rows(rhs, system, free=None):
+    """Sparse solves, one per live row of ``rhs``, for the 2D and nonlocal
+    duals, whose face Gram matrix is not narrow-banded; ``system(r, idx)`` is
+    row r's CSC matrix on its free unknowns ``idx`` (all of them unless the
+    mask ``free`` says otherwise).  Every other unknown gets a zero step."""
     step = np.zeros_like(rhs)
-    for r in np.flatnonzero(live):
+    for r in range(rhs.shape[0]):
         idx = np.arange(rhs.shape[1]) if free is None else np.flatnonzero(free[r])
         if idx.size:
             step[r, idx] = spla.spsolve(system(r, idx), rhs[r, idx])
@@ -421,21 +426,21 @@ def _newton_difference(core, lam, F, tol, max_iter, warm):
     scale = np.sqrt(core.grid.cell_volume)  # converts plain l2 residual norms to L2(O) norms
     target = 0.25 * tol * (1.0 + np.sqrt(np.sum(F**2, axis=1)) * scale)
 
-    def evaluate(Vv):
+    def evaluate(Vv, rows):
         """Objective per row, plus G = K v and the profile maps at |G|."""
         G = core._grad(Vv)
         value, slope, curv = prof.maps(np.abs(G))
         pen = value @ W
         if np.any(Q):
             pen = pen + 0.5 * (G**2 @ Q)
-        return Vv, 0.5 * np.sum((Vv - F) ** 2, axis=1) + pen, G, slope, curv
+        return Vv, 0.5 * np.sum((Vv - F[rows]) ** 2, axis=1) + pen, G, slope, curv
 
-    def residual(state):
+    def residual(state, rows):
         Vv, _, G, slope, _ = state
-        grad = Vv - F + core._div(W * (np.sign(G) * slope) + Q * G)
-        return np.sqrt(np.sum(grad**2, axis=1)) * scale, target, grad
+        grad = Vv - F[rows] + core._div(W * (np.sign(G) * slope) + Q * G)
+        return np.sqrt(np.sum(grad**2, axis=1)) * scale, target[rows], grad
 
-    def direction(state, grad, live):
+    def direction(state, grad):
         """Solve ``(I + K^T diag(c) K) x = -grad`` per batch row."""
         curv = W * state[4] + Q
         if core._tridiagonal:
@@ -444,12 +449,10 @@ def _newton_difference(core, lam, F, tol, max_iter, warm):
             d[:, :-1] += c  # 1 + c_i + c_(i-1)
             d[:, 1:] += c
             return _solve_chain(-grad, d, -c, -c)
-        step = np.zeros_like(grad)
-        step[live] = solve_banded_spd(_hessian_band(core, curv[live]), -grad[live])
-        return step
+        return solve_banded_spd(_hessian_band(core, curv), -grad)
 
     # Armijo backtracking per row (Hessian >= I, so full steps dominate)
-    (V, *_), worst, iters, converged = _damped_newton(
+    V, worst, iters, converged = _damped_newton(
         evaluate, V, residual, direction, _armijo, min(max_iter, 400), 1e-12, patience=25
     )
     if not converged:
@@ -497,26 +500,26 @@ def _dual_newton_smooth(core, lam, F, tol, max_iter):
     gram, target, KF = _dual_start(core, F, tol)
     ridge = 1e-13 * sp.eye(KF.shape[1])
 
-    def evaluate(Y):
+    def evaluate(Y, rows):
         """Dual objective per row, plus the conjugate maps at y."""
         KT = core._div(Y)
         hstar, hslope, hcurv = conj.maps(Y)
-        obj = 0.5 * np.sum(KT**2, axis=1) - np.sum(Y * KF, axis=1) + np.sum(hstar, axis=1)
+        obj = 0.5 * np.sum(KT**2, axis=1) - np.sum(Y * KF[rows], axis=1) + np.sum(hstar, axis=1)
         return Y, obj, hstar, hslope, hcurv
 
-    def residual(state):
+    def residual(state, rows):
         Y, _, hstar, hslope, _ = state
-        V, gap, floor = _fenchel_gap(core, lam, Y, F, hstar)
-        return gap, np.maximum(target, floor), -core._grad(V) + hslope
+        V, gap, floor = _fenchel_gap(core, lam, Y, F[rows], hstar)
+        return gap, np.maximum(target[rows], floor), -core._grad(V) + hslope
 
-    def direction(state, grad, live):
+    def direction(state, grad):
         curv = state[4]
         if core._tridiagonal:
             s = core._edge_scale
             return _solve_chain(-grad, 2.0 * s**2 + curv, -(s[1:] * s[:-1]), -(s[1:] * s[:-1]))
-        return _solve_live_rows(live, -grad, lambda r, idx: (gram + sp.diags(curv[r]) + ridge).tocsc())
+        return _solve_live_rows(-grad, lambda r, idx: (gram + sp.diags(curv[r]) + ridge).tocsc())
 
-    (Y, *_), worst, iters, converged = _damped_newton(
+    Y, worst, iters, converged = _damped_newton(
         evaluate, np.zeros(KF.shape), residual, direction, _armijo, min(max_iter, 500), 1e-14
     )
     if not converged:
@@ -539,17 +542,17 @@ def _dual_projected_newton(core, lam, F, tol, max_iter, dual_quad: float = 0.0):
     dq = (dual_quad / bound) if dual_quad > 0.0 else np.zeros_like(bound)
     edge = bound * (1 - 1e-14)  # pinning threshold
 
-    def evaluate(Y):
+    def evaluate(Y, rows):
         Y = np.clip(Y, -bound, bound)
         KT = core._div(Y)
-        return Y, 0.5 * np.sum(KT**2, axis=1) - np.sum(Y * KF, axis=1) + 0.5 * np.sum(dq * Y**2, axis=1)
+        return Y, 0.5 * np.sum(KT**2, axis=1) - np.sum(Y * KF[rows], axis=1) + 0.5 * np.sum(dq * Y**2, axis=1)
 
-    def residual(state):
+    def residual(state, rows):
         Y = state[0]
-        _, gap, floor = _fenchel_gap(core, lam, Y, F, 0.5 * dq * Y**2)
-        return gap, np.maximum(target, floor), (gram @ Y.T).T - KF + dq * Y
+        _, gap, floor = _fenchel_gap(core, lam, Y, F[rows], 0.5 * dq * Y**2)
+        return gap, np.maximum(target[rows], floor), (gram @ Y.T).T - KF[rows] + dq * Y
 
-    def direction(state, grad, live):
+    def direction(state, grad):
         Y = state[0]
         pinned = ((Y >= edge) & (grad <= 0)) | ((Y <= -edge) & (grad >= 0))
         rhs = np.where(pinned, 0.0, -grad)
@@ -564,9 +567,9 @@ def _dual_projected_newton(core, lam, F, tol, max_iter, dual_quad: float = 0.0):
             ridge = 1e-13 * (1.0 + sub.diagonal().max())
             return sub + ridge * sp.eye(idx.size, format="csc")
 
-        return _solve_live_rows(live, rhs, system, free=~pinned)
+        return _solve_live_rows(rhs, system, free=~pinned)
 
-    (Y, _), worst, iters, converged = _damped_newton(
+    Y, worst, iters, converged = _damped_newton(
         evaluate, np.zeros(KF.shape), residual, direction,
         lambda new, obj, t, gd: new <= obj + 1e-14 * (1.0 + np.abs(obj)), min(max_iter, 300), 1e-12,
     )
@@ -679,28 +682,26 @@ class FastDiffusionPotential(Potential):
         Z = F.copy() if warm is None else np.array(warm, dtype=float, copy=True)
         target = 0.25 * tol * (1.0 + self._hminus1_res(F))
 
-        def evaluate(Zv):
+        def evaluate(Zv, rows):
             """H^-1 merit per row, plus the profile slope and curvature at |z|."""
-            E = Zv - F
+            E = Zv - F[rows]
             GE = lu.solve(E.T).T
             value, slope, curv = prof.maps(np.abs(Zv))
             return Zv, 0.5 * np.einsum("ij,ij->i", E, GE) + lam * (value @ a), slope, curv
 
-        def residual(state):
+        def residual(state, rows):
             Zv, _, slope, _ = state
-            R = Zv - F + lam * (L @ (a * (np.sign(Zv) * slope)).T).T
-            return self._hminus1_res(R), target, R
+            R = Zv - F[rows] + lam * (L @ (a * (np.sign(Zv) * slope)).T).T
+            return self._hminus1_res(R), target[rows], R
 
-        def direction(state, R, live):
+        def direction(state, R):
             c = lam * a * state[3]
             if self.grid.dim == 1:
                 h2 = self.grid.spacing[0] ** 2
                 return _solve_chain(-R, 1.0 + 2.0 * c / h2, -c[:, :-1] / h2, -c[:, 1:] / h2)
-            step = np.zeros_like(R)
-            step[live] = self._newton_solve(c[live], -R[live])
-            return step
+            return self._newton_solve(c, -R)
 
-        (Z, *_), worst, iters, converged = _damped_newton(
+        Z, worst, iters, converged = _damped_newton(
             evaluate, Z, residual, direction,
             lambda new, merit, t, gd: new <= merit + 1e-10 * np.abs(merit), min(max_iter, 200), 1e-12,
         )

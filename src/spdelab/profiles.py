@@ -23,8 +23,6 @@ import numpy as np
 from . import yosida
 
 CURVATURE_CAP = 1e12
-_ROOT_TOL = 1e-13
-_ROOT_MAX_ITER = 100
 
 
 class RadialProfile:
@@ -214,44 +212,30 @@ class EdgeConjugate:
         self.profile = profile
         self.W = np.asarray(W, dtype=float)
         self.Q = np.asarray(Q, dtype=float)
-        # raw power without quadratic part: W r^(p-1) = t inverts in closed form
-        self._power = isinstance(profile, PowerProfile) and profile.p > 1.0 and not np.any(self.Q)
+        if np.any(self.Q > 0.0) and not np.all(self.Q > 0.0):
+            raise ValueError("Q must be zero on every edge or positive on every edge")
 
     def _radius(self, t):
-        """Solve ``W psi'(r) + Q r = t`` for r >= 0 given magnitudes t >= 0.
+        """Solve ``W psi'(r) + Q r = t`` for r >= 0 given magnitudes t >= 0,
+        in closed form over the profiles' prox radii.
 
         Returns r together with the profile's ``maps`` at r.
         """
         prof = self.profile
         W, Q = self.W, self.Q
         t = np.asarray(t, dtype=float)
-        if self._power:
+        if np.any(Q):
+            # r + (W/Q) psi'(r) = t/Q
+            r = prof.prox_radius(W / Q, t / Q)
+        elif isinstance(prof, ViscousProfile):
+            # W (base'(r) + mu r) = t, i.e. r + base'(r) / mu = t / (W mu)
+            r = prof.base.prox_radius(1.0 / prof.mu, t / (W * prof.mu))
+        else:
+            # raw power: W r^(p-1) = t; the conjugate of a Moreau envelope
+            # is psi* + (delta/2) y^2, so its slope adds delta t/W
             r = (t / W) ** (1.0 / (prof.p - 1.0))
-            return r, prof.maps(r)
-        thresh = W * prof.kink
-        active = t > thresh
-        hi = np.maximum(t, 1.0)
-        for _ in range(200):
-            val = W * prof.slope(hi) + Q * hi
-            need = active & (val < t)
-            if not np.any(need):
-                break
-            hi = np.where(need, 2.0 * hi, hi)
-        lo = np.zeros_like(hi)
-        r = np.where(active, 0.5 * hi, 0.0)
-        for _ in range(_ROOT_MAX_ITER):
-            at_r = prof.maps(r)
-            f = W * at_r[1] + Q * r - t
-            f = np.where(active, f, 0.0)
-            if np.all(np.abs(f) <= _ROOT_TOL * (1.0 + np.abs(t))):
-                return r, at_r
-            df = W * at_r[2] + Q
-            lo = np.where(f < 0.0, r, lo)
-            hi = np.where(f > 0.0, r, hi)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                cand = r - f / df
-            bad = (cand <= lo) | (cand >= hi) | ~np.isfinite(cand)
-            r = np.where(active, np.where(bad, 0.5 * (lo + hi), cand), 0.0)
+            if prof.delta is not None:
+                r = r + prof.delta * t / W
         return r, prof.maps(r)
 
     def maps(self, y):

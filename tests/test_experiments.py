@@ -186,6 +186,20 @@ def test_cli_validate_run_and_listing(tmp_path, capsys):
     assert (tmp_path / "cli_out" / "table.csv").exists()
 
 
+def test_cli_explicit_drift_only_validates_for_svi_audit(tmp_path):
+    # the schedule runs build their scheme without delta, so only the audit
+    # run can honour the explicit Yosida drift
+    def with_drift(kind):
+        text = BASE.format(kind=kind, outdir=tmp_path / kind, schedule="1.6")
+        return write_cfg(tmp_path, text.replace("dt = 2e-3", "dt = 2e-3\ndrift = explicit_yosida"), f"{kind}.ini")
+
+    path = with_drift("trotter_plaplace")
+    with pytest.raises(ConfigError, match="explicit_yosida"):
+        parse_config(path)
+    assert cli.main(["validate", str(path)]) == 1
+    assert cli.main(["validate", str(with_drift("svi_audit_run"))]) == 0
+
+
 def test_cli_bad_config_exit_code(tmp_path):
     bad = write_cfg(tmp_path, "[experiment]\nkind = nope\nseed = 1\noutput_dir = x\n")
     assert cli.main(["validate", str(bad)]) == 1

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import chain_dp_prox
-from spdelab import _linalg, grids, mosco, potentials
+from spdelab import _linalg, grids, mosco, potentials, profiles
 from spdelab.grids import (
     DIRICHLET,
     HMINUS1,
@@ -438,12 +438,51 @@ def test_smooth_dual_certificate_meets_the_primal_scale():
     assert pot.prox(0.5, f, tol=1e-9).kkt_residual <= 1e-9 * (1.0 + norm(f))
 
 
+# one case per Newton branch of the damped-Newton driver: the solver that
+# prox_batch must reach and a factory for a potential on a given grid
+NEWTON_BRANCHES = {
+    "newton": (potentials, "_newton_difference", lambda g: potentials.p_dirichlet(g, 1.5, delta=0.05)),
+    "dual_smooth": (potentials, "_dual_newton_smooth", lambda g: potentials.p_dirichlet(g, 1.5)),
+    "dual_box": (potentials, "_dual_projected_newton", lambda g: potentials.p_dirichlet(g, 1.0)),
+    "fd_newton": (potentials.FastDiffusionPotential, "_prox_newton",
+                  lambda g: potentials.fast_diffusion(g, 0.5, delta=0.05)),
+}
+
+
+@pytest.mark.parametrize("grid", [interval_grid(24), GRID_8X8], ids=["chain", "8x8"])
+@pytest.mark.parametrize("branch", sorted(NEWTON_BRANCHES))
+def test_prox_batch_rows_equal_rows_solved_alone(branch, grid, monkeypatch):
+    # rows settle at different iterations and only the live ones are
+    # evaluated and solved; each row's arithmetic is its own, so every row of
+    # a batch is byte-identical to that row solved alone
+    owner, name, make = NEWTON_BRANCHES[branch]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{branch} case left its branch")
+
+    FD = potentials.FastDiffusionPotential
+    for other_owner, other in [(potentials, "_newton_difference"), (potentials, "_dual_newton_smooth"),
+                               (potentials, "_dual_projected_newton"), (FD, "_prox_newton"),
+                               (FD, "_prox_fista")]:
+        if other != name:
+            monkeypatch.setattr(other_owner, other, refuse)
+    pot = make(grid)
+    gen = np.random.default_rng(21)
+    F = np.array([0.05, 1.0, 4.0, 0.3])[:, None] * gen.standard_normal((4, grid.num_cells))
+    Z, _, iters = pot.prox_batch(0.1, F, tol=1e-9)
+    alone = [pot.prox_batch(0.1, F[r : r + 1], tol=1e-9) for r in range(4)]
+    assert len({it for _, _, it in alone}) > 1 and iters == max(it for _, _, it in alone)
+    for r, (Zr, _, _) in enumerate(alone):
+        assert Z[r].tobytes() == Zr[0].tobytes(), r
+
+
 def test_traced_solver_entry_points_keep_names_results_and_nesting(monkeypatch):
     # perfbench/tracer.py wraps these by name and silently skips a missing one
     FD = potentials.FastDiffusionPotential
     for owner, name in [(potentials, "_newton_difference"), (potentials, "_dual_newton_smooth"),
                         (potentials, "_dual_projected_newton"), (FD, "_prox_newton"),
-                        (FD, "_prox_fista"), (potentials.Potential, "_probe_violation")]:
+                        (FD, "_prox_fista"), (potentials.Potential, "_probe_violation"),
+                        (profiles.EdgeConjugate, "_radius")]:
         assert callable(getattr(owner, name, None)), name
     g = interval_grid(12)
     F = np.random.default_rng(3).standard_normal((2, 12))
@@ -475,6 +514,12 @@ def test_traced_solver_entry_points_keep_names_results_and_nesting(monkeypatch):
                                                 1e-9, 500, None)
     # one solve per Newton step; the last iteration only finds the row converged
     assert iters > 2 and solves == [(1, 12)] * (iters - 1)
+    # a row that settles drops out of the solves while the other goes on
+    solves.clear()
+    _, _, iters = potentials._newton_difference(potentials.p_dirichlet(g, 1.5, delta=0.05), 0.1, F,
+                                                1e-9, 500, None)
+    both = solves.count((2, 12))
+    assert 1 <= both < iters - 1 and solves == [(2, 12)] * both + [(1, 12)] * (iters - 1 - both)
 
     # the tracer counts a fallback when prox_batch catches the primal Newton's
     # failure, and when _prox_newton itself hands over to _prox_fista

@@ -78,6 +78,9 @@ def test_viscous_profile_adds_quadratic():
         (PowerProfile(1.2), 1.0, 0.0),
         (PowerProfile(1.0), 0.5, 0.4),
         (ViscousProfile(PowerProfile(1.7), 0.1), 0.2, 0.05),
+        (YosidaPowerProfile(1.5, 0.05), 0.3, 0.0),
+        (YosidaPowerProfile(1.3, 0.1), 0.7, 0.2),
+        (ViscousProfile(YosidaPowerProfile(1.5, 0.05), 0.4), 0.5, 0.0),
     ],
 )
 def test_edge_conjugate_fenchel_young_equality(prof, W, Q):
