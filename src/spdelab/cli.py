@@ -52,10 +52,7 @@ def main(argv=None) -> int:
         return 0
     try:
         outdir = run_experiment(cfg)
-    except ProxDidNotConverge as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except FloatingPointError as exc:
+    except (ProxDidNotConverge, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     print(f"wrote {outdir}/table.csv")

@@ -11,14 +11,16 @@ plus per-module reports (resolvent tables, audit reports) and a manifest
 capturing the config hash, seed and tolerances.  Identical config + seed
 give byte-identical outputs.
 
-Config files are INI-style text with a fixed section/key schema; unknown
-sections or keys are rejected so typos cannot silently change a run.
+Config files are INI-style text.  ``CONFIG_KEYS`` declares the keys each kind
+reads, with their parsers and defaults; any other key, a missing required key
+or a rejected value is a ``ConfigError``, so no key is silently ignored.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,67 +29,123 @@ import numpy as np
 
 from . import engine, mosco, potentials, svi
 from .grids import Grid, GridFunction, HMINUS1, L2, box_grid
-from .kernels import Kernel, RescaledKernel, nonlocal_energy
+from .kernels import PROFILE_NAMES, Kernel, nonlocal_energy
 from .profiles import PowerProfile, ViscousProfile, YosidaPowerProfile
-
-EXPERIMENT_KINDS = (
-    "trotter_plaplace",
-    "trotter_fastdiffusion",
-    "nonlocal_to_local",
-    "homogenize_plaplace",
-    "homogenize_fastdiffusion",
-    "svi_audit_run",
-    "mosco_table",
-)
-
-DEFAULT_BUDGET = 200_000_000  # cells * paths * steps guardrail
 
 
 class ConfigError(ValueError):
     """Invalid or unknown experiment configuration."""
 
 
-def _float_list(text: str) -> list[float]:
-    vals = [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
-    if not vals:
-        raise ConfigError(f"empty numeric list: {text!r}")
-    return vals
+def _checked(parse, ok, what: str):
+    """Parser: ``parse`` the text, then reject a value failing ``ok``."""
+
+    def checked(text):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(f"must be {what}")
+        return value
+
+    return checked
 
 
-_SCHEMA = {
-    "experiment": {
-        "kind": str,
-        "seed": int,
-        "n_paths": int,
-        "output_dir": str,
-        "budget": int,
-    },
-    "grid": {"cells": str, "extent": str},
-    "potential": {
-        "p": float,
-        "m": float,
-        "schedule": _float_list,
-        "schedule_kind": str,
-        "weight": str,
-        "visc": float,
-    },
-    "kernel": {"profile": str, "support_radius": float, "eps_schedule": _float_list},
-    "noise": {"kind": str, "modes": int, "amplitude": float},
-    "scheme": {
-        "dt": float,
-        "steps": int,
-        "delta": float,
-        "ic_smoothing": int,
-        "drift": str,
-        "prox_tol": float,
-    },
-    "initial": {"shape": str, "amplitude": float},
+_REAL = _checked(float, math.isfinite, "finite")
+_COUNT = _checked(int, lambda v: v > 0, "a positive integer")
+_NATURAL = _checked(int, lambda v: v >= 0, "a nonnegative integer")
+_POSITIVE = _checked(_REAL, lambda v: v > 0, "positive")
+_P = _checked(_REAL, lambda v: 1.0 <= v <= 2.0, "in [1, 2]")
+_M = _checked(_REAL, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+_LIST = _checked(lambda text: [_REAL(tok) for tok in text.replace(";", ",").split(",") if tok.strip()],
+                 bool, "a nonempty list of numbers")
+
+
+def _choice(*names):
+    return _checked(str, lambda v: v in names, "one of " + " | ".join(names))
+
+
+def _axes(parse):
+    """Parser for ``N`` or ``NxM``: one positive entry per grid axis."""
+    return _checked(lambda text: tuple(parse(tok) for tok in text.lower().split("x")),
+                    lambda v: len(v) <= 2 and min(v) > 0, "N or NxM with positive entries")
+
+
+def weight_function(name: str):
+    """Named 1-periodic weights a(y) >= rho > 0."""
+    if name == "cosine":
+        return lambda y: 2.0 + np.cos(2.0 * np.pi * y)
+    if name == "checkerboard":
+        return lambda y: np.where(np.mod(y, 1.0) < 0.5, 1.0, 3.0)
+    if name.startswith("constant:"):
+        c = _POSITIVE(name.split(":", 1)[1])
+        return lambda y: np.full_like(np.asarray(y, dtype=float), c)
+    raise ConfigError(f"unknown weight {name!r}")
+
+
+REQUIRED = object()  # the default of a key the config must set
+
+# (section, key) -> (parser, default or REQUIRED), read by every kind; dt and
+# steps feed the budget guard even on mosco_table, which simulates nothing
+_COMMON = {
+    ("experiment", "kind"): (str, REQUIRED),
+    ("experiment", "seed"): (_NATURAL, REQUIRED),
+    ("experiment", "n_paths"): (_COUNT, 100),
+    ("experiment", "output_dir"): (str, REQUIRED),
+    ("experiment", "budget"): (int, 200_000_000),  # cells * paths * steps * runs guardrail
+    ("grid", "cells"): (_axes(int), (64,)),
+    ("grid", "extent"): (_axes(_REAL), (1.0,)),
+    ("scheme", "dt"): (_POSITIVE, REQUIRED),
+    ("scheme", "steps"): (_COUNT, REQUIRED),
 }
 
-_REQUIRED = {
-    "experiment": ("kind", "seed", "output_dir"),
-    "scheme": ("dt", "steps"),
+# read by the six kinds that simulate
+_SIMULATED = {
+    ("noise", "kind"): (_choice("additive", "linear_multiplicative"), "additive"),
+    ("noise", "modes"): (_COUNT, 2),
+    ("noise", "amplitude"): (_REAL, 0.1),
+    ("initial", "shape"): (_choice("sine", "ramp", "bump", "zero"), "sine"),
+    ("initial", "amplitude"): (_REAL, 1.0),
+    ("scheme", "delta"): (_POSITIVE, 1e-2),
+    ("scheme", "ic_smoothing"): (_NATURAL, 0),
+    # the schedule runs build their scheme without delta (_scheme), so only
+    # svi_audit_run widens this to the explicit Yosida drift
+    ("scheme", "drift"): (_choice("implicit_prox"), "implicit_prox"),
+    ("scheme", "prox_tol"): (_POSITIVE, 1e-9),
 }
+
+# _validate checks the schedule values against the schedule kind
+_SCHEDULE = {("potential", "schedule"): (_LIST, REQUIRED)}
+_GRADIENT_P = {("potential", "p"): (_P, 1.5)}
+_GRADIENT_SCHEDULE = {
+    **_SCHEDULE,
+    **_GRADIENT_P,
+    ("potential", "visc"): (_checked(_REAL, lambda v: v >= 0, "nonnegative"), 0.0),
+}
+_GRADIENT_SCHEDULE_KIND = _choice("power", "viscosity", "delta")
+_EPS_SCHEDULE = {("kernel", "eps_schedule"): (_checked(_LIST, lambda v: min(v) > 0, "positive"), REQUIRED)}
+_WEIGHT = {("potential", "weight"): (weight_function, REQUIRED)}
+
+CONFIG_KEYS = {
+    "trotter_plaplace": {**_COMMON, **_SIMULATED, **_GRADIENT_SCHEDULE,
+                         ("potential", "schedule_kind"): (_GRADIENT_SCHEDULE_KIND, "power")},
+    "trotter_fastdiffusion": {**_COMMON, **_SIMULATED, **_SCHEDULE,
+                              ("potential", "m"): (_M, 0.5),
+                              ("potential", "schedule_kind"): (_choice("power", "delta"), "power")},
+    "nonlocal_to_local": {**_COMMON, **_SIMULATED, **_EPS_SCHEDULE,
+                          ("potential", "p"): (_P, REQUIRED),
+                          ("kernel", "profile"): (_choice(*PROFILE_NAMES), "bump"),
+                          ("kernel", "support_radius"): (_POSITIVE, 1.0)},
+    "homogenize_plaplace": {**_COMMON, **_SIMULATED, **_EPS_SCHEDULE, **_WEIGHT,
+                            ("potential", "p"): (_P, 2.0)},
+    # the Jensen diagnostic raises the weight to the power -1/m, so m > 0
+    "homogenize_fastdiffusion": {**_COMMON, **_SIMULATED, **_EPS_SCHEDULE, **_WEIGHT,
+                                 ("potential", "m"): (_checked(_M, lambda v: v > 0, "positive"), 0.5)},
+    "svi_audit_run": {**_COMMON, **_SIMULATED, **_GRADIENT_P,
+                      ("scheme", "drift"): (_choice("implicit_prox", "explicit_yosida"), "implicit_prox")},
+    "mosco_table": {**_COMMON, **_GRADIENT_SCHEDULE,
+                    ("potential", "schedule_kind"): (_GRADIENT_SCHEDULE_KIND, "delta")},
+}
+
+EXPERIMENT_KINDS = tuple(CONFIG_KEYS)
 
 
 @dataclass
@@ -95,19 +153,12 @@ class ExperimentConfig:
     kind: str
     seed: int
     n_paths: int
-    output_dir: str
-    budget: int
     raw_text: str
     values: dict = field(default_factory=dict)
 
-    def get(self, section: str, key: str, default=None):
-        return self.values.get(section, {}).get(key, default)
-
-    def require(self, section: str, key: str):
-        val = self.get(section, key)
-        if val is None:
-            raise ConfigError(f"experiment {self.kind!r} requires [{section}] {key}")
-        return val
+    def get(self, section: str, key: str):
+        """The parsed value, or the kind's default when the config omits it."""
+        return self.values[section][key]
 
     @property
     def config_hash(self) -> str:
@@ -121,105 +172,70 @@ def parse_config(path) -> ExperimentConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
-    values: dict = {}
+    kind = parser.get("experiment", "kind", fallback=None)
+    if kind not in CONFIG_KEYS:
+        raise ConfigError(f"[experiment] kind must be one of {EXPERIMENT_KINDS}, got {kind!r}")
+    table = CONFIG_KEYS[kind]
     for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown section [{section}]")
-        values[section] = {}
-        for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            typ = _SCHEMA[section][key]
-            try:
-                values[section][key] = typ(raw)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
-    for section, keys in _REQUIRED.items():
-        for key in keys:
-            if values.get(section, {}).get(key) is None:
-                raise ConfigError(f"missing required key [{section}] {key}")
-    kind = values["experiment"]["kind"]
-    if kind not in EXPERIMENT_KINDS:
-        raise ConfigError(f"unknown experiment kind {kind!r}; pick one of {EXPERIMENT_KINDS}")
-    cfg = ExperimentConfig(
-        kind=kind,
-        seed=values["experiment"]["seed"],
-        n_paths=values["experiment"].get("n_paths", 100),
-        output_dir=values["experiment"]["output_dir"],
-        budget=values["experiment"].get("budget", DEFAULT_BUDGET),
-        raw_text=text,
-        values=values,
-    )
+        for key in parser[section]:
+            if (section, key) not in table:
+                raise ConfigError(f"{kind} does not read [{section}] {key}")
+    values: dict = {}
+    for (section, key), (parse, default) in table.items():
+        raw = parser.get(section, key, fallback=None)
+        if raw is None and default is REQUIRED:
+            raise ConfigError(f"{kind} requires [{section}] {key}")
+        try:
+            values.setdefault(section, {})[key] = default if raw is None else parse(raw)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{kind}: bad value for [{section}] {key}: {raw!r} ({exc})") from exc
+    cfg = ExperimentConfig(kind, values["experiment"]["seed"], values["experiment"]["n_paths"], text, values)
     _validate(cfg)
     return cfg
 
 
 def _parse_grid(cfg: ExperimentConfig) -> Grid:
-    cells_text = cfg.get("grid", "cells", "64")
-    extent_text = cfg.get("grid", "extent", "1.0")
-    cells = tuple(int(tok) for tok in str(cells_text).lower().split("x"))
-    extents = tuple(float(tok) for tok in str(extent_text).lower().split("x"))
+    cells, extents = cfg.get("grid", "cells"), cfg.get("grid", "extent")
     if len(extents) == 1 and len(cells) > 1:
         extents = extents * len(cells)
+    if len(extents) != len(cells):
+        raise ConfigError(f"{cfg.kind}: [grid] extent needs one entry or one per axis of [grid] cells")
     return box_grid(cells, extents)
 
 
 def _validate(cfg: ExperimentConfig):
-    grid = _parse_grid(cfg)
-    steps = cfg.require("scheme", "steps")
-    dt = cfg.require("scheme", "dt")
-    if dt <= 0 or steps <= 0:
-        raise ConfigError("dt and steps must be positive")
+    """Checks across keys; ``parse_config`` has checked each value alone."""
     kind = cfg.kind
-    eps_kinds = ("nonlocal_to_local", "homogenize_plaplace", "homogenize_fastdiffusion")
-    schedule = cfg.get("kernel", "eps_schedule") if kind in eps_kinds else cfg.get("potential", "schedule")
-    n_runs = 1 + len(schedule or [0.0])
-    work = grid.num_cells * max(cfg.n_paths, 1) * steps * n_runs
-    if work > cfg.budget:
-        raise ConfigError(
-            f"work estimate cells*paths*steps*runs = {work} exceeds budget {cfg.budget}"
-        )
-    if kind in ("trotter_plaplace", "trotter_fastdiffusion", "mosco_table"):
-        cfg.require("potential", "schedule")
-    if kind in eps_kinds:
-        cfg.require("kernel", "eps_schedule")
-    if kind in ("nonlocal_to_local",):
-        cfg.require("potential", "p")
-    if kind in ("homogenize_plaplace", "homogenize_fastdiffusion"):
-        if cfg.get("potential", "weight") in (None, "none"):
-            raise ConfigError("homogenization needs a periodic weight (cosine or checkerboard)")
-    noise_kind = cfg.get("noise", "kind", "additive")
-    if noise_kind not in ("additive", "linear_multiplicative"):
-        raise ConfigError(f"unknown noise kind {noise_kind!r}")
-    drift = cfg.get("scheme", "drift", "implicit_prox")
-    if drift not in ("implicit_prox", "explicit_yosida"):
-        raise ConfigError(f"unknown drift {drift!r}")
-    if drift == "explicit_yosida" and kind != "svi_audit_run":
-        # the schedule runs build their scheme without delta (_scheme)
-        raise ConfigError(f"drift = explicit_yosida is honoured by svi_audit_run only, not {kind}")
-    weight = cfg.get("potential", "weight", "none")
-    if weight not in ("none", "cosine", "checkerboard") and not str(weight).startswith("constant:"):
-        raise ConfigError(f"unknown weight {weight!r}")
-    shape = cfg.get("initial", "shape", "sine")
-    if shape not in ("sine", "ramp", "bump", "zero"):
-        raise ConfigError(f"unknown initial shape {shape!r}")
+    grid = _parse_grid(cfg)
+    potential = cfg.values["potential"]
+    schedule = cfg.values.get("kernel", {}).get("eps_schedule") or potential.get("schedule", [0.0])
+    work = grid.num_cells * cfg.n_paths * cfg.get("scheme", "steps") * (1 + len(schedule))
+    budget = cfg.get("experiment", "budget")
+    if work > budget:
+        raise ConfigError(f"{kind}: work estimate cells*paths*steps*runs = {work} exceeds [experiment] budget = {budget}")
+    schedule_kind = potential.get("schedule_kind")
+    if schedule_kind == "power":
+        # a power schedule walks the target's exponent: m for fast diffusion, else p
+        lo, hi = (0.0, 1.0) if "m" in potential else (1.0, 2.0)
+        ok = all(lo <= v <= hi for v in schedule)
+    else:  # delta and viscosity schedules take positive values
+        ok = schedule_kind is None or min(schedule) > 0
+    if not ok:
+        raise ConfigError(f"{kind}: bad value for [potential] schedule = {schedule} with schedule_kind = {schedule_kind}")
+    if cfg.values["scheme"].get("drift") == "explicit_yosida":  # svi_audit_run alone accepts it
+        try:
+            pot, sp = _audit_problem(cfg, grid)
+        except ValueError as exc:  # SchemeParams wants dt <= delta/4
+            raise ConfigError(f"{kind}: bad [scheme] dt for drift = explicit_yosida: {exc}") from exc
+        # simulate refuses the explicit drift past the explicit Euler limit
+        dt_lip = sp.dt * pot.drift_lipschitz_bound()
+        if dt_lip > 2.0:
+            raise ConfigError(f"{kind}: [scheme] dt with drift = explicit_yosida needs dt * Lip <= 2, got {dt_lip:g}")
 
 
 # ---------------------------------------------------------------------------
 # shared builders
 # ---------------------------------------------------------------------------
-
-
-def weight_function(name: str):
-    """Named 1-periodic weights a(y) >= rho > 0."""
-    if name == "cosine":
-        return lambda y: 2.0 + np.cos(2.0 * np.pi * y)
-    if name == "checkerboard":
-        return lambda y: np.where(np.mod(y, 1.0) < 0.5, 1.0, 3.0)
-    if name.startswith("constant:"):
-        c = float(name.split(":", 1)[1])
-        return lambda y: np.full_like(np.asarray(y, dtype=float), c)
-    raise ConfigError(f"unknown weight {name!r}")
 
 
 def cell_average_over_period(a, samples: int = 4096) -> float:
@@ -229,8 +245,8 @@ def cell_average_over_period(a, samples: int = 4096) -> float:
 
 
 def _initial_state(cfg: ExperimentConfig, grid: Grid, space: str) -> GridFunction:
-    shape = cfg.get("initial", "shape", "sine")
-    amp = cfg.get("initial", "amplitude", 1.0)
+    shape = cfg.get("initial", "shape")
+    amp = cfg.get("initial", "amplitude")
     xs = grid.centers()
     if shape == "zero":
         vals = np.zeros(grid.shape)
@@ -249,9 +265,9 @@ def _initial_state(cfg: ExperimentConfig, grid: Grid, space: str) -> GridFunctio
 
 
 def _noise_model(cfg: ExperimentConfig, grid: Grid, space: str) -> engine.DiffusionModel:
-    kind = cfg.get("noise", "kind", "additive")
-    K = cfg.get("noise", "modes", 2)
-    amp = cfg.get("noise", "amplitude", 0.1)
+    kind = cfg.get("noise", "kind")
+    K = cfg.get("noise", "modes")
+    amp = cfg.get("noise", "amplitude")
     xs = grid.centers()
     fields = []
     for k in range(K):
@@ -266,16 +282,10 @@ def _noise_model(cfg: ExperimentConfig, grid: Grid, space: str) -> engine.Diffus
 
 
 def _scheme(cfg: ExperimentConfig, delta=None) -> engine.SchemeParams:
-    """Scheme from config; ``delta`` stays None for schedule runs whose
-    potentials carry their own regularization."""
-    return engine.SchemeParams(
-        dt=cfg.require("scheme", "dt"),
-        steps=cfg.require("scheme", "steps"),
-        delta=delta,
-        ic_smoothing=cfg.get("scheme", "ic_smoothing", 0),
-        drift=cfg.get("scheme", "drift", "implicit_prox"),
-        prox_tol=cfg.get("scheme", "prox_tol", 1e-9),
-    )
+    """Scheme from config, whose ``[scheme]`` keys are the SchemeParams fields;
+    ``delta`` stays None for schedule runs whose potentials carry their own
+    regularization."""
+    return engine.SchemeParams(**{**cfg.values["scheme"], "delta": delta})
 
 
 @dataclass
@@ -300,14 +310,8 @@ class ConvergenceTable:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(cols) + "\n")
             for r in self.rows:
-                base = [
-                    str(r.index),
-                    f"{r.parameter:.17g}",
-                    f"{r.weak_metric:.17g}",
-                    f"{r.resolvent_distance:.17g}",
-                    f"{r.energy_gap:.17g}",
-                    f"{r.wall_time:.3f}",
-                ]
+                floats = (r.parameter, r.weak_metric, r.resolvent_distance, r.energy_gap)
+                base = [str(r.index), *(f"{v:.17g}" for v in floats), f"{r.wall_time:.3f}"]
                 base += [f"{r.extras.get(c, float('nan')):.17g}" for c in self.extra_columns]
                 fh.write(",".join(base) + "\n")
 
@@ -324,17 +328,16 @@ def _energy_gap(pot_el, target, probes) -> float:
     return max(gap, 0.0)
 
 
-def _write_manifest(cfg: ExperimentConfig, outdir: Path, extra_lines=()):
+def _write_manifest(cfg: ExperimentConfig, outdir: Path):
     lines = [
         f"config_hash = {cfg.config_hash}",
         f"kind = {cfg.kind}",
         f"seed = {cfg.seed}",
         f"n_paths = {cfg.n_paths}",
-        f"budget = {cfg.budget}",
+        f"budget = {cfg.get('experiment', 'budget')}",
         "weak_metric_dictionary = 8 cosine spatial modes x 4 polynomial time weights",
         "prox_tol_default = 1e-9",
     ]
-    lines += list(extra_lines)
     (outdir / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -343,34 +346,33 @@ def _write_manifest(cfg: ExperimentConfig, outdir: Path, extra_lines=()):
 # ---------------------------------------------------------------------------
 
 
-def _gradient_schedule(cfg, grid, default_kind):
+def _gradient_schedule(cfg, grid, delta=None):
     """``(value, simulated potential, raw potential)`` per schedule element,
-    with the simulated and raw targets; ``[potential] visc`` enters every one."""
-    kind = cfg.get("potential", "schedule_kind", default_kind)
-    p_target = cfg.get("potential", "p", 1.5)
-    visc = cfg.get("potential", "visc", 0.0)
-    delta = cfg.get("scheme", "delta", 1e-2)
+    with the simulated and raw targets; ``[potential] visc`` enters every one.
+    The simulated ones carry ``delta``, None (raw) on mosco_table."""
+    kind = cfg.get("potential", "schedule_kind")
+    p_target = cfg.get("potential", "p")
+    visc = cfg.get("potential", "visc")
     seq = []
-    for value in cfg.require("potential", "schedule"):
+    for value in cfg.get("potential", "schedule"):
         if kind == "power":
             sim_pot = potentials.p_dirichlet(grid, value, delta=delta, visc=visc)
             raw_pot = potentials.p_dirichlet(grid, value, visc=visc)
         elif kind == "viscosity":
-            prof_sim = ViscousProfile(YosidaPowerProfile(p_target, delta), 1.0 / value)
+            sim_base = PowerProfile(p_target) if delta is None else YosidaPowerProfile(p_target, delta)
+            prof_sim = ViscousProfile(sim_base, 1.0 / value)
             prof_raw = ViscousProfile(PowerProfile(p_target), 1.0 / value)
             sim_pot = potentials.general_gradient(grid, prof_sim, visc=visc)
             raw_pot = potentials.general_gradient(grid, prof_raw, visc=visc)
-        elif kind == "delta":
+        else:  # delta
             sim_pot = raw_pot = potentials.p_dirichlet(grid, p_target, delta=value, visc=visc)
-        else:
-            raise ConfigError(f"unknown schedule_kind {kind!r}")
         seq.append((value, sim_pot, raw_pot))
     target_sim = potentials.p_dirichlet(grid, p_target, delta=delta, visc=visc)
     target_raw = potentials.p_dirichlet(grid, p_target, visc=visc)
     return seq, target_sim, target_raw
 
 
-def _run_schedule(cfg, grid, space, seq, target_sim, target_raw, probes=None, gap=None,
+def _run_schedule(cfg, grid, space, seq, target_sim, target_raw, probes=None, gap=_energy_gap,
                   extras=None) -> ConvergenceTable:
     """One table row per ``(value, sim_pot, raw_pot)`` of ``seq``: the weak
     metric of the simulated ensemble against the target's on common noise,
@@ -382,7 +384,6 @@ def _run_schedule(cfg, grid, space, seq, target_sim, target_raw, probes=None, ga
     model = _noise_model(cfg, grid, space)
     if probes is None:
         probes = mosco.default_probes(grid, space, count=8)
-    gap = gap or _energy_gap
     extras = extras or {}
     fns = svi.default_test_functionals(grid)
     ens_target = engine.simulate(x0, target_sim, model, sp, cfg.n_paths, cfg.seed)
@@ -399,24 +400,22 @@ def _run_schedule(cfg, grid, space, seq, target_sim, target_raw, probes=None, ga
 
 def run_trotter_plaplace(cfg: ExperimentConfig, outdir: Path | None = None) -> ConvergenceTable:
     grid = _parse_grid(cfg)
-    return _run_schedule(cfg, grid, L2, *_gradient_schedule(cfg, grid, "power"))
+    return _run_schedule(cfg, grid, L2, *_gradient_schedule(cfg, grid, cfg.get("scheme", "delta")))
 
 
 def run_trotter_fastdiffusion(cfg: ExperimentConfig, outdir: Path | None = None) -> ConvergenceTable:
     grid = _parse_grid(cfg)
-    delta = cfg.get("scheme", "delta", 1e-2)
-    kind = cfg.get("potential", "schedule_kind", "power")
-    m_target = cfg.get("potential", "m", 0.5)
+    delta = cfg.get("scheme", "delta")
+    kind = cfg.get("potential", "schedule_kind")
+    m_target = cfg.get("potential", "m")
     seq = []
-    for value in cfg.require("potential", "schedule"):
+    for value in cfg.get("potential", "schedule"):
         if kind == "power":
             seq.append((value, potentials.fast_diffusion(grid, value, delta=delta),
                         potentials.fast_diffusion(grid, value)))
-        elif kind == "delta":
+        else:  # delta
             pot = potentials.fast_diffusion(grid, m_target, delta=value)
             seq.append((value, pot, pot))
-        else:
-            raise ConfigError(f"unknown schedule_kind {kind!r} for fast diffusion")
     target_sim = potentials.fast_diffusion(grid, m_target, delta=delta)
     raw_delta = None if m_target > 0.0 else delta  # m = 0 raw resolvents are slow; keep regularized target
     target_raw = potentials.fast_diffusion(grid, m_target, delta=raw_delta)
@@ -425,9 +424,9 @@ def run_trotter_fastdiffusion(cfg: ExperimentConfig, outdir: Path | None = None)
 
 def run_nonlocal_to_local(cfg: ExperimentConfig, outdir: Path | None = None) -> ConvergenceTable:
     grid = _parse_grid(cfg)
-    p = cfg.require("potential", "p")
-    delta = cfg.get("scheme", "delta", 1e-2)
-    kern = Kernel(cfg.get("kernel", "profile", "bump"), grid.dim, cfg.get("kernel", "support_radius", 1.0))
+    p = cfg.get("potential", "p")
+    delta = cfg.get("scheme", "delta")
+    kern = Kernel(cfg.get("kernel", "profile"), grid.dim, cfg.get("kernel", "support_radius"))
     xs = grid.centers()[0]
     probe = GridFunction(grid, np.sin(np.pi * xs / grid.extents[0]), L2)
 
@@ -438,7 +437,7 @@ def run_nonlocal_to_local(cfg: ExperimentConfig, outdir: Path | None = None) -> 
     def gap(nl_raw, local_raw, probes):
         return abs(nonlocal_energy(nl_raw.rescaled, probe) - local_raw.eval(probe))
 
-    seq = map(element, cfg.require("kernel", "eps_schedule"))
+    seq = map(element, cfg.get("kernel", "eps_schedule"))
     local_sim = potentials.p_dirichlet(grid, p, delta=delta)
     local_raw = potentials.p_dirichlet(grid, p)
     return _run_schedule(cfg, grid, L2, seq, local_sim, local_raw, probes=[("sine", probe)], gap=gap)
@@ -448,8 +447,8 @@ def _homogenize(cfg, space, make, extras) -> ConvergenceTable:
     """Oscillating weights ``a(x/eps)`` against their cell average; ``make(grid,
     weight, delta)`` builds the potential, raw when delta is None."""
     grid = _parse_grid(cfg)
-    delta = cfg.get("scheme", "delta", 1e-2)
-    a = weight_function(cfg.require("potential", "weight"))
+    delta = cfg.get("scheme", "delta")
+    a = cfg.get("potential", "weight")
     mean_weight = cell_average_over_period(a)
     xs = grid.centers()[0]
 
@@ -457,7 +456,7 @@ def _homogenize(cfg, space, make, extras) -> ConvergenceTable:
         w = a(xs / eps)
         return eps, make(grid, w, delta), make(grid, w, None)
 
-    seq = map(element, cfg.require("kernel", "eps_schedule"))
+    seq = map(element, cfg.get("kernel", "eps_schedule"))
     avg_weight = np.full(grid.shape, mean_weight)
     target_sim = make(grid, avg_weight, delta)
     target_raw = make(grid, avg_weight, None)
@@ -466,7 +465,7 @@ def _homogenize(cfg, space, make, extras) -> ConvergenceTable:
 
 
 def run_homogenize_plaplace(cfg: ExperimentConfig, outdir: Path | None = None) -> ConvergenceTable:
-    p = cfg.get("potential", "p", 2.0)
+    p = cfg.get("potential", "p")
 
     def make(grid, weight, delta):
         return potentials.p_dirichlet(grid, p, weight=weight, delta=delta)
@@ -475,8 +474,8 @@ def run_homogenize_plaplace(cfg: ExperimentConfig, outdir: Path | None = None) -
 
 
 def run_homogenize_fastdiffusion(cfg: ExperimentConfig, outdir: Path | None = None) -> ConvergenceTable:
-    m = cfg.get("potential", "m", 0.5)
-    a_fn = weight_function(cfg.require("potential", "weight"))
+    m = cfg.get("potential", "m")
+    a_fn = cfg.get("potential", "weight")
     mean_weight = cell_average_over_period(a_fn)
     # signed Jensen diagnostic: published direction says avg(a^{-1/m}) <= avg(a)^{-1/m},
     # convexity of t^{-1/m} gives the reverse; report the signed gap as data
@@ -488,12 +487,15 @@ def run_homogenize_fastdiffusion(cfg: ExperimentConfig, outdir: Path | None = No
     return _homogenize(cfg, HMINUS1, make, {"jensen_gap": jensen_gap})
 
 
+def _audit_problem(cfg, grid):
+    """The audit run's potential and scheme, which ``_validate`` also checks."""
+    delta = cfg.get("scheme", "delta")
+    return potentials.p_dirichlet(grid, cfg.get("potential", "p"), delta=delta), _scheme(cfg, delta=delta)
+
+
 def run_svi_audit(cfg: ExperimentConfig, outdir: Path | None = None) -> ConvergenceTable:
     grid = _parse_grid(cfg)
-    delta = cfg.get("scheme", "delta", 1e-2)
-    p = cfg.get("potential", "p", 1.5)
-    pot = potentials.p_dirichlet(grid, p, delta=delta)
-    sp = _scheme(cfg, delta=delta)
+    pot, sp = _audit_problem(cfg, grid)
     x0 = _initial_state(cfg, grid, L2)
     model = _noise_model(cfg, grid, L2)
     ens = engine.simulate(x0, pot, model, sp, cfg.n_paths, cfg.seed)
@@ -519,18 +521,17 @@ def structured_test_family(ens, model, x0):
     grid, space = ens.grid, ens.space
     smooth = GridFunction(grid, 0.25 * np.ones(grid.shape), space)
     G = np.tile(0.1 * x0.flat, (ens.n_steps, 1))
-    out = [
+    return [
         ("zero", svi.TestProcess.constant(grid, space, 0.0)),
         ("constant", svi.TestProcess.from_function(smooth)),
         ("drifted", svi.TestProcess.from_function(smooth, G=G)),
         ("solution", svi.SolutionTestProcess(ens, model)),
     ]
-    return out
 
 
 def run_mosco_table(cfg: ExperimentConfig, outdir: Path | None = None) -> ConvergenceTable:
     grid = _parse_grid(cfg)
-    seq, _, target = _gradient_schedule(cfg, grid, "delta")
+    seq, _, target = _gradient_schedule(cfg, grid)
     report = mosco.mosco_trend([raw_pot for _, _, raw_pot in seq], target, lambdas=(1.0,))
     if outdir is not None:
         report.to_csv(outdir / "mosco_report.csv")
@@ -558,7 +559,7 @@ _RUNNERS = {
 
 def run_experiment(cfg: ExperimentConfig) -> Path:
     """Execute the configured experiment; returns the output directory."""
-    outdir = Path(cfg.output_dir)
+    outdir = Path(cfg.get("experiment", "output_dir"))
     outdir.mkdir(parents=True, exist_ok=True)
     table = _RUNNERS[cfg.kind](cfg, outdir)
     table.to_csv(outdir / "table.csv")

@@ -1,8 +1,16 @@
+import configparser
+import io
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from spdelab import cli, experiments
+from spdelab import cli, experiments, potentials
 from spdelab.experiments import ConfigError, cell_average_over_period, parse_config, weight_function
+from spdelab.grids import box_grid
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 BASE = """
@@ -36,6 +44,27 @@ def write_cfg(tmp_path, text, name="cfg.ini"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def edit(text, drop=(), set_=()):
+    """``text`` without the ``drop`` entries (``"section key"`` or a whole
+    ``"section"``) and with the ``(section, key, value)`` entries of ``set_``."""
+    ini = configparser.ConfigParser(interpolation=None)
+    ini.read_string(text)
+    for name in drop:
+        section, _, key = name.partition(" ")
+        removed = ini.remove_option(section, key) if key else ini.remove_section(section)
+        assert removed, name
+    for section, key, value in set_:
+        if not ini.has_section(section):
+            ini.add_section(section)
+        ini.set(section, key, value)
+    out = io.StringIO()
+    ini.write(out)
+    return out.getvalue()
+
+
+UNSCHEDULED = ("potential schedule", "potential schedule_kind")  # keys the kinds without a schedule do not read
 
 
 def test_parse_rejects_unknown_key(tmp_path):
@@ -126,7 +155,7 @@ def test_every_kind_has_a_runner_taking_cfg_and_outdir():
 
 def test_mosco_table_experiment(tmp_path):
     text = BASE.format(kind="mosco_table", outdir=tmp_path / "out", schedule="1.0,0.5,0.25")
-    text = text.replace("schedule_kind = power", "schedule_kind = delta")
+    text = edit(text.replace("schedule_kind = power", "schedule_kind = delta"), drop=("noise", "scheme delta"))
     cfg = parse_config(write_cfg(tmp_path, text))
     outdir = experiments.run_experiment(cfg)
     assert (outdir / "mosco_report.csv").exists()
@@ -138,7 +167,7 @@ def test_mosco_table_experiment(tmp_path):
 
 
 def test_svi_audit_experiment(tmp_path):
-    text = BASE.format(kind="svi_audit_run", outdir=tmp_path / "out", schedule="1.5")
+    text = edit(BASE.format(kind="svi_audit_run", outdir=tmp_path / "out", schedule="1.5"), drop=UNSCHEDULED)
     cfg = parse_config(write_cfg(tmp_path, text))
     outdir = experiments.run_experiment(cfg)
     table = (outdir / "table.csv").read_text().strip().splitlines()
@@ -149,7 +178,7 @@ def test_svi_audit_experiment(tmp_path):
 
 
 def test_nonlocal_experiment_smoke(tmp_path):
-    text = BASE.format(kind="nonlocal_to_local", outdir=tmp_path / "out", schedule="1.5")
+    text = edit(BASE.format(kind="nonlocal_to_local", outdir=tmp_path / "out", schedule="1.5"), drop=UNSCHEDULED)
     text += "\n[kernel]\nprofile = bump\neps_schedule = 0.3, 0.2\n"
     text = text.replace("cells = 32", "cells = 48").replace("p = 1.5", "p = 2.0")
     cfg = parse_config(write_cfg(tmp_path, text))
@@ -161,15 +190,10 @@ def test_nonlocal_experiment_smoke(tmp_path):
 
 def test_homogenize_requires_weight(tmp_path):
     text = BASE.format(kind="homogenize_plaplace", outdir=tmp_path / "out", schedule="0.25,0.125")
+    text = edit(text, drop=UNSCHEDULED)
     text += "\n[kernel]\neps_schedule = 0.25, 0.125\n"
     with pytest.raises(ConfigError, match="weight"):
         parse_config(write_cfg(tmp_path, text))
-
-
-def test_homogenize_reads_only_kernel_eps_schedule(tmp_path):
-    text = BASE.format(kind="homogenize_plaplace", outdir=tmp_path / "out", schedule="0.25,0.125")
-    with pytest.raises(ConfigError, match="eps_schedule"):
-        parse_config(write_cfg(tmp_path, text.replace("p = 1.5", "p = 1.5\nweight = cosine")))
 
 
 def test_cli_validate_run_and_listing(tmp_path, capsys):
@@ -186,18 +210,40 @@ def test_cli_validate_run_and_listing(tmp_path, capsys):
     assert (tmp_path / "cli_out" / "table.csv").exists()
 
 
+def explicit_audit_config(tmp_path, cells, dt):
+    """The svi_audit_run config of BASE with the explicit Yosida drift."""
+    text = BASE.format(kind="svi_audit_run", outdir=tmp_path / f"audit{cells}", schedule="1.5")
+    text = edit(text, drop=UNSCHEDULED, set_=[("grid", "cells", str(cells)), ("scheme", "dt", repr(dt)),
+                                              ("scheme", "drift", "explicit_yosida")])
+    return write_cfg(tmp_path, text, f"audit{cells}.ini")
+
+
+def explicit_step_limit(cells):
+    """``dt`` at which ``dt * Lip`` of the audit run's drift reaches 1.9."""
+    return 1.9 / potentials.p_dirichlet(box_grid((cells,)), 1.5, delta=1e-2).drift_lipschitz_bound()
+
+
 def test_cli_explicit_drift_only_validates_for_svi_audit(tmp_path):
     # the schedule runs build their scheme without delta, so only the audit
     # run can honour the explicit Yosida drift
-    def with_drift(kind):
-        text = BASE.format(kind=kind, outdir=tmp_path / kind, schedule="1.6")
-        return write_cfg(tmp_path, text.replace("dt = 2e-3", "dt = 2e-3\ndrift = explicit_yosida"), f"{kind}.ini")
-
-    path = with_drift("trotter_plaplace")
+    text = BASE.format(kind="trotter_plaplace", outdir=tmp_path / "trotter", schedule="1.6")
+    path = write_cfg(tmp_path, text.replace("dt = 2e-3", "dt = 2e-3\ndrift = explicit_yosida"))
     with pytest.raises(ConfigError, match="explicit_yosida"):
         parse_config(path)
     assert cli.main(["validate", str(path)]) == 1
-    assert cli.main(["validate", str(with_drift("svi_audit_run"))]) == 0
+    assert cli.main(["validate", str(explicit_audit_config(tmp_path, 8, explicit_step_limit(8)))]) == 0
+
+
+def test_explicit_drift_past_the_step_bound_is_a_config_error(tmp_path, capsys):
+    # 32 cells at dt = 2e-3 give dt * Lip = 819.2, far past the explicit Euler limit 2
+    path = explicit_audit_config(tmp_path, 32, 2e-3)
+    assert cli.main(["validate", str(path)]) == 1
+    assert cli.main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: svi_audit_run: [scheme] dt" in err and "819.2" in err
+    path = explicit_audit_config(tmp_path, 8, explicit_step_limit(8))
+    assert cli.main(["validate", str(path)]) == 0
+    assert cli.main(["run", str(path)]) == 0
 
 
 def test_cli_bad_config_exit_code(tmp_path):
@@ -276,11 +322,16 @@ TINY_CASES = {
 }
 
 
-def tiny_table(tmp_path, case):
-    """Numeric columns of the case's ``table.csv`` (wall time dropped) as ``float.hex``."""
+def tiny_text(tmp_path, case):
     kind, potential, kernel = TINY_CASES[case]
     text = TINY.format(kind=kind, outdir=tmp_path / "out", potential=potential, kernel=kernel)
-    outdir = experiments.run_experiment(parse_config(write_cfg(tmp_path, text)))
+    # mosco_table simulates nothing, so it reads no noise and no Yosida delta
+    return edit(text, drop=("noise", "scheme delta")) if kind == "mosco_table" else text
+
+
+def tiny_table(tmp_path, case):
+    """Numeric columns of the case's ``table.csv`` (wall time dropped) as ``float.hex``."""
+    outdir = experiments.run_experiment(parse_config(write_cfg(tmp_path, tiny_text(tmp_path, case))))
     header, *rows = (outdir / "table.csv").read_text().strip().splitlines()
     wall = header.split(",").index("wall_time")
     return [[float.hex(float(v)) for j, v in enumerate(r.split(",")[1:], 1) if j != wall] for r in rows]
@@ -328,3 +379,54 @@ TINY_GOLDEN = {
 @pytest.mark.parametrize("case", sorted(TINY_CASES))
 def test_schedule_kind_numeric_columns_are_pinned(tmp_path, case):
     assert tiny_table(tmp_path, case) == TINY_GOLDEN[case]
+
+
+# Per kind: a key it does not read, a key it requires and a value it rejects.
+SCHEMA_CASES = {
+    "trotter_plaplace": (("potential", "m", "0.5"), "potential schedule", ("potential", "schedule_kind", "bogus")),
+    "trotter_fastdiffusion": (("potential", "visc", "0.1"), "potential schedule",
+                              ("potential", "schedule_kind", "viscosity")),
+    "nonlocal_to_local": (("potential", "m", "0.5"), "potential p", ("kernel", "profile", "cone")),
+    "homogenize_plaplace": (("potential", "schedule", "0.25, 0.125"), "kernel eps_schedule",
+                            ("potential", "weight", "none")),
+    "homogenize_fastdiffusion": (("kernel", "profile", "bump"), "potential weight", ("potential", "m", "0")),
+    "svi_audit_run": (("potential", "schedule", "1.5"), "scheme dt", ("grid", "cells", "0")),
+    "mosco_table": (("noise", "kind", "additive"), "experiment seed", ("grid", "cells", "16x")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEMA_CASES))
+def test_validate_honours_or_rejects_every_key(tmp_path, capsys, kind):
+    if kind == "svi_audit_run":
+        text = edit(BASE.format(kind=kind, outdir=tmp_path / "out", schedule="1.5"), drop=UNSCHEDULED)
+    else:
+        text = tiny_text(tmp_path, kind)
+    assert cli.main(["validate", str(write_cfg(tmp_path, text))]) == 0
+    unread, required, bad = SCHEMA_CASES[kind]
+    broken = [
+        (edit(text, set_=[unread]), "[{}] {}".format(*unread)),
+        (edit(text, drop=[required]), "[{}] {}".format(*required.split())),
+        (edit(text, set_=[bad]), "[{}] {}".format(*bad)),
+    ]
+    for case, name in broken:
+        capsys.readouterr()
+        assert cli.main(["validate", str(write_cfg(tmp_path, case))]) == 1, name
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {kind}") and name in err
+
+
+def test_benchmark_and_shipped_configs_validate(tmp_path, monkeypatch):
+    # the benchmark validates its generated configs before it runs them, so a
+    # schema that rejected one of their keys would fail every benchmark unit
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    paths = sorted((ROOT / "configs").glob("*.ini"))
+    assert len(paths) == 3
+    for workload in (workloads.Trotter1D, workloads.MoscoTable):
+        for seed in (1, 7):
+            for smoke in (True, False):
+                bench = workload(seed, smoke, tmp_path)
+                paths.append(write_cfg(tmp_path, bench.config_text(), f"{bench.name}-{seed}-{smoke}.ini"))
+    assert [cli.main(["validate", str(path)]) for path in paths] == [0] * len(paths)

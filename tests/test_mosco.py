@@ -8,10 +8,12 @@ from spdelab.grids import (
     GridFunction,
     HMINUS1,
     NEUMANN,
+    box_grid,
     face_difference_matrix,
     interval_grid,
     norm,
 )
+from spdelab.kernels import Kernel
 from spdelab.potentials import Potential
 
 rng = np.random.default_rng(99)
@@ -108,15 +110,32 @@ def test_condition_n_holds_for_all_families():
     assert mosco.condition_n_check(pots)
     fd = [potentials.fast_diffusion(g, 0.5), potentials.fast_diffusion(g, 1.0)]
     assert mosco.condition_n_check(fd)
+    sq = box_grid((8, 8))
+    assert mosco.condition_n_check([
+        potentials.p_dirichlet(sq, 1.0),
+        potentials.p_dirichlet(sq, 1.5),
+        potentials.p_dirichlet(sq, 1.5, delta=1e-2),
+    ])
+    assert mosco.condition_n_check([
+        potentials.fast_diffusion(sq, 0.0),
+        potentials.fast_diffusion(sq, 0.5),
+        potentials.fast_diffusion(sq, 0.5, delta=1e-2),
+    ])
+    chain, bump = interval_grid(32), Kernel("bump", 1)
+    assert mosco.condition_n_check([
+        potentials.nonlocal_p(chain, bump, 0.1, 1.0),
+        potentials.nonlocal_p(chain, bump, 0.1, 1.5),
+        potentials.nonlocal_p(chain, bump, 0.1, 1.5, delta=1e-2),
+    ])
 
 
 def test_condition_n_fails_for_shifted_potential():
-    g = interval_grid(24)
-    base = potentials.p_dirichlet(g, 2.0)
-    # gradient energies are blind to constant shifts; shift by a ramp instead
-    shift = GridFunction(g, 0.5 * np.sin(np.pi * g.axis_centers(0)))
-    shifted = ShiftedPotential(base, shift)
-    assert not mosco.condition_n_check([shifted])
+    for g in (interval_grid(24), box_grid((8, 8))):
+        base = potentials.p_dirichlet(g, 2.0)
+        # gradient energies are blind to constant shifts; shift by a ramp instead
+        shift = GridFunction(g, 0.5 * np.sin(np.pi * g.centers()[0]))
+        shifted = ShiftedPotential(base, shift)
+        assert not mosco.condition_n_check([shifted])
 
 
 def test_condition_n_empty_sequence_warns_vacuous_true():
