@@ -316,8 +316,8 @@ class ConvergenceTable:
                 fh.write(",".join(base) + "\n")
 
 
-def _mean_resolvent_distance(pot_seq_el, target, probes, lam=1.0, tol=1e-9) -> float:
-    ds = [mosco.resolvent_distance(pot_seq_el, target, f, lam, tol=tol) for _, f in probes]
+def _mean_resolvent_distance(pot_seq_el, target, probes, lam=1.0) -> float:
+    ds = [mosco.resolvent_distance(pot_seq_el, target, f, lam, tol=mosco.RESOLVENT_TOL) for _, f in probes]
     return float(np.mean(ds))
 
 
@@ -336,8 +336,12 @@ def _write_manifest(cfg: ExperimentConfig, outdir: Path):
         f"n_paths = {cfg.n_paths}",
         f"budget = {cfg.get('experiment', 'budget')}",
         "weak_metric_dictionary = 8 cosine spatial modes x 4 polynomial time weights",
-        "prox_tol_default = 1e-9",
     ]
+    scheme = cfg.values["scheme"]
+    if "prox_tol" in scheme:  # the six kinds that simulate
+        lines.append(f"prox_tol = {scheme['prox_tol']!r}")
+    if cfg.kind != "svi_audit_run":  # every other kind tabulates resolvent distances
+        lines.append(f"resolvent_tol = {mosco.RESOLVENT_TOL!r}")
     (outdir / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -9,8 +9,11 @@ domain O is
 
 with the normalization ``C_{J,p}^{-1} = 1/2 int J(z) |z_d|^p dz``, which in
 radial form reads ``C^{-1} = (K_{p,d} / 2) int_0^inf J(r) r^{p+d-1} dr`` with
-``K_{p,d}`` the p-th directional moment of the unit sphere.  Discretely the
-double integral becomes a midpoint sum over unordered cell pairs inside the
+``K_{p,d}`` the p-th directional moment of the unit sphere.  Every profile is
+a polynomial in r on its support, so one radial moment per profile gives both
+its unit-mass constant and ``C_{J,p}`` in closed form, and ``K_{p,d}`` is a
+Beta integral: the runtime uses no quadrature.  Discretely the double
+integral becomes a midpoint sum over unordered cell pairs inside the
 support; the pair stencil is precomputed and cached per grid.
 
 The named profiles: "ball" (normalized indicator -- discontinuous at its
@@ -19,12 +22,12 @@ support edge, kept as a stress-test profile), "tent" and "bump".
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.integrate as integrate
 import scipy.sparse as sp
 
 from . import yosida
@@ -32,13 +35,8 @@ from .grids import Grid, GridFunction
 
 PROFILE_NAMES = ("ball", "tent", "bump")
 
-
-def unit_ball_volume(d: int) -> float:
-    if d == 1:
-        return 2.0
-    if d == 2:
-        return float(np.pi)
-    raise ValueError(f"only d in {{1, 2}} is supported, got {d}")
+# surface measure sigma_d of the unit sphere S^{d-1} (its two points for d = 1)
+_SPHERE_MEASURE = {1: 2.0, 2: 2.0 * math.pi}
 
 
 @dataclass(frozen=True)
@@ -57,15 +55,20 @@ class Kernel:
         if self.support_radius <= 0:
             raise ValueError("support radius must be positive")
 
+    def _moment(self, a: float) -> float:
+        """``M(a) = int_0^R j(r) r^a dr`` of the unnormalized profile j:
+        1, 1 - r/R or (1 - (r/R)^2)^2 on the support."""
+        scale = self.support_radius ** (a + 1)
+        if self.profile == "ball":
+            return scale / (a + 1)
+        if self.profile == "tent":
+            return scale / ((a + 1) * (a + 2))
+        return 8.0 * scale / ((a + 1) * (a + 3) * (a + 5))
+
     @property
     def _norm_const(self) -> float:
-        R, d = self.support_radius, self.dim
-        if self.profile == "ball":
-            return 1.0 / (unit_ball_volume(d) * R**d)
-        if self.profile == "tent":
-            return 1.0 / R if d == 1 else 3.0 / (np.pi * R**2)
-        # bump: c * (1 - (r/R)^2)^2
-        return 15.0 / (16.0 * R) if d == 1 else 3.0 / (np.pi * R**2)
+        # unit mass: c * sigma_d * M(d - 1) = 1
+        return 1.0 / (_SPHERE_MEASURE[self.dim] * self._moment(self.dim - 1))
 
     def radial(self, r) -> np.ndarray:
         """J(r) for radii r >= 0 (vectorized)."""
@@ -78,68 +81,27 @@ class Kernel:
             return c * np.maximum(1.0 - r / R, 0.0)
         return c * np.maximum(1.0 - (r / R) ** 2, 0.0) ** 2
 
-    def mass(self) -> float:
-        """Total mass by radial quadrature (should be 1)."""
-        d = self.dim
-        surf = 2.0 if d == 1 else 2.0 * np.pi
-        val, _ = integrate.quad(
-            lambda r: self.radial(r) * surf * r ** (d - 1), 0.0, self.support_radius, limit=200
-        )
-        return float(val)
-
 
 def k_pd(p: float, d: int) -> float:
     """Directional moment ``int_{S^{d-1}} |sigma . e_d|^p dsigma``.
 
     d = 1 uses the counting measure on the two endpoints, giving 2 for all p.
+    On the circle it is ``4 int_0^{pi/2} sin^p t dt``, a Beta integral.
     """
     if not 1.0 <= p <= 2.0:
         raise ValueError(f"p must lie in [1, 2], got {p}")
     if d == 1:
         return 2.0
     if d == 2:
-        val, err = integrate.quad(
-            lambda t: np.abs(np.sin(t)) ** p, 0.0, 2.0 * np.pi, points=[np.pi], limit=400,
-            epsabs=1e-12, epsrel=1e-12,
-        )
-        if err > 1e-10:
-            raise RuntimeError(f"K_(p,d) quadrature did not converge: err={err:.2e}")
-        return float(val)
+        return 2.0 * math.sqrt(math.pi) * math.gamma((p + 1) / 2) / math.gamma(p / 2 + 1)
     raise ValueError(f"only d in {{1, 2}} is supported, got {d}")
 
 
 def c_jp(kernel: Kernel, p: float) -> float:
-    """Normalization constant via the radial moment formula."""
+    """Normalization constant via the radial moment formula, in closed form."""
     d = kernel.dim
-    moment, err = integrate.quad(
-        lambda r: kernel.radial(r) * r ** (p + d - 1), 0.0, kernel.support_radius, limit=400,
-        epsabs=1e-12, epsrel=1e-12,
-    )
-    if err > 1e-9:
-        raise RuntimeError(f"C_(J,p) quadrature did not converge: err={err:.2e}")
-    inv = 0.5 * k_pd(p, d) * moment
+    inv = 0.5 * k_pd(p, d) * kernel._norm_const * kernel._moment(p + d - 1)
     return 1.0 / inv
-
-
-def c_jp_direct(kernel: Kernel, p: float) -> float:
-    """Same constant from the defining d-dimensional integral (cross-check)."""
-    R, d = kernel.support_radius, kernel.dim
-    if d == 1:
-        val, _ = integrate.quad(
-            lambda z: kernel.radial(abs(z)) * abs(z) ** p, -R, R, points=[0.0], limit=400,
-            epsabs=1e-12, epsrel=1e-12,
-        )
-    else:
-        val, _ = integrate.dblquad(
-            lambda z2, z1: kernel.radial(np.hypot(z1, z2)) * abs(z2) ** p,
-            -R,
-            R,
-            lambda z1: -np.sqrt(max(R**2 - z1**2, 0.0)),
-            lambda z1: np.sqrt(max(R**2 - z1**2, 0.0)),
-            epsabs=1e-11,
-            epsrel=1e-11,
-        )
-    return 1.0 / (0.5 * val)
 
 
 class RescaledKernel:

@@ -22,6 +22,7 @@ from .potentials import Potential
 
 DEFAULT_LAMBDAS = (0.1, 1.0, 10.0)
 CONDITION_N_LAMBDAS = (0.1, 1.0, 10.0)
+RESOLVENT_TOL = 1e-9  # prox tolerance of the resolvent-distance tables
 
 
 @dataclass
@@ -124,7 +125,7 @@ def mosco_trend(
     target: Potential,
     probes=None,
     lambdas=DEFAULT_LAMBDAS,
-    tol: float = 1e-9,
+    tol: float = RESOLVENT_TOL,
 ) -> MoscoReport:
     """Resolvent-distance table of a potential sequence against its target.
 

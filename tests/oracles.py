@@ -2,13 +2,16 @@
 
 Each oracle deliberately avoids the code paths it checks: the chain
 dynamic program enumerates a value lattice instead of solving optimality
-conditions, the bisection root solver ignores the Newton machinery, and
-the Ornstein-Uhlenbeck recursions use dense eigendecompositions.
+conditions, the bisection root solver ignores the Newton machinery, the
+Ornstein-Uhlenbeck recursions use dense eigendecompositions, and the kernel
+constants integrate ``Kernel.radial`` by adaptive quadrature instead of
+using the closed-form radial moments.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.integrate as integrate
 
 
 def bisect_root(fn, lo: float, hi: float, tol: float = 1e-13, max_iter: int = 200) -> float:
@@ -87,3 +90,57 @@ def ou_second_moment(A: np.ndarray, modes: np.ndarray, x0: np.ndarray, dt: float
         second = S**2 * (second + noise_power)
         mom[nstep + 1] = vol * second.sum()
     return mom
+
+
+def sphere_moment(p: float, d: int) -> float:
+    """``K_{p,d}``: the two endpoints for d = 1, circle quadrature for d = 2."""
+    if d == 1:
+        return 2.0
+    val, err = integrate.quad(
+        lambda t: np.abs(np.sin(t)) ** p, 0.0, 2.0 * np.pi, points=[np.pi], limit=400,
+        epsabs=1e-12, epsrel=1e-12,
+    )
+    assert err <= 1e-10, f"K_(p,d) quadrature did not converge: err={err:.2e}"
+    return float(val)
+
+
+def kernel_mass(kernel) -> float:
+    """Total mass of the kernel by radial quadrature (should be 1)."""
+    d = kernel.dim
+    surf = 2.0 if d == 1 else 2.0 * np.pi
+    val, _ = integrate.quad(
+        lambda r: kernel.radial(r) * surf * r ** (d - 1), 0.0, kernel.support_radius, limit=200
+    )
+    return float(val)
+
+
+def c_jp_radial(kernel, p: float) -> float:
+    """``C_{J,p}`` from the radial moment formula by quadrature."""
+    d = kernel.dim
+    moment, err = integrate.quad(
+        lambda r: kernel.radial(r) * r ** (p + d - 1), 0.0, kernel.support_radius, limit=400,
+        epsabs=1e-12, epsrel=1e-12,
+    )
+    assert err <= 1e-9, f"C_(J,p) quadrature did not converge: err={err:.2e}"
+    return 1.0 / (0.5 * sphere_moment(p, d) * moment)
+
+
+def c_jp_direct(kernel, p: float) -> float:
+    """``C_{J,p}`` from the defining d-dimensional integral."""
+    R, d = kernel.support_radius, kernel.dim
+    if d == 1:
+        val, _ = integrate.quad(
+            lambda z: kernel.radial(abs(z)) * abs(z) ** p, -R, R, points=[0.0], limit=400,
+            epsabs=1e-12, epsrel=1e-12,
+        )
+    else:
+        val, _ = integrate.dblquad(
+            lambda z2, z1: kernel.radial(np.hypot(z1, z2)) * abs(z2) ** p,
+            -R,
+            R,
+            lambda z1: -np.sqrt(max(R**2 - z1**2, 0.0)),
+            lambda z1: np.sqrt(max(R**2 - z1**2, 0.0)),
+            epsabs=1e-11,
+            epsrel=1e-11,
+        )
+    return 1.0 / (0.5 * val)

@@ -1,12 +1,14 @@
 import configparser
 import io
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spdelab import cli, experiments, potentials
+from spdelab import cli, experiments, mosco, potentials
 from spdelab.experiments import ConfigError, cell_average_over_period, parse_config, weight_function
 from spdelab.grids import box_grid
 
@@ -145,6 +147,17 @@ def test_run_experiment_writes_deterministic_outputs(tmp_path):
     assert (d1 / "manifest.txt").exists()
 
 
+def test_manifest_records_the_run_tolerances(tmp_path):
+    text = BASE.format(kind="trotter_plaplace", outdir=tmp_path / "out", schedule="1.9")
+    text = edit(text, set_=(("grid", "cells", "16"), ("experiment", "n_paths", "2"), ("scheme", "steps", "3"),
+                            ("scheme", "prox_tol", "1e-6")))
+    outdir = experiments.run_experiment(parse_config(write_cfg(tmp_path, text)))
+    lines = (outdir / "manifest.txt").read_text().splitlines()
+    manifest = dict(line.split(" = ", 1) for line in lines)
+    assert float(manifest["prox_tol"]) == 1e-6
+    assert float(manifest["resolvent_tol"]) == mosco.RESOLVENT_TOL
+
+
 def test_every_kind_has_a_runner_taking_cfg_and_outdir():
     import inspect
 
@@ -246,6 +259,16 @@ def test_explicit_drift_past_the_step_bound_is_a_config_error(tmp_path, capsys):
     assert cli.main(["run", str(path)]) == 0
 
 
+def test_import_loads_no_quadrature_or_optimizer():
+    # every process pays for what `import spdelab.cli` loads; scipy.integrate
+    # alone would bring scipy.optimize and scipy.special along
+    code = ("import sys, spdelab, spdelab.cli; print(sorted(m for m in "
+            "('scipy.integrate', 'scipy.optimize', 'scipy.special') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 def test_cli_bad_config_exit_code(tmp_path):
     bad = write_cfg(tmp_path, "[experiment]\nkind = nope\nseed = 1\noutput_dir = x\n")
     assert cli.main(["validate", str(bad)]) == 1
@@ -343,7 +366,8 @@ def tiny_table(tmp_path, case):
 # case equals mosco.mosco_trend over p_dirichlet(..., visc=0.1) potentials.
 # nonlocal_to_local was re-recorded when its Newton direction moved from a
 # sparse LU per row to one banded Cholesky per step (rounding only, <= 7e-14
-# relative).
+# relative), and again when C_{J,p} moved from radial quadrature to its closed
+# form (14 -> 14 - 1 ulp for this bump at p = 2; <= 1.6e-13 relative).
 TINY_GOLDEN = {
     'homogenize_fastdiffusion': [
         ['0x1.0000000000000p-2', '0x1.8a356fa60091bp-18', '0x1.5e2327a007c8ep-14', '0x1.80bd26fc16200p-5', '0x1.0000000000000p+1', '-0x1.14468b980884cp-3'],
@@ -362,8 +386,8 @@ TINY_GOLDEN = {
         ['0x1.0000000000000p-1', '0x0.0p+0', '0x1.46d1dba812a96p-7', '0x0.0p+0'],
     ],
     'nonlocal_to_local': [
-        ['0x1.3333333333333p-2', '0x1.e81998cc42de5p-15', '0x1.97e72977fdc7bp-10', '0x1.3c7688020bdecp-1'],
-        ['0x1.999999999999ap-3', '0x1.d3f7a533fa284p-16', '0x1.0f0629253310ep-11', '0x1.568d87f3bc2f8p-2'],
+        ['0x1.3333333333333p-2', '0x1.e81998cc42debp-15', '0x1.97e72977fdd1fp-10', '0x1.3c7688020bdf0p-1'],
+        ['0x1.999999999999ap-3', '0x1.d3f7a533fa293p-16', '0x1.0f06292532e12p-11', '0x1.568d87f3bc300p-2'],
     ],
     'trotter_fastdiffusion': [
         ['0x1.ccccccccccccdp-1', '0x1.9a58d46dbc35cp-19', '0x1.b0578ba53331cp-8', '0x0.0p+0'],

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import c_jp_direct, c_jp_radial, kernel_mass, sphere_moment
 
 from spdelab import kernels, potentials
 from spdelab.grids import GridFunction, Grid, inner, interval_grid, norm
@@ -12,7 +15,7 @@ rng = np.random.default_rng(55)
 @pytest.mark.parametrize("dim", [1, 2])
 def test_kernel_unit_mass(profile, dim):
     k = Kernel(profile, dim)
-    assert k.mass() == pytest.approx(1.0, abs=1e-8)
+    assert kernel_mass(k) == pytest.approx(1.0, abs=1e-8)
 
 
 @pytest.mark.parametrize("profile", kernels.PROFILE_NAMES)
@@ -32,6 +35,11 @@ def test_k_pd_values():
     assert kernels.k_pd(2.0, 2) == pytest.approx(np.pi, abs=1e-10)
 
 
+@pytest.mark.parametrize("p", [1.0, 1.1, 1.25, 4 / 3, 1.37, 1.5, 1.7, 1.9, 2.0])
+def test_k_pd_circle_matches_quadrature(p):
+    assert kernels.k_pd(p, 2) == pytest.approx(sphere_moment(p, 2), rel=1e-13, abs=0.0)
+
+
 def test_k_pd_invalid_dimension():
     with pytest.raises(ValueError):
         kernels.k_pd(1.5, 3)
@@ -48,7 +56,19 @@ def test_c_jp_ball_closed_forms():
 @pytest.mark.parametrize("dim", [1, 2])
 def test_c_jp_radial_vs_direct_quadrature(profile, p, dim):
     k = Kernel(profile, dim)
-    assert kernels.c_jp(k, p) == pytest.approx(kernels.c_jp_direct(k, p), rel=1e-8)
+    assert kernels.c_jp(k, p) == pytest.approx(c_jp_direct(k, p), rel=1e-8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    profile=st.sampled_from(kernels.PROFILE_NAMES),
+    dim=st.sampled_from([1, 2]),
+    p=st.floats(1.0, 2.0),
+    radius=st.floats(0.25, 3.0),
+)
+def test_c_jp_closed_form_matches_radial_quadrature(profile, dim, p, radius):
+    k = Kernel(profile, dim, support_radius=radius)
+    assert kernels.c_jp(k, p) == pytest.approx(c_jp_radial(k, p), rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("profile", kernels.PROFILE_NAMES)
