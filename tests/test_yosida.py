@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -223,3 +225,98 @@ def test_three_halves_radius_broadcasts_array_delta():
     r = yosida.prox_radius(1.5, delta, s)
     assert r.shape == s.shape
     assert np.abs(r + delta * np.sqrt(r) - s).max() <= 8.0 * EPS * (1.0 + s.max())
+
+
+# ---------------------------------------------------------------------------
+# general p: Newton from above the root
+# ---------------------------------------------------------------------------
+
+TINY = np.finfo(float).tiny
+general_powers = st.floats(min_value=1.05, max_value=1.95)
+
+
+def log_bisect_radius(p: float, delta: float, s: float) -> float:
+    """Root of ``r + delta r^(p-1) = s`` by bisection in log r (tiny roots stay relative)."""
+    x = bisect_root(lambda x: np.exp(x) + delta * np.exp((p - 1.0) * x) - s, np.log(TINY), np.log(s))
+    return float(np.exp(x))
+
+
+@pytest.mark.parametrize(
+    "p, delta, s",
+    # tiny roots (6e-62, 5e-60, 2e-47) where a Newton on [0, s] stopped by an
+    # absolute 1e-13 residual stalls at 100 sweeps, off by up to 19 s
+    [(1.05, 1e-2, 8.69e-6), (1.05, 1.0, 1.08e-3), (1.1, 1e-2, 2.09e-7)],
+)
+def test_general_radius_converges_near_one(p, delta, s):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = float(yosida.prox_radius(p, delta, s))
+    assert abs(r + delta * r ** (p - 1.0) - s) <= 8.0 * EPS * (1.0 + s)
+    assert r == pytest.approx(log_bisect_radius(p, delta, s), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.001, 1.01])
+def test_general_radius_warns_nothing_near_one(p):
+    s = np.concatenate([[0.0], np.logspace(-12, 8, 400)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for delta in (1e-8, 1e-2, 1e6):
+            r = yosida.prox_radius(p, delta, s)
+            ok = np.abs(r + delta * r ** (p - 1.0) - s) <= 8.0 * EPS * (1.0 + s)
+            assert np.all(ok | (r < TINY))
+
+
+def test_general_radius_raises_at_the_sweep_cap(monkeypatch):
+    # p = 1.05, delta = 1e-2, s = 6.67e-3 needs a fifth sweep
+    assert np.isfinite(yosida.prox_radius(1.05, 1e-2, 6.67e-3))
+    monkeypatch.setattr(yosida, "_ROOT_MAX_ITER", yosida._ROOT_SWEEPS)
+    with pytest.raises(FloatingPointError, match="1 radii"):
+        yosida.prox_radius(1.05, 1e-2, np.array([1.0, 6.67e-3, 2.0]))
+
+
+def test_general_radius_rows_do_not_depend_on_the_batch():
+    # a row that needs a fifth sweep does not sweep its converged neighbours on
+    s = np.concatenate([[6.67e-3, 8.69e-6, 0.0], rng.uniform(0.0, 10.0, 50)])
+    batch = yosida.prox_radius(1.05, 1e-2, s)
+    alone = np.concatenate([yosida.prox_radius(1.05, 1e-2, s[i : i + 1]) for i in range(s.size)])
+    assert np.array_equal(batch, alone)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=general_powers, s=magnitudes, delta=deltas)
+def test_general_radius_residual(p, s, delta):
+    r = float(yosida.prox_radius(p, delta, s))
+    assert 0.0 <= r <= s
+    if r >= TINY:  # roots below the smallest normal float are not representable
+        assert abs(r + delta * r ** (p - 1.0) - s) <= 8.0 * EPS * (1.0 + s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=general_powers, a=magnitudes, b=magnitudes, delta=deltas)
+def test_general_radius_monotone(p, a, b, delta):
+    s1, s2 = min(a, b), max(a, b)
+    r1, r2 = yosida.prox_radius(p, delta, np.array([s1, s2]))
+    assert r1 <= r2 * (1.0 + 4.0 * EPS) + TINY
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=general_powers,
+    s=st.floats(min_value=0.0, max_value=100.0),
+    delta=st.floats(min_value=1e-4, max_value=10.0),
+)
+def test_general_radius_matches_newton_reference(p, s, delta):
+    r = float(yosida.prox_radius(p, delta, s))
+    assert abs(r - newton_radius(p, delta, s)) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [1.1, 1.7, 1.9])
+def test_general_radius_broadcasts_array_delta(p):
+    s = rng.uniform(0.0, 5.0, size=(4, 7))
+    delta = rng.uniform(1e-3, 1.0, size=7)
+    r = yosida.prox_radius(p, delta, s)
+    assert r.shape == s.shape
+    resid = r + delta * r ** (p - 1.0) - s
+    assert np.abs(resid).max() <= 8.0 * EPS * (1.0 + s.max())
+    by_column = np.stack([yosida.prox_radius(p, d, s[:, j]) for j, d in enumerate(delta)], axis=1)
+    assert np.array_equal(r, by_column)
