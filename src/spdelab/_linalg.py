@@ -7,30 +7,30 @@ from scipy.linalg import LinAlgError, get_lapack_funcs
 
 
 def solve_tridiagonal(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tridiagonal solve, batched over leading axes, in one LAPACK ``gtsv`` call.
+    """Tridiagonal solve per row of the array ``b``, batched over its leading
+    axes, in one LAPACK ``gtsv`` call.
 
-    ``dl[..., i]`` multiplies ``x[..., i-1]``, ``d[..., i]`` the diagonal and
-    ``du[..., i]`` multiplies ``x[..., i+1]``; ``dl[..., 0]`` and
-    ``du[..., -1]`` are ignored.  The arguments broadcast against each other.
-    The batch rows lie end to end with zero couplings in one ``(4, N)`` buffer
-    of bands and right-hand side that ``gtsv`` solves in place.  A 1 x 1 system
-    is a division, as in ``scipy.linalg.solve_banded``; a singular one raises
+    ``d[..., i]`` is the diagonal; the n - 1 couplings ``dl[..., i]`` and
+    ``du[..., i]`` sit at (i + 1, i) and (i, i + 1).  All three broadcast
+    against ``b`` and go straight into one ``(4, N)`` buffer of bands and
+    right-hand side, sized from ``b``, with the batch rows end to end and zero
+    couplings between them; ``gtsv`` solves it in place.  A 1 x 1 system is a
+    division, as in ``scipy.linalg.solve_banded``; a singular one raises
     ``LinAlgError``.
     """
-    shape = np.broadcast_shapes(np.shape(dl), np.shape(d), np.shape(du), np.shape(b))
-    buf = np.zeros((4,) + shape)
-    buf[0, ..., :-1] = dl[..., 1:]
+    buf = np.zeros((4,) + b.shape)
+    buf[0, ..., :-1] = dl
     buf[1] = d
-    buf[2, ..., :-1] = du[..., :-1]
+    buf[2, ..., :-1] = du
     buf[3] = b
-    buf = buf.reshape(4, -1)
-    if buf.shape[1] == 1:
-        return (buf[3] / buf[1]).reshape(shape)
+    flat = buf.reshape(4, -1)
+    if flat.shape[1] == 1:
+        return buf[3] / buf[1]
     gtsv = get_lapack_funcs("gtsv", dtype=np.float64)
-    *_, x, info = gtsv(buf[0, :-1], buf[1], buf[2, :-1], buf[3], True, True, True, True)
+    *_, x, info = gtsv(flat[0, :-1], flat[1], flat[2, :-1], flat[3], True, True, True, True)
     if info:
         raise LinAlgError(f"singular tridiagonal system (gtsv info {info})")
-    return x.reshape(shape)
+    return x.reshape(b.shape)
 
 
 def solve_banded_spd(ab: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -197,7 +197,7 @@ class SchemeParams:
     prox_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.dt <= 0 or self.steps <= 0:
+        if not self.dt > 0 or self.steps <= 0:
             raise ValueError("dt and steps must be positive")
         if self.drift not in ("implicit_prox", "explicit_yosida"):
             raise ValueError(f"unknown drift mode {self.drift!r}")

@@ -159,7 +159,7 @@ class Potential:
         tol: float = DEFAULT_TOL,
         max_iter: int = DEFAULT_MAX_ITER,
     ) -> ProxResult:
-        if lam <= 0:
+        if not lam > 0:
             raise ValueError("lam must be positive")
         if f.grid != self.grid or f.space != self.space:
             raise ValueError(
@@ -237,11 +237,14 @@ class _DifferencePenaltyPotential(Potential):
         self.profile = profile
         self.label = label
         self._tridiagonal = tridiagonal
+        self._quad = bool(self.edge_q.any())
         self._gram = None
         self._band = None
         if tridiagonal:
-            # chain structure: edge e couples cells (e, e+1) with -s_e and s_e
-            self._edge_scale = self.K[:, 1:].diagonal()
+            # chain structure: edge e couples cells (e, e+1) with -s_e and s_e;
+            # the Gram K K^T has diagonal 2 s_e^2 and couplings -s_e s_(e+1)
+            s = self._edge_scale = self.K[:, 1:].diagonal()
+            self._scale_sq, self._gram_off = s**2, -(s[1:] * s[:-1])
 
     def _accepts(self, space: str) -> bool:
         return space in (L2, H1)
@@ -269,7 +272,7 @@ class _DifferencePenaltyPotential(Potential):
     def eval_batch(self, U: np.ndarray) -> np.ndarray:
         G = self._grad(np.asarray(U, dtype=float))
         vals = self.profile.value(np.abs(G)) @ self.edge_w
-        if np.any(self.edge_q):
+        if self._quad:
             vals = vals + 0.5 * (G**2 @ self.edge_q)
         return self.grid.cell_volume * vals
 
@@ -290,7 +293,7 @@ class _DifferencePenaltyPotential(Potential):
     def prox_batch(self, lam, F, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, warm=None):
         F = np.asarray(F, dtype=float)
         prof = self.profile
-        no_quad = not np.any(self.edge_q)
+        no_quad = not self._quad
         if no_quad and prof.is_kinked and not prof.slope_unbounded:
             # raw total variation: box-constrained dual
             return _dual_projected_newton(self, lam, F, tol, max_iter)
@@ -337,12 +340,12 @@ def _damped_newton(evaluate, X, residual, direction, accept, cap, t_min, patienc
         res, threshold, grad = residual(state, rows)
         resid[rows] = res
         live = res > threshold
-        if not np.all(live):
+        if not live.all():
             out[rows[~live]] = state[0][~live]
             rows, grad, state = rows[live], grad[live], tuple(a[live] for a in state)
         if rows.size == 0:
             break
-        worst = float(np.max(resid))
+        worst = resid.max()
         if worst < 0.9 * best:
             best, stagnant = worst, 0
         else:
@@ -350,17 +353,15 @@ def _damped_newton(evaluate, X, residual, direction, accept, cap, t_min, patienc
         if patience and stagnant >= patience:
             break
         step = direction(state, grad)
-        gd = np.sum(grad * step, axis=1)
-        t = np.ones(rows.size)
-        while True:
-            new = evaluate(state[0] + t[:, None] * step, rows)
-            ok = accept(new[1], state[1], t, gd) | (t < t_min)
-            if np.all(ok):
-                break
+        gd = (grad * step).sum(axis=1)
+        # the first trial is the full step, X + 1.0 * step == X + step exactly
+        t, new = 1.0, evaluate(state[0] + step, rows)
+        while not (ok := accept(new[1], state[1], t, gd) | (t < t_min)).all():
             t = np.where(ok, t, 0.5 * t)
+            new = evaluate(state[0] + t[:, None] * step, rows)
         state = new
     out[rows] = state[0]
-    return out, float(np.max(resid)), iters, rows.size == 0
+    return out, float(resid.max()), iters, rows.size == 0
 
 
 def _armijo(new, obj, t, gd):
@@ -380,16 +381,6 @@ def _solve_live_rows(rhs, system, free=None):
         if idx.size:
             step[r, idx] = spla.spsolve(system(r, idx), rhs[r, idx])
     return step
-
-
-def _solve_chain(rhs, d, lo, up):
-    """Tridiagonal solve per batch row; ``lo`` and ``up`` hold the n - 1
-    couplings below and above the diagonal."""
-    dl = np.zeros_like(rhs)
-    du = np.zeros_like(rhs)
-    dl[:, 1:] = lo
-    du[:, :-1] = up
-    return solve_tridiagonal(dl, d, du, rhs)
 
 
 def _hessian_band(core, curv):
@@ -427,28 +418,29 @@ def _newton_difference(core, lam, F, tol, max_iter, warm):
     target = 0.25 * tol * (1.0 + np.sqrt(np.sum(F**2, axis=1)) * scale)
 
     def evaluate(Vv, rows):
-        """Objective per row, plus G = K v and the profile maps at |G|."""
+        """Objective per row, plus G = K v, the profile maps at |G| and v - f."""
         G = core._grad(Vv)
         value, slope, curv = prof.maps(np.abs(G))
         pen = value @ W
-        if np.any(Q):
+        if core._quad:
             pen = pen + 0.5 * (G**2 @ Q)
-        return Vv, 0.5 * np.sum((Vv - F[rows]) ** 2, axis=1) + pen, G, slope, curv
+        E = Vv - F[rows]
+        return Vv, 0.5 * (E**2).sum(axis=1) + pen, G, slope, curv, E
 
     def residual(state, rows):
-        Vv, _, G, slope, _ = state
-        grad = Vv - F[rows] + core._div(W * (np.sign(G) * slope) + Q * G)
-        return np.sqrt(np.sum(grad**2, axis=1)) * scale, target[rows], grad
+        _, _, G, slope, _, E = state
+        grad = E + core._div(W * (np.sign(G) * slope) + Q * G)
+        return np.sqrt((grad**2).sum(axis=1)) * scale, target[rows], grad
 
     def direction(state, grad):
         """Solve ``(I + K^T diag(c) K) x = -grad`` per batch row."""
         curv = W * state[4] + Q
         if core._tridiagonal:
-            c = curv * core._edge_scale**2  # per-edge (1/h)^2 factors
-            d = np.ones_like(grad)
-            d[:, :-1] += c  # 1 + c_i + c_(i-1)
-            d[:, 1:] += c
-            return _solve_chain(-grad, d, -c, -c)
+            c = -(curv * core._scale_sq)  # couplings -c_e s_e^2; s_e = 1/h on grids
+            d = np.ones(grad.shape)
+            d[:, :-1] -= c  # diagonal 1 + c_i s_i^2 + c_(i-1) s_(i-1)^2
+            d[:, 1:] -= c
+            return solve_tridiagonal(c, d, c, -grad)
         return solve_banded_spd(_hessian_band(core, curv), -grad)
 
     # Armijo backtracking per row (Hessian >= I, so full steps dominate)
@@ -476,8 +468,9 @@ def _fenchel_gap(core, lam, Y, F, hstar):
     G = core._grad(V)
     hval = W * prof.value(np.abs(G)) + 0.5 * Q * G**2
     terms = hval + hstar - Y * G
-    gap = core.grid.cell_volume * np.maximum(np.sum(terms, axis=1), 0.0)
-    floor = 5e-14 * core.grid.cell_volume * np.sum(np.abs(hval) + np.abs(hstar) + np.abs(Y * G), axis=1)
+    vol = core.grid.cell_volume
+    gap = vol * np.maximum(terms.sum(axis=1), 0.0)
+    floor = 5e-14 * vol * (np.abs(hval) + np.abs(hstar) + np.abs(Y * G)).sum(axis=1)
     return V, gap, floor
 
 
@@ -504,7 +497,7 @@ def _dual_newton_smooth(core, lam, F, tol, max_iter):
         """Dual objective per row, plus the conjugate maps at y."""
         KT = core._div(Y)
         hstar, hslope, hcurv = conj.maps(Y)
-        obj = 0.5 * np.sum(KT**2, axis=1) - np.sum(Y * KF[rows], axis=1) + np.sum(hstar, axis=1)
+        obj = 0.5 * (KT**2).sum(axis=1) - (Y * KF[rows]).sum(axis=1) + hstar.sum(axis=1)
         return Y, obj, hstar, hslope, hcurv
 
     def residual(state, rows):
@@ -515,8 +508,7 @@ def _dual_newton_smooth(core, lam, F, tol, max_iter):
     def direction(state, grad):
         curv = state[4]
         if core._tridiagonal:
-            s = core._edge_scale
-            return _solve_chain(-grad, 2.0 * s**2 + curv, -(s[1:] * s[:-1]), -(s[1:] * s[:-1]))
+            return solve_tridiagonal(core._gram_off, 2.0 * core._scale_sq + curv, core._gram_off, -grad)
         return _solve_live_rows(-grad, lambda r, idx: (gram + sp.diags(curv[r]) + ridge).tocsc())
 
     Y, worst, iters, converged = _damped_newton(
@@ -543,9 +535,9 @@ def _dual_projected_newton(core, lam, F, tol, max_iter, dual_quad: float = 0.0):
     edge = bound * (1 - 1e-14)  # pinning threshold
 
     def evaluate(Y, rows):
-        Y = np.clip(Y, -bound, bound)
+        Y = Y.clip(-bound, bound)
         KT = core._div(Y)
-        return Y, 0.5 * np.sum(KT**2, axis=1) - np.sum(Y * KF[rows], axis=1) + 0.5 * np.sum(dq * Y**2, axis=1)
+        return Y, 0.5 * (KT**2).sum(axis=1) - (Y * KF[rows]).sum(axis=1) + 0.5 * (dq * Y**2).sum(axis=1)
 
     def residual(state, rows):
         Y = state[0]
@@ -558,9 +550,8 @@ def _dual_projected_newton(core, lam, F, tol, max_iter, dual_quad: float = 0.0):
         rhs = np.where(pinned, 0.0, -grad)
         if core._tridiagonal:
             # pinned unknowns become identity rows, so their step is zero
-            s = core._edge_scale
-            off = np.where(pinned[:, 1:] | pinned[:, :-1], 0.0, -(s[1:] * s[:-1]))
-            return _solve_chain(rhs, np.where(pinned, 1.0, 2.0 * s**2 + dq), off, off)
+            off = np.where(pinned[:, 1:] | pinned[:, :-1], 0.0, core._gram_off)
+            return solve_tridiagonal(off, np.where(pinned, 1.0, 2.0 * core._scale_sq + dq), off, rhs)
 
         def system(r, idx):
             sub = gram[idx][:, idx].tocsc() + sp.diags(dq[idx])
@@ -594,7 +585,7 @@ class GradientPotential(_DifferencePenaltyPotential):
         visc: float = 0.0,
         label: str | None = None,
     ):
-        if visc < 0:
+        if not visc >= 0:
             raise ValueError("viscosity must be nonnegative")
         K = face_difference_matrix(grid, NEUMANN)
         w = face_weights(grid, weight)
@@ -698,7 +689,7 @@ class FastDiffusionPotential(Potential):
             c = lam * a * state[3]
             if self.grid.dim == 1:
                 h2 = self.grid.spacing[0] ** 2
-                return _solve_chain(-R, 1.0 + 2.0 * c / h2, -c[:, :-1] / h2, -c[:, 1:] / h2)
+                return solve_tridiagonal(-c[:, :-1] / h2, 1.0 + 2.0 * c / h2, -c[:, 1:] / h2, -R)
             return self._newton_solve(c, -R)
 
         Z, worst, iters, converged = _damped_newton(

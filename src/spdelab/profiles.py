@@ -112,7 +112,7 @@ class YosidaPowerProfile(RadialProfile):
     def __init__(self, p: float, delta: float):
         if not 1.0 <= p <= 2.0:
             raise ValueError(f"power must lie in [1, 2], got {p}")
-        if delta <= 0:
+        if not delta > 0:
             raise ValueError(f"delta must be positive, got {delta}")
         self.p = float(p)
         self.delta = float(delta)
@@ -162,7 +162,7 @@ class ViscousProfile(RadialProfile):
     """``base(s) + mu * s^2 / 2`` -- the vanishing-viscosity family."""
 
     def __init__(self, base: RadialProfile, mu: float):
-        if mu < 0:
+        if not mu >= 0:
             raise ValueError(f"mu must be nonnegative, got {mu}")
         self.base = base
         self.mu = float(mu)
@@ -212,7 +212,8 @@ class EdgeConjugate:
         self.profile = profile
         self.W = np.asarray(W, dtype=float)
         self.Q = np.asarray(Q, dtype=float)
-        if np.any(self.Q > 0.0) and not np.all(self.Q > 0.0):
+        self._quad = bool((self.Q > 0.0).any())
+        if self._quad and not (self.Q > 0.0).all():
             raise ValueError("Q must be zero on every edge or positive on every edge")
 
     def _radius(self, t):
@@ -224,7 +225,7 @@ class EdgeConjugate:
         prof = self.profile
         W, Q = self.W, self.Q
         t = np.asarray(t, dtype=float)
-        if np.any(Q):
+        if self._quad:
             # r + (W/Q) psi'(r) = t/Q
             r = prof.prox_radius(W / Q, t / Q)
         elif isinstance(prof, ViscousProfile):

@@ -43,11 +43,11 @@ def prox_radius(p: float, delta: float, s) -> np.ndarray:
     (roots below float tiny exempt) sweep on alone; FloatingPointError at the cap.
     """
     _check_p(p)
-    delta = np.asarray(delta, dtype=float)
-    if np.any(delta <= 0):
+    if not isinstance(delta, float):
+        delta = np.asarray(delta, dtype=float)
+        delta = float(delta) if delta.ndim == 0 else delta
+    if not (delta > 0 if isinstance(delta, float) else (delta > 0).all()):
         raise ValueError("delta must be positive")
-    if delta.ndim == 0:
-        delta = float(delta)
     s = np.asarray(s, dtype=float)
     if p == 1.0:
         return np.maximum(s - delta, 0.0)

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import chain_dp_prox
-from spdelab import _linalg, grids, mosco, potentials, profiles
+from spdelab import _linalg, grids, mosco, potentials, profiles, yosida
+from spdelab.engine import SchemeParams
 from spdelab.grids import (
     DIRICHLET,
     HMINUS1,
@@ -211,6 +215,23 @@ def test_prox_requires_matching_space_and_positive_lam():
         pot.prox(0.1, f)
     with pytest.raises(ValueError):
         pot.prox(-1.0, GridFunction(g, np.zeros(10)))
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: yosida.prox_radius(1.5, NAN, np.ones(3)),
+    lambda: yosida.prox_radius(1.7, np.array([0.1, NAN]), np.ones(2)),
+    lambda: profiles.YosidaPowerProfile(1.5, NAN),
+    lambda: ViscousProfile(PowerProfile(1.5), NAN),
+    lambda: potentials.p_dirichlet(interval_grid(8), 1.5, visc=NAN),
+    lambda: potentials.p_dirichlet(interval_grid(8), 1.5).prox(NAN, GridFunction(interval_grid(8), np.zeros(8))),
+    lambda: SchemeParams(dt=NAN, steps=4),
+], ids=["radius", "radius_array", "yosida_delta", "viscous_mu", "visc", "prox_lam", "scheme_dt"])
+def test_nan_parameters_fail_the_positivity_checks(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_prox_nonconvergence_raises_with_residual():
@@ -582,6 +603,35 @@ def test_chain_newton_trajectories_on_mosco_probes(delta, probe, newton_iters, p
         assert potentials._newton_difference(*args)[2] == newton_iters
     _, resid, iters = pot.prox_batch(1.0, F, tol=1e-9)
     assert resid <= 1e-9 and iters == prox_iters
+
+
+# float.hex of each chain branch's minimizers and iteration counts on four
+# fixed 64-cell rows (tol 1e-9), solved alone and as one 4-row batch: the
+# Newton hot loop may change how it dispatches, never what it computes
+CHAIN_PINS = json.loads((Path(__file__).parent / "chain_pins.json").read_text())
+CHAIN_PIN_SOLVERS = {
+    "newton": lambda g, lam, F: potentials._newton_difference(
+        potentials.p_dirichlet(g, 1.5, delta=0.025), lam, F, 1e-9, 10_000, None),
+    "dual_smooth": lambda g, lam, F: potentials._dual_newton_smooth(potentials.p_dirichlet(g, 1.5), lam, F,
+                                                                    1e-9, 10_000),
+    "dual_box": lambda g, lam, F: potentials._dual_projected_newton(potentials.p_dirichlet(g, 1.0), lam, F,
+                                                                    1e-9, 10_000),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(CHAIN_PIN_SOLVERS))
+def test_chain_branches_match_their_float_hex_pins(branch):
+    pins = CHAIN_PINS[branch]
+    x = (np.arange(64) + 0.5) / 64  # rows from IEEE + - * only (no libm): a bump, a step, a cubic, a kink
+    F = np.array([4 * x * (1 - x) - 0.5, np.where(x < 0.5, 0.75, -0.5), 2 * x * x * x - x, np.abs(x - 0.3) - 0.2])
+
+    def solve(rows):
+        Z, _, iters = CHAIN_PIN_SOLVERS[branch](interval_grid(64), pins["lam"], rows)
+        return [[float.hex(v) for v in z] for z in Z.tolist()], iters
+
+    for k in range(4):
+        assert solve(F[k : k + 1]) == ([pins["minimizers"][k]], pins["iters"][k]), k
+    assert solve(F) == (pins["minimizers"], pins["batch_iters"])
 
 
 @pytest.mark.parametrize("lam", [0.05, 0.5])

@@ -179,27 +179,31 @@ def test_edge_conjugate_power_closed_form_inverts_slope(p, W, t):
 @example(m=4, n=9, broadcast_d=True, seed=3)
 def test_solve_tridiagonal_matches_dense_solve(m, n, broadcast_d, seed):
     gen = np.random.default_rng(seed)
-    dl = gen.uniform(-1.0, 1.0, (m, n))
-    du = gen.uniform(-1.0, 1.0, (m, n))
+    # the n - 1 couplings below and above the diagonal; with broadcast_d the
+    # diagonal and the lower couplings are shared by every row
+    dl = gen.uniform(-1.0, 1.0, n - 1 if broadcast_d else (m, n - 1))
+    du = gen.uniform(-1.0, 1.0, (m, n - 1))
     d = gen.uniform(2.5, 4.0, n if broadcast_d else (m, n))
     b = gen.standard_normal((m, n))
     x = solve_tridiagonal(dl, d, du, b)
     assert x.shape == (m, n)
-    dd = np.broadcast_to(d, (m, n))
+    dd, ll = np.broadcast_to(d, (m, n)), np.broadcast_to(dl, (m, n - 1))
     # bit-identical to scipy's banded solver on the rows laid end to end
     ab = np.zeros((3, m, n))
-    ab[0, :, 1:], ab[1], ab[2, :, :-1] = du[:, :-1], dd, dl[:, 1:]
+    ab[0, :, 1:], ab[1], ab[2, :, :-1] = du, dd, ll
     banded = solve_banded((1, 1), ab.reshape(3, -1), b.reshape(-1)).reshape(m, n)
     assert x.tobytes() == banded.tobytes()
+    if m * n == 1:  # a 1 x 1 system is a division
+        assert x.tobytes() == (b / d).tobytes()
     for i in range(m):
-        A = np.diag(dd[i]) + np.diag(dl[i, 1:], -1) + np.diag(du[i, :-1], 1)
+        A = np.diag(dd[i]) + np.diag(ll[i], -1) + np.diag(du[i], 1)
         np.testing.assert_allclose(x[i], np.linalg.solve(A, b[i]), rtol=1e-12, atol=1e-12)
 
 
 def test_solve_tridiagonal_singular_row_raises():
-    ones = np.ones((2, 3))
+    ones = np.ones((2, 2))
     with pytest.raises(LinAlgError):
-        solve_tridiagonal(ones, np.array([[4.0, 4.0, 4.0], [0.0, 0.0, 0.0]]), ones, ones)
+        solve_tridiagonal(ones, np.array([[4.0, 4.0, 4.0], [0.0, 0.0, 0.0]]), ones, np.ones((2, 3)))
 
 
 def _spd_bands(gen, m, n, kd):
