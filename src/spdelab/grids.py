@@ -54,7 +54,7 @@ class Grid:
             raise ValueError(f"only 1D and 2D grids are supported, got dim {len(self.shape)}")
         if any(n <= 0 for n in self.shape):
             raise ValueError(f"cell counts must be positive, got {self.shape}")
-        if any(e <= 0 for e in self.extents):
+        if any(not e > 0 for e in self.extents):
             raise ValueError(f"extents must be positive, got {self.extents}")
         object.__setattr__(self, "extents", tuple(float(e) for e in self.extents))
         object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))

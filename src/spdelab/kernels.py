@@ -52,7 +52,7 @@ class Kernel:
             raise ValueError(f"unknown kernel profile {self.profile!r}, expected one of {PROFILE_NAMES}")
         if self.dim not in (1, 2):
             raise ValueError(f"only d in {{1, 2}} is supported, got {self.dim}")
-        if self.support_radius <= 0:
+        if not self.support_radius > 0:
             raise ValueError("support radius must be positive")
 
     def _moment(self, a: float) -> float:
@@ -108,7 +108,7 @@ class RescaledKernel:
     """Kernel with interaction range eps and power p; caches ``C_{J,p}``."""
 
     def __init__(self, base: Kernel, eps: float, p: float):
-        if eps <= 0:
+        if not eps > 0:
             raise ValueError("eps must be positive")
         if not 1.0 <= p <= 2.0:
             raise ValueError(f"p must lie in [1, 2], got {p}")
@@ -218,7 +218,7 @@ def nonlocal_apply(rk: RescaledKernel, delta: float, u: GridFunction) -> GridFun
     Mass conserving and monotone dissipative by the antisymmetry of the
     summand.
     """
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError("delta must be nonnegative")
     if rk.p == 1.0 and delta == 0.0:
         raise ValueError("p = 1 requires a positive Yosida parameter delta")

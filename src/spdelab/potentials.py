@@ -29,10 +29,10 @@ stencils and every system is tridiagonal (LAPACK ``gtsv``).  On 2D grids
 and nonlocal stencils the two primal Newton systems, ``I + K^T diag(c) K``
 and fast diffusion's ``I + L diag(c)`` in a symmetric form, are positive
 definite banded solves (LAPACK ``pbsv``), one call per step for all live
-rows; only the face duals there keep a sparse LU per live row.  Every
-returned minimizer carries a certificate: the max violation of the
-variational inequality over a probe panel plus the solver's own optimality
-residual.
+rows, and so are both face duals: edges ordered by lower cell make ``K K^T``
+banded too.  Every returned minimizer carries a certificate: the max
+violation of the variational inequality over a probe panel plus the solver's
+own optimality residual.
 
 On a finite grid every function has finite energy, so the
 lower-semicontinuous-hull construction that extends these energies to the
@@ -46,7 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernels as kernels_mod
 from ._linalg import solve_banded_spd, solve_tridiagonal
@@ -99,7 +99,7 @@ def face_weights(grid: Grid, cell_weight: np.ndarray | None) -> np.ndarray:
     if cell_weight is None:
         return np.ones(K.shape[0])
     w = np.asarray(cell_weight, dtype=float).reshape(grid.shape)
-    if np.any(w <= 0):
+    if not np.all(w > 0):
         raise ValueError("cell weights must be strictly positive")
     parts = []
     for a in range(grid.dim):
@@ -230,15 +230,19 @@ class _DifferencePenaltyPotential(Potential):
     space = L2
 
     def __init__(self, grid, K, edge_w, edge_q, profile, label, tridiagonal):
+        # edges ordered by lower cell, then upper cell, so that the face Gram
+        # K K^T is narrow-banded; chains are already in this order
+        K = K.tocsr().sorted_indices()
+        order = np.lexsort((K.indices[K.indptr[1:] - 1], K.indices[K.indptr[:-1]]))
         self.grid = grid
-        self.K = K.tocsr()
-        self.edge_w = np.asarray(edge_w, dtype=float)
-        self.edge_q = np.asarray(edge_q, dtype=float)
+        self.K = K[order]
+        self.edge_w = np.asarray(edge_w, dtype=float)[order]
+        self.edge_q = np.asarray(edge_q, dtype=float)[order]
         self.profile = profile
         self.label = label
         self._tridiagonal = tridiagonal
         self._quad = bool(self.edge_q.any())
-        self._gram = None
+        self._gram = self._gram_band = None
         self._band = None
         if tridiagonal:
             # chain structure: edge e couples cells (e, e+1) with -s_e and s_e;
@@ -370,19 +374,6 @@ def _armijo(new, obj, t, gd):
     return new <= obj + 1e-4 * t * gd + 1e-14 * (1.0 + np.abs(obj))
 
 
-def _solve_live_rows(rhs, system, free=None):
-    """Sparse solves, one per live row of ``rhs``, for the 2D and nonlocal
-    duals, whose face Gram matrix is not narrow-banded; ``system(r, idx)`` is
-    row r's CSC matrix on its free unknowns ``idx`` (all of them unless the
-    mask ``free`` says otherwise).  Every other unknown gets a zero step."""
-    step = np.zeros_like(rhs)
-    for r in range(rhs.shape[0]):
-        idx = np.arange(rhs.shape[1]) if free is None else np.flatnonzero(free[r])
-        if idx.size:
-            step[r, idx] = spla.spsolve(system(r, idx), rhs[r, idx])
-    return step
-
-
 def _hessian_band(core, curv):
     """Lower bands of ``I + K^T diag(c) K``, one per row of ``curv``, laid out
     for ``solve_banded_spd``.
@@ -475,9 +466,13 @@ def _fenchel_gap(core, lam, Y, F, hstar):
 
 
 def _dual_start(core, F, tol):
-    """The face Gram matrix ``K K^T`` (cached), the gap target and ``K f``."""
+    """The face Gram matrix ``K K^T`` (cached, with its lower band laid out
+    for ``solve_banded_spd``), the gap target and ``K f``."""
     if core._gram is None:
         core._gram = (core.K @ core.K.T).tocsr()
+        G = sp.tril(core._gram).tocoo()
+        core._gram_band = np.zeros((G.shape[0], int(np.max(G.row - G.col, initial=0)) + 1))
+        core._gram_band[G.col, G.row - G.col] = G.data
     fnorm = np.sqrt(np.sum(F**2, axis=1)) * np.sqrt(core.grid.cell_volume)
     return core._gram, 0.25 * tol * (1.0 + fnorm) ** 2, core._grad(F)
 
@@ -490,8 +485,7 @@ def _dual_newton_smooth(core, lam, F, tol, max_iter):
     primal Hessian degenerates.  Primal recovery: ``v = f - K^T y``.
     """
     conj = EdgeConjugate(core.profile, lam * core.edge_w, lam * core.edge_q)
-    gram, target, KF = _dual_start(core, F, tol)
-    ridge = 1e-13 * sp.eye(KF.shape[1])
+    _, target, KF = _dual_start(core, F, tol)
 
     def evaluate(Y, rows):
         """Dual objective per row, plus the conjugate maps at y."""
@@ -509,7 +503,10 @@ def _dual_newton_smooth(core, lam, F, tol, max_iter):
         curv = state[4]
         if core._tridiagonal:
             return solve_tridiagonal(core._gram_off, 2.0 * core._scale_sq + curv, core._gram_off, -grad)
-        return _solve_live_rows(-grad, lambda r, idx: (gram + sp.diags(curv[r]) + ridge).tocsc())
+        # the ridge keeps K K^T definite where the edges close a cycle
+        ab = np.repeat(core._gram_band[None], grad.shape[0], axis=0)
+        ab[:, :, 0] += curv + 1e-13
+        return solve_banded_spd(ab, -grad)
 
     Y, worst, iters, converged = _damped_newton(
         evaluate, np.zeros(KF.shape), residual, direction, _armijo, min(max_iter, 500), 1e-14
@@ -525,9 +522,9 @@ def _dual_projected_newton(core, lam, F, tol, max_iter, dual_quad: float = 0.0):
     Solves ``min_{|y_e| <= lam w_e} 1/2 ||K^T y - f||^2 + sum dq_e y_e^2/2``
     per row, the dual of the raw (``dual_quad = 0``) or Yosida-regularized
     (``dq_e = delta / (lam w_e)``) total-variation prox; the primal
-    minimizer is ``v = f - K^T y``.  Pinned bound variables drop out of the
-    Newton system, which stays tridiagonal on 1D chains (one banded LAPACK
-    solve per batch).
+    minimizer is ``v = f - K^T y``.  Pinned bound variables become identity
+    rows of the Newton system, which stays banded: tridiagonal on 1D chains,
+    the Gram band elsewhere, one LAPACK solve per batch.
     """
     gram, target, KF = _dual_start(core, F, tol)
     bound = lam * core.edge_w
@@ -548,17 +545,16 @@ def _dual_projected_newton(core, lam, F, tol, max_iter, dual_quad: float = 0.0):
         Y = state[0]
         pinned = ((Y >= edge) & (grad <= 0)) | ((Y <= -edge) & (grad >= 0))
         rhs = np.where(pinned, 0.0, -grad)
+        # pinned unknowns become identity rows, so their step is zero
         if core._tridiagonal:
-            # pinned unknowns become identity rows, so their step is zero
             off = np.where(pinned[:, 1:] | pinned[:, :-1], 0.0, core._gram_off)
             return solve_tridiagonal(off, np.where(pinned, 1.0, 2.0 * core._scale_sq + dq), off, rhs)
-
-        def system(r, idx):
-            sub = gram[idx][:, idx].tocsc() + sp.diags(dq[idx])
-            ridge = 1e-13 * (1.0 + sub.diagonal().max())
-            return sub + ridge * sp.eye(idx.size, format="csc")
-
-        return _solve_live_rows(rhs, system, free=~pinned)
+        band = core._gram_band
+        free = np.pad(~pinned, ((0, 0), (0, band.shape[1] - 1)))  # free[r, j + k] at window k
+        ab = np.where(~pinned[:, :, None] & sliding_window_view(free, band.shape[1], axis=1), band, 0.0)
+        diag = np.where(pinned, 0.0, band[:, 0] + dq)
+        ab[:, :, 0] = np.where(pinned, 1.0, diag + 1e-13 * (1.0 + diag.max(axis=1, keepdims=True)))
+        return solve_banded_spd(ab, rhs)
 
     Y, worst, iters, converged = _damped_newton(
         evaluate, np.zeros(KF.shape), residual, direction,
@@ -630,7 +626,7 @@ class FastDiffusionPotential(Potential):
         q = self.m + 1.0
         self.profile = PowerProfile(q) if delta is None else YosidaPowerProfile(q, delta)
         self.weight = None if weight is None else np.asarray(weight, dtype=float).reshape(grid.shape)
-        if self.weight is not None and np.any(self.weight <= 0):
+        if self.weight is not None and not np.all(self.weight > 0):
             raise ValueError("cell weights must be strictly positive")
         self._a = np.ones(grid.num_cells) if weight is None else self.weight.reshape(-1)
         self._L = neg_laplacian_matrix(grid, DIRICHLET)

@@ -367,7 +367,9 @@ def tiny_table(tmp_path, case):
 # nonlocal_to_local was re-recorded when its Newton direction moved from a
 # sparse LU per row to one banded Cholesky per step (rounding only, <= 7e-14
 # relative), and again when C_{J,p} moved from radial quadrature to its closed
-# form (14 -> 14 - 1 ulp for this bump at p = 2; <= 1.6e-13 relative).
+# form (14 -> 14 - 1 ulp for this bump at p = 2; <= 1.6e-13 relative), and
+# again when the pair edges were ordered by lower cell for a narrow Gram band
+# (summation order only; <= 2.0e-13 relative).
 # trotter_plaplace and trotter_fastdiffusion were re-recorded when the
 # general-p Yosida radius moved to Newton from above the root, whose radii are
 # within 2e-16 of the exact root where the old bracketed Newton was up to
@@ -390,8 +392,8 @@ TINY_GOLDEN = {
         ['0x1.0000000000000p-1', '0x0.0p+0', '0x1.46d1dba812a96p-7', '0x0.0p+0'],
     ],
     'nonlocal_to_local': [
-        ['0x1.3333333333333p-2', '0x1.e81998cc42debp-15', '0x1.97e72977fdd1fp-10', '0x1.3c7688020bdf0p-1'],
-        ['0x1.999999999999ap-3', '0x1.d3f7a533fa293p-16', '0x1.0f06292532e12p-11', '0x1.568d87f3bc300p-2'],
+        ['0x1.3333333333333p-2', '0x1.e81998cc42de8p-15', '0x1.97e72977fded3p-10', '0x1.3c7688020bdf0p-1'],
+        ['0x1.999999999999ap-3', '0x1.d3f7a533fa290p-16', '0x1.0f06292532a69p-11', '0x1.568d87f3bc300p-2'],
     ],
     'trotter_fastdiffusion': [
         ['0x1.ccccccccccccdp-1', '0x1.9a58d46dbc38dp-19', '0x1.b0578ba53331cp-8', '0x0.0p+0'],
