@@ -199,6 +199,8 @@ class SchemeParams:
     def __post_init__(self):
         if not self.dt > 0 or self.steps <= 0:
             raise ValueError("dt and steps must be positive")
+        if not self.prox_tol > 0:
+            raise ValueError(f"prox_tol must be positive, got {self.prox_tol}")
         if self.drift not in ("implicit_prox", "explicit_yosida"):
             raise ValueError(f"unknown drift mode {self.drift!r}")
         if self.drift == "explicit_yosida":

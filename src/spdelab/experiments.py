@@ -421,9 +421,7 @@ def run_trotter_fastdiffusion(cfg: ExperimentConfig, outdir: Path | None = None)
             pot = potentials.fast_diffusion(grid, m_target, delta=value)
             seq.append((value, pot, pot))
     target_sim = potentials.fast_diffusion(grid, m_target, delta=delta)
-    raw_delta = None if m_target > 0.0 else delta  # m = 0 raw resolvents are slow; keep regularized target
-    target_raw = potentials.fast_diffusion(grid, m_target, delta=raw_delta)
-    return _run_schedule(cfg, grid, HMINUS1, seq, target_sim, target_raw)
+    return _run_schedule(cfg, grid, HMINUS1, seq, target_sim, potentials.fast_diffusion(grid, m_target))
 
 
 def run_nonlocal_to_local(cfg: ExperimentConfig, outdir: Path | None = None) -> ConvergenceTable:

@@ -18,10 +18,12 @@ Families
       eval(u) = vol * sum_e [ w_e psi(|K u|_e) + (q_e / 2) (K u)_e^2 ].
 
 Proximal maps minimize ``1/2 ||v - f||_H^2 + lam * eval(v)``.  Primal
-Newton, Newton on the smooth face dual, active-set projected Newton on the
-box-constrained dual of total variation and Newton in H^-1 for fast diffusion
-supply objective, residual, Newton direction and acceptance test to one
-batched damped-Newton driver; FISTA handles raw singular fast diffusion.
+Newton, Newton on the face dual and Newton in H^-1 for fast diffusion supply
+objective, residual, Newton direction and acceptance test to one batched
+damped-Newton driver; FISTA handles raw singular fast diffusion.  The face
+dual is one routine: a smooth edge conjugate for powers p > 1 and viscous
+profiles, and for total variation the box ``|y_e| <= lam w_e``, where
+unknowns pinned on the bound make it projected Newton.
 The driver alone tracks which batch rows are live: the callbacks see only
 the unconverged sub-batch, so a settled row is not evaluated or solved
 again.  The Newton systems are banded.  On 1D chains ``K`` and ``K^T`` are
@@ -87,6 +89,14 @@ class ProxResult:
     objective_value: float
     kkt_residual: float
     iterations: int
+
+
+def _prox_rows(F, tol: float) -> np.ndarray:
+    """``F`` as float rows; refuses a NaN tolerance, which would settle every
+    row at once with ``F`` unchanged, or one that is not positive."""
+    if not tol > 0:
+        raise ValueError(f"prox tolerance must be positive, got {tol}")
+    return np.asarray(F, dtype=float)
 
 
 def face_weights(grid: Grid, cell_weight: np.ndarray | None) -> np.ndarray:
@@ -242,8 +252,7 @@ class _DifferencePenaltyPotential(Potential):
         self.label = label
         self._tridiagonal = tridiagonal
         self._quad = bool(self.edge_q.any())
-        self._gram = self._gram_band = None
-        self._band = None
+        self._gram_band = self._band = None
         if tridiagonal:
             # chain structure: edge e couples cells (e, e+1) with -s_e and s_e;
             # the Gram K K^T has diagonal 2 s_e^2 and couplings -s_e s_(e+1)
@@ -295,15 +304,11 @@ class _DifferencePenaltyPotential(Potential):
         return float(np.max(np.abs(M).sum(axis=1)))
 
     def prox_batch(self, lam, F, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, warm=None):
-        F = np.asarray(F, dtype=float)
+        F = _prox_rows(F, tol)
         prof = self.profile
-        no_quad = not self._quad
-        if no_quad and prof.is_kinked and not prof.slope_unbounded:
-            # raw total variation: box-constrained dual
-            return _dual_projected_newton(self, lam, F, tol, max_iter)
-        if no_quad and isinstance(prof, YosidaPowerProfile) and prof.p == 1.0:
-            # regularized total variation: same box, quadratic conjugate term
-            return _dual_projected_newton(self, lam, F, tol, max_iter, dual_quad=prof.delta)
+        if not self._quad and not prof.slope_unbounded:
+            # total variation, raw or Yosida: the dual lives in a box
+            return _dual_projected_newton(self, lam, F, tol, max_iter, dual_quad=prof.delta or 0.0)
         dual_ok = prof.slope_unbounded or np.all(self.edge_q > 0)
         if prof.curvature_bounded:
             # remaining regularized / quadratic profiles: primal Newton is fast
@@ -466,31 +471,38 @@ def _fenchel_gap(core, lam, Y, F, hstar):
 
 
 def _dual_start(core, F, tol):
-    """The face Gram matrix ``K K^T`` (cached, with its lower band laid out
-    for ``solve_banded_spd``), the gap target and ``K f``."""
-    if core._gram is None:
-        core._gram = (core.K @ core.K.T).tocsr()
-        G = sp.tril(core._gram).tocoo()
+    """The lower band of the face Gram ``K K^T`` (cached, laid out for
+    ``solve_banded_spd``), the gap target and ``K f``."""
+    if core._gram_band is None:
+        G = sp.tril(core.K @ core.K.T).tocoo()
         core._gram_band = np.zeros((G.shape[0], int(np.max(G.row - G.col, initial=0)) + 1))
         core._gram_band[G.col, G.row - G.col] = G.data
     fnorm = np.sqrt(np.sum(F**2, axis=1)) * np.sqrt(core.grid.cell_volume)
-    return core._gram, 0.25 * tol * (1.0 + fnorm) ** 2, core._grad(F)
+    return core._gram_band, 0.25 * tol * (1.0 + fnorm) ** 2, core._grad(F)
 
 
-def _dual_newton_smooth(core, lam, F, tol, max_iter):
-    """Newton on the smooth Fenchel dual over face/pair variables.
+def _dual_newton(core, lam, F, tol, max_iter, conj, bound=np.inf):
+    """Newton on the Fenchel dual over face/pair variables, projected onto
+    the box ``|y_e| <= bound_e`` when one is given.
 
-    For raw powers p in (1, 2) the edge conjugate is C^1 with curvature
-    vanishing (not blowing up) at the origin, so Newton behaves where the
-    primal Hessian degenerates.  Primal recovery: ``v = f - K^T y``.
+    Minimizes ``1/2 ||K^T y||^2 - y . K f + sum_e h*(y_e)`` per row, where
+    ``conj(Y)`` gives the edge conjugate's ``(value, slope, curvature)``;
+    the gradient is ``-K v + h*'(y)`` at ``v = f - K^T y``, the primal
+    minimizer.  An unknown on the bound whose gradient points out of the
+    box is pinned: it becomes an identity row of the Newton system, so its
+    step is zero (projected Newton, Bertsekas 1982).  The system, the Gram
+    plus the conjugate curvature, stays banded: tridiagonal on 1D chains,
+    the Gram band elsewhere, one LAPACK solve per batch.  Steps pass an
+    Armijo test along the projection arc.
     """
-    conj = EdgeConjugate(core.profile, lam * core.edge_w, lam * core.edge_q)
-    _, target, KF = _dual_start(core, F, tol)
+    band, target, KF = _dual_start(core, F, tol)
+    edge = bound * (1 - 1e-14)  # pinning threshold
 
     def evaluate(Y, rows):
-        """Dual objective per row, plus the conjugate maps at y."""
+        """Dual objective per row at the projected Y, plus the conjugate maps."""
+        Y = Y.clip(-bound, bound)
         KT = core._div(Y)
-        hstar, hslope, hcurv = conj.maps(Y)
+        hstar, hslope, hcurv = conj(Y)
         obj = 0.5 * (KT**2).sum(axis=1) - (Y * KF[rows]).sum(axis=1) + hstar.sum(axis=1)
         return Y, obj, hstar, hslope, hcurv
 
@@ -500,13 +512,18 @@ def _dual_newton_smooth(core, lam, F, tol, max_iter):
         return gap, np.maximum(target[rows], floor), -core._grad(V) + hslope
 
     def direction(state, grad):
-        curv = state[4]
+        Y, curv = state[0], state[4]
+        pinned = ((Y >= edge) & (grad <= 0)) | ((Y <= -edge) & (grad >= 0))
+        rhs = np.where(pinned, 0.0, -grad)
         if core._tridiagonal:
-            return solve_tridiagonal(core._gram_off, 2.0 * core._scale_sq + curv, core._gram_off, -grad)
+            off = np.where(pinned[:, 1:] | pinned[:, :-1], 0.0, core._gram_off)
+            return solve_tridiagonal(off, np.where(pinned, 1.0, 2.0 * core._scale_sq + curv), off, rhs)
+        free = np.pad(~pinned, ((0, 0), (0, band.shape[1] - 1)))  # free[r, j + k] at window k
+        ab = np.where(~pinned[:, :, None] & sliding_window_view(free, band.shape[1], axis=1), band, 0.0)
+        diag = np.where(pinned, 0.0, band[:, 0] + curv)
         # the ridge keeps K K^T definite where the edges close a cycle
-        ab = np.repeat(core._gram_band[None], grad.shape[0], axis=0)
-        ab[:, :, 0] += curv + 1e-13
-        return solve_banded_spd(ab, -grad)
+        ab[:, :, 0] = np.where(pinned, 1.0, diag + 1e-13 * (1.0 + diag.max(axis=1, keepdims=True)))
+        return solve_banded_spd(ab, rhs)
 
     Y, worst, iters, converged = _damped_newton(
         evaluate, np.zeros(KF.shape), residual, direction, _armijo, min(max_iter, 500), 1e-14
@@ -516,53 +533,24 @@ def _dual_newton_smooth(core, lam, F, tol, max_iter):
     return F - core._div(Y), worst, iters
 
 
+def _dual_newton_smooth(core, lam, F, tol, max_iter):
+    """The smooth face dual: for raw powers p in (1, 2) the edge conjugate is
+    C^1 with curvature vanishing (not blowing up) at the origin, so Newton
+    behaves where the primal Hessian degenerates."""
+    conj = EdgeConjugate(core.profile, lam * core.edge_w, lam * core.edge_q)
+    return _dual_newton(core, lam, F, tol, max_iter, conj.maps)
+
+
 def _dual_projected_newton(core, lam, F, tol, max_iter, dual_quad: float = 0.0):
-    """Batched active-set projected Newton on the box-constrained dual.
-
-    Solves ``min_{|y_e| <= lam w_e} 1/2 ||K^T y - f||^2 + sum dq_e y_e^2/2``
-    per row, the dual of the raw (``dual_quad = 0``) or Yosida-regularized
-    (``dq_e = delta / (lam w_e)``) total-variation prox; the primal
-    minimizer is ``v = f - K^T y``.  Pinned bound variables become identity
-    rows of the Newton system, which stays banded: tridiagonal on 1D chains,
-    the Gram band elsewhere, one LAPACK solve per batch.
-    """
-    gram, target, KF = _dual_start(core, F, tol)
+    """The box dual of raw (``dual_quad = 0``) or Yosida-regularized total
+    variation: ``h*(y) = dq y^2 / 2`` on ``|y| <= lam w``, ``dq = delta / (lam w)``."""
     bound = lam * core.edge_w
-    dq = (dual_quad / bound) if dual_quad > 0.0 else np.zeros_like(bound)
-    edge = bound * (1 - 1e-14)  # pinning threshold
+    dq = dual_quad / bound
 
-    def evaluate(Y, rows):
-        Y = Y.clip(-bound, bound)
-        KT = core._div(Y)
-        return Y, 0.5 * (KT**2).sum(axis=1) - (Y * KF[rows]).sum(axis=1) + 0.5 * (dq * Y**2).sum(axis=1)
+    def conj(Y):
+        return 0.5 * dq * Y**2, dq * Y, np.broadcast_to(dq, Y.shape)
 
-    def residual(state, rows):
-        Y = state[0]
-        _, gap, floor = _fenchel_gap(core, lam, Y, F[rows], 0.5 * dq * Y**2)
-        return gap, np.maximum(target[rows], floor), (gram @ Y.T).T - KF[rows] + dq * Y
-
-    def direction(state, grad):
-        Y = state[0]
-        pinned = ((Y >= edge) & (grad <= 0)) | ((Y <= -edge) & (grad >= 0))
-        rhs = np.where(pinned, 0.0, -grad)
-        # pinned unknowns become identity rows, so their step is zero
-        if core._tridiagonal:
-            off = np.where(pinned[:, 1:] | pinned[:, :-1], 0.0, core._gram_off)
-            return solve_tridiagonal(off, np.where(pinned, 1.0, 2.0 * core._scale_sq + dq), off, rhs)
-        band = core._gram_band
-        free = np.pad(~pinned, ((0, 0), (0, band.shape[1] - 1)))  # free[r, j + k] at window k
-        ab = np.where(~pinned[:, :, None] & sliding_window_view(free, band.shape[1], axis=1), band, 0.0)
-        diag = np.where(pinned, 0.0, band[:, 0] + dq)
-        ab[:, :, 0] = np.where(pinned, 1.0, diag + 1e-13 * (1.0 + diag.max(axis=1, keepdims=True)))
-        return solve_banded_spd(ab, rhs)
-
-    Y, worst, iters, converged = _damped_newton(
-        evaluate, np.zeros(KF.shape), residual, direction,
-        lambda new, obj, t, gd: new <= obj + 1e-14 * (1.0 + np.abs(obj)), min(max_iter, 300), 1e-12,
-    )
-    if not converged:
-        raise ProxDidNotConverge(f"dual prox of {core.label} stalled", worst)
-    return F - core._div(Y), worst, iters
+    return _dual_newton(core, lam, F, tol, max_iter, conj, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +642,7 @@ class FastDiffusionPotential(Potential):
         return np.sqrt(np.maximum(hminus1_norm_sq(self.grid, R), 0.0))
 
     def prox_batch(self, lam, F, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, warm=None):
-        F = np.asarray(F, dtype=float)
+        F = _prox_rows(F, tol)
         if self.profile.curvature_bounded:
             return self._prox_newton(lam, F, tol, max_iter, warm)
         # raw singular exponents (m < 1): accelerated proximal gradient

@@ -411,6 +411,17 @@ def test_schedule_kind_numeric_columns_are_pinned(tmp_path, case):
     assert tiny_table(tmp_path, case) == TINY_GOLDEN[case]
 
 
+def test_fast_diffusion_power_schedule_approaches_the_raw_m0_resolvent(tmp_path):
+    # the m = 0 target's resolvents are the raw ones; against a target
+    # regularized at [scheme] delta the distance plateaued at about 1e-4
+    potential = "m = 0\nschedule = 0.5, 0.25, 0.1, 0.05\nschedule_kind = power"
+    text = TINY.format(kind="trotter_fastdiffusion", outdir=tmp_path / "out", potential=potential, kernel="")
+    outdir = experiments.run_experiment(parse_config(write_cfg(tmp_path, text)))
+    header, *rows = (outdir / "table.csv").read_text().strip().splitlines()
+    column = header.split(",").index("resolvent_distance")
+    assert float(rows[-1].split(",")[column]) <= 1e-10
+
+
 # Per kind: a key it does not read, a key it requires and a value it rejects.
 SCHEMA_CASES = {
     "trotter_plaplace": (("potential", "m", "0.5"), "potential schedule", ("potential", "schedule_kind", "bogus")),
