@@ -16,17 +16,13 @@ from .grids import (
     NEUMANN,
     Grid,
     GridFunction,
-    VectorField,
     box_grid,
-    divergence,
-    gradient,
     h1_norm,
     inner,
     interval_grid,
-    laplacian,
     norm,
 )
-from .kernels import Kernel, RescaledKernel, c_jp, k_pd, nonlocal_apply, nonlocal_energy
+from .kernels import Kernel, RescaledKernel, c_jp, k_pd, nonlocal_energy
 from .profiles import PowerProfile, ViscousProfile, YosidaPowerProfile
 from .potentials import (
     FastDiffusionPotential,
@@ -45,11 +41,8 @@ from .engine import (
     NemytskiiNoise,
     SchemeParams,
     TrajectoryEnsemble,
-    apply_B,
-    hs_norm_sq,
     simulate,
     simulate_coupled,
-    step,
 )
 from .mosco import MoscoReport, condition_n_check, h1_resolvent_bound_check, mosco_trend, resolvent_distance
 from .svi import (

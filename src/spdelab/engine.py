@@ -13,7 +13,8 @@ available behind ``drift="explicit_yosida"`` with the step bound
 ``dt <= delta / 4`` enforced, and ``simulate`` also enforces the explicit
 Euler stability limit ``dt * Lip <= 2`` for the potential's drift bound.
 A non-finite state after any step of ``simulate`` raises
-``NumericalFailure``.
+``NumericalFailure``, and a stalled prox raises ``ProxDidNotConverge`` naming
+the step and the paths.
 
 Randomness is counter-based: every path derives its stream from
 ``SeedSequence((seed, path_index))`` over the Philox generator, so ensembles
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, GridFunction, L2, space_norm_sq
-from .potentials import Potential
+from .grids import Grid, GridFunction, space_norm_sq
+from .potentials import Potential, ProxDidNotConverge
 
 __all__ = [
     "AdditiveNoise",
@@ -38,9 +39,6 @@ __all__ = [
     "SchemeParams",
     "TrajectoryEnsemble",
     "gaussian_increments",
-    "apply_B",
-    "hs_norm_sq",
-    "step",
     "simulate",
     "simulate_coupled",
 ]
@@ -151,20 +149,6 @@ class NemytskiiNoise(DiffusionModel):
         return self._lip_b * float(np.sqrt(np.sum(np.max(np.abs(self._modes), axis=1) ** 2)))
 
 
-def apply_B(model: DiffusionModel, u: GridFunction, dW) -> GridFunction:
-    """Single-state noise application ``B(u) dW``."""
-    dW = np.asarray(dW, dtype=float).reshape(1, -1)
-    if dW.shape[1] != model.mode_count:
-        raise ValueError(f"expected {model.mode_count} increments, got {dW.shape[1]}")
-    out = model.apply_batch(u.flat[None, :], dW)[0]
-    return GridFunction(u.grid, out.reshape(u.grid.shape), u.space)
-
-
-def hs_norm_sq(model: DiffusionModel, u: GridFunction) -> float:
-    """Squared Hilbert-Schmidt norm: sum of squared mode-response norms."""
-    return float(model.hs_norm_sq_batch(u.flat[None, :])[0])
-
-
 # ---------------------------------------------------------------------------
 # scheme and trajectories
 # ---------------------------------------------------------------------------
@@ -262,18 +246,6 @@ class TrajectoryEnsemble:
             out[:, n, :] = (self.states[:, n + 1, :] - self.states[:, n, :] - noise) / self.dt
         return out
 
-    def to_csv(self, path, stride: int = 1) -> None:
-        """Dump (path, step, cell_index, value) rows, optionally strided."""
-        if stride < 1:
-            raise ValueError("stride must be a positive integer")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("path,step,cell_index,value\n")
-            for p in range(self.n_paths):
-                for s in range(0, self.n_steps + 1, stride):
-                    row = self.states[p, s]
-                    for c in range(row.size):
-                        fh.write(f"{p},{s},{c},{row[c]:.17g}\n")
-
     def manifest_text(self) -> str:
         lines = [
             f"seed = {self.seed}",
@@ -321,24 +293,6 @@ def _advance(X: np.ndarray, pot: Potential, model: DiffusionModel, sp: SchemePar
     return Y - sp.dt * pot.yosida_gradient_batch(X)
 
 
-def step(
-    state: GridFunction,
-    pot: Potential,
-    model: DiffusionModel,
-    sp: SchemeParams,
-    dW,
-) -> GridFunction:
-    """One scheme step from a single state; deterministic given inputs."""
-    _check_scheme_potential(pot, sp)
-    if state.space != pot.space:
-        raise ValueError(f"state must be {pot.space}-tagged for this potential")
-    dW = np.asarray(dW, dtype=float).reshape(1, -1)
-    if dW.shape[1] != model.mode_count:
-        raise ValueError(f"expected {model.mode_count} increments, got {dW.shape[1]}")
-    out = _advance(state.flat[None, :], pot, model, sp, dW)[0]
-    return GridFunction(state.grid, out.reshape(state.grid.shape), state.space)
-
-
 def _smooth_initial(grid: Grid, X: np.ndarray, rounds: int) -> np.ndarray:
     """Implicit heat half-steps (I + h^2 * neumann_neg_laplacian)^-1 per round."""
     if rounds <= 0:
@@ -370,7 +324,8 @@ def simulate(
     ``x0`` is a GridFunction or a callable ``path_rng -> GridFunction``
     sampled per path from a child stream of the ensemble seed.  The explicit
     drift is refused unless ``dt`` times the drift's Lipschitz bound is at
-    most 2, and a non-finite state raises ``NumericalFailure``.
+    most 2, and a non-finite state raises ``NumericalFailure``; a stalled
+    prox is re-raised naming its step and paths.
     """
     _check_scheme_potential(pot, sp)
     drift_bound = pot.drift_lipschitz_bound()
@@ -394,7 +349,11 @@ def simulate(
     states = np.empty((n_paths, sp.steps + 1, n))
     states[:, 0, :] = X
     for nstep in range(sp.steps):
-        X = _advance(X, pot, model, sp, increments[:, nstep, :])
+        try:
+            X = _advance(X, pot, model, sp, increments[:, nstep, :])
+        except ProxDidNotConverge as exc:
+            where = f"prox of {pot.label} stalled at step {nstep + 1} on paths {list(exc.rows)}"
+            raise ProxDidNotConverge(where, exc.residual, exc.rows) from exc
         finite = np.isfinite(X).all(axis=1)
         if not finite.all():
             raise NumericalFailure(int(np.argmin(finite)), nstep + 1, sp.drift)

@@ -139,7 +139,9 @@ CONFIG_KEYS = {
     # the Jensen diagnostic raises the weight to the power -1/m, so m > 0
     "homogenize_fastdiffusion": {**_COMMON, **_SIMULATED, **_EPS_SCHEDULE, **_WEIGHT,
                                  ("potential", "m"): (_checked(_M, lambda v: v > 0, "positive"), 0.5)},
+    # the audit's standard errors need at least two paths
     "svi_audit_run": {**_COMMON, **_SIMULATED, **_GRADIENT_P,
+                      ("experiment", "n_paths"): (_checked(_COUNT, lambda v: v >= 2, "at least 2"), 100),
                       ("scheme", "drift"): (_choice("implicit_prox", "explicit_yosida"), "implicit_prox")},
     "mosco_table": {**_COMMON, **_GRADIENT_SCHEDULE,
                     ("potential", "schedule_kind"): (_GRADIENT_SCHEDULE_KIND, "delta")},

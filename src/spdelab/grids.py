@@ -8,13 +8,15 @@ space tag:
 * ``Hminus1`` -- dual norm built on the inverse of the discrete Dirichlet
   Laplacian, ``(u, v) = (u, (-Dirichlet Laplacian)^{-1} v)_L2``.
 
-Gradients live on cell faces and the divergence maps face fields back to
-cells, so the summation-by-parts identity
+Every solver differentiates through one assembled operator: the face
+difference matrix ``K`` (one row per face, ``K u`` the face gradients), with
+``K^T K`` the negative Laplacian.  Its transpose is the negative divergence,
+so the summation-by-parts identity
 
-    inner_L2(gradient(u), F) == -inner_L2(u, divergence(F))
+    (K u) . y == u . (K^T y)
 
-holds exactly (to rounding) for zero-flux F.  The proximal solvers depend on
-this being an identity rather than an approximation.
+is exact matrix adjointness rather than an approximation, which the
+proximal solvers depend on.
 """
 
 from __future__ import annotations
@@ -84,11 +86,6 @@ class Grid:
         axes = [self.axis_centers(a) for a in range(self.dim)]
         return tuple(np.meshgrid(*axes, indexing="ij"))
 
-    def faces_shape(self, axis: int) -> tuple[int, ...]:
-        s = list(self.shape)
-        s[axis] += 1
-        return tuple(s)
-
 
 def interval_grid(cells: int, length: float = 1.0) -> Grid:
     return Grid((length,), (cells,))
@@ -153,97 +150,9 @@ class GridFunction:
         return f"GridFunction(shape={self.grid.shape}, space={self.space})"
 
 
-class VectorField:
-    """Face-based vector field: one array per axis, sized for that axis' faces."""
-
-    __slots__ = ("grid", "components")
-
-    def __init__(self, grid: Grid, components):
-        comps = tuple(np.asarray(c, dtype=float) for c in components)
-        if len(comps) != grid.dim:
-            raise ValueError(f"expected {grid.dim} components, got {len(comps)}")
-        for a, c in enumerate(comps):
-            if c.shape != grid.faces_shape(a):
-                raise ValueError(
-                    f"component {a} has shape {c.shape}, expected {grid.faces_shape(a)}"
-                )
-        self.grid = grid
-        self.components = comps
-
-    @classmethod
-    def zeros(cls, grid: Grid) -> "VectorField":
-        return cls(grid, [np.zeros(grid.faces_shape(a)) for a in range(grid.dim)])
-
-
 def _check_bc(bc: str):
     if bc not in _BCS:
         raise ValueError(f"unknown boundary condition {bc!r}, expected one of {_BCS}")
-
-
-def gradient(u: GridFunction, bc: str = NEUMANN) -> VectorField:
-    """Forward differences on cell faces.
-
-    Neumann: boundary faces carry zero flux.  Dirichlet: a ghost value 0 at
-    spacing distance outside, so boundary faces carry ``+/- u_edge / h``.
-    """
-    _check_bc(bc)
-    grid = u.grid
-    comps = []
-    for a in range(grid.dim):
-        h = grid.spacing[a]
-        g = np.zeros(grid.faces_shape(a))
-        interior = [slice(None)] * grid.dim
-        interior[a] = slice(1, grid.shape[a])
-        lo = [slice(None)] * grid.dim
-        lo[a] = slice(0, grid.shape[a] - 1)
-        hi = [slice(None)] * grid.dim
-        hi[a] = slice(1, grid.shape[a])
-        g[tuple(interior)] = (u.values[tuple(hi)] - u.values[tuple(lo)]) / h
-        if bc == DIRICHLET:
-            first = [slice(None)] * grid.dim
-            first[a] = 0
-            last = [slice(None)] * grid.dim
-            last[a] = grid.shape[a]
-            edge_lo = [slice(None)] * grid.dim
-            edge_lo[a] = 0
-            edge_hi = [slice(None)] * grid.dim
-            edge_hi[a] = grid.shape[a] - 1
-            g[tuple(first)] = u.values[tuple(edge_lo)] / h
-            g[tuple(last)] = -u.values[tuple(edge_hi)] / h
-        comps.append(g)
-    return VectorField(grid, comps)
-
-
-def divergence(F: VectorField, bc: str = NEUMANN) -> GridFunction:
-    """Per-cell difference of face fluxes; exact negative adjoint of gradient.
-
-    Under Neumann the boundary faces are forced to zero flux so the discrete
-    divergence theorem (cell-volume sum of divergence == 0) is exact.
-    """
-    _check_bc(bc)
-    grid = F.grid
-    out = np.zeros(grid.shape)
-    for a in range(grid.dim):
-        h = grid.spacing[a]
-        comp = F.components[a]
-        if bc == NEUMANN:
-            comp = comp.copy()
-            first = [slice(None)] * grid.dim
-            first[a] = 0
-            last = [slice(None)] * grid.dim
-            last[a] = grid.shape[a]
-            comp[tuple(first)] = 0.0
-            comp[tuple(last)] = 0.0
-        hi = [slice(None)] * grid.dim
-        hi[a] = slice(1, grid.shape[a] + 1)
-        lo = [slice(None)] * grid.dim
-        lo[a] = slice(0, grid.shape[a])
-        out += (comp[tuple(hi)] - comp[tuple(lo)]) / h
-    return GridFunction(grid, out, L2)
-
-
-def laplacian(u: GridFunction, bc: str = NEUMANN) -> GridFunction:
-    return divergence(gradient(u, bc), bc)
 
 
 # -- assembled operators ------------------------------------------------------
@@ -336,16 +245,6 @@ def inner(u: GridFunction, v: GridFunction) -> float:
         return base + vol * float(np.dot(K @ u.flat, K @ v.flat))
     w = dirichlet_solve(u.grid, v.flat)
     return vol * float(np.dot(u.flat, w))
-
-
-def inner_fields(F: VectorField, G: VectorField) -> float:
-    """L2 inner product of face fields (cell volume per face)."""
-    if F.grid != G.grid:
-        raise ValueError("vector fields live on different grids")
-    vol = F.grid.cell_volume
-    return vol * float(
-        sum(np.dot(f.reshape(-1), g.reshape(-1)) for f, g in zip(F.components, G.components))
-    )
 
 
 def norm(u: GridFunction) -> float:

@@ -30,7 +30,6 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from . import yosida
 from .grids import Grid, GridFunction
 
 PROFILE_NAMES = ("ball", "tent", "bump")
@@ -208,25 +207,3 @@ def nonlocal_energy(rk: RescaledKernel, u: GridFunction) -> float:
     P, w = pair_stencil(rk, u.grid)
     d = P @ u.flat
     return float(np.dot(w, np.abs(d) ** rk.p)) / rk.p
-
-
-def nonlocal_apply(rk: RescaledKernel, delta: float, u: GridFunction) -> GridFunction:
-    """Drift of the interaction energy: minus its L2 gradient at u.
-
-    Uses the Yosida-regularized slope when delta > 0; the raw power slope
-    otherwise (rejected for p = 1, where the raw operator is multivalued).
-    Mass conserving and monotone dissipative by the antisymmetry of the
-    summand.
-    """
-    if not delta >= 0:
-        raise ValueError("delta must be nonnegative")
-    if rk.p == 1.0 and delta == 0.0:
-        raise ValueError("p = 1 requires a positive Yosida parameter delta")
-    P, w = pair_stencil(rk, u.grid)
-    d = P @ u.flat
-    if delta > 0.0:
-        slope = yosida.phi_delta(rk.p, delta, d, axis=None)
-    else:
-        slope = np.sign(d) * np.abs(d) ** (rk.p - 1.0)
-    out = -(P.T @ (w * slope)) / u.grid.cell_volume
-    return GridFunction(u.grid, out.reshape(u.grid.shape), u.space)

@@ -76,11 +76,13 @@ _PROBE_COUNT = 64
 
 
 class ProxDidNotConverge(RuntimeError):
-    """Raised when a proximal solve stalls; carries the last residual."""
+    """Raised when a proximal solve stalls; carries the last residual and
+    the batch rows still unconverged."""
 
-    def __init__(self, message: str, residual: float):
+    def __init__(self, message: str, residual: float, rows=()):
         super().__init__(f"{message} (last residual {residual:.3e})")
         self.residual = float(residual)
+        self.rows = tuple(int(r) for r in rows)
 
 
 @dataclass
@@ -91,9 +93,11 @@ class ProxResult:
     iterations: int
 
 
-def _prox_rows(F, tol: float) -> np.ndarray:
-    """``F`` as float rows; refuses a NaN tolerance, which would settle every
-    row at once with ``F`` unchanged, or one that is not positive."""
+def _prox_rows(lam: float, F, tol: float) -> np.ndarray:
+    """``F`` as float rows; refuses a NaN ``lam`` or tolerance, which would
+    settle every row at once with ``F`` unchanged, or one that is not positive."""
+    if not lam > 0:
+        raise ValueError(f"lam must be positive, got {lam}")
     if not tol > 0:
         raise ValueError(f"prox tolerance must be positive, got {tol}")
     return np.asarray(F, dtype=float)
@@ -169,8 +173,6 @@ class Potential:
         tol: float = DEFAULT_TOL,
         max_iter: int = DEFAULT_MAX_ITER,
     ) -> ProxResult:
-        if not lam > 0:
-            raise ValueError("lam must be positive")
         if f.grid != self.grid or f.space != self.space:
             raise ValueError(
                 f"prox of {self.label} needs a {self.space}-tagged function on its own grid"
@@ -304,7 +306,7 @@ class _DifferencePenaltyPotential(Potential):
         return float(np.max(np.abs(M).sum(axis=1)))
 
     def prox_batch(self, lam, F, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, warm=None):
-        F = _prox_rows(F, tol)
+        F = _prox_rows(lam, F, tol)
         prof = self.profile
         if not self._quad and not prof.slope_unbounded:
             # total variation, raw or Yosida: the dual lives in a box
@@ -337,8 +339,9 @@ def _damped_newton(evaluate, X, residual, direction, accept, cap, t_min, patienc
     next state.  A row's iterate is written into the returned X once, when
     it settles or the loop ends.  With ``patience`` the loop stops once the
     worst residual has not dropped below 0.9 of its best for that many
-    iterations.  Returns ``(X, worst residual, iters, converged)``; live rows
-    left at the end mean not converged.
+    iterations.  Returns ``(X, worst residual, iters, live)``, ``live`` the
+    batch indices of the rows still unconverged at the end (empty when all
+    converged).
     """
     rows = np.arange(X.shape[0])
     state = evaluate(X, rows)
@@ -370,7 +373,7 @@ def _damped_newton(evaluate, X, residual, direction, accept, cap, t_min, patienc
             new = evaluate(state[0] + t[:, None] * step, rows)
         state = new
     out[rows] = state[0]
-    return out, float(resid.max()), iters, rows.size == 0
+    return out, float(resid.max()), iters, rows
 
 
 def _armijo(new, obj, t, gd):
@@ -440,11 +443,11 @@ def _newton_difference(core, lam, F, tol, max_iter, warm):
         return solve_banded_spd(_hessian_band(core, curv), -grad)
 
     # Armijo backtracking per row (Hessian >= I, so full steps dominate)
-    V, worst, iters, converged = _damped_newton(
+    V, worst, iters, live = _damped_newton(
         evaluate, V, residual, direction, _armijo, min(max_iter, 400), 1e-12, patience=25
     )
-    if not converged:
-        raise ProxDidNotConverge(f"Newton prox of {core.label} stalled", worst)
+    if live.size:
+        raise ProxDidNotConverge(f"Newton prox of {core.label} stalled", worst, live)
     return V, worst, iters
 
 
@@ -525,11 +528,11 @@ def _dual_newton(core, lam, F, tol, max_iter, conj, bound=np.inf):
         ab[:, :, 0] = np.where(pinned, 1.0, diag + 1e-13 * (1.0 + diag.max(axis=1, keepdims=True)))
         return solve_banded_spd(ab, rhs)
 
-    Y, worst, iters, converged = _damped_newton(
+    Y, worst, iters, live = _damped_newton(
         evaluate, np.zeros(KF.shape), residual, direction, _armijo, min(max_iter, 500), 1e-14
     )
-    if not converged:
-        raise ProxDidNotConverge(f"dual Newton prox of {core.label} stalled", worst)
+    if live.size:
+        raise ProxDidNotConverge(f"dual Newton prox of {core.label} stalled", worst, live)
     return F - core._div(Y), worst, iters
 
 
@@ -642,7 +645,7 @@ class FastDiffusionPotential(Potential):
         return np.sqrt(np.maximum(hminus1_norm_sq(self.grid, R), 0.0))
 
     def prox_batch(self, lam, F, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, warm=None):
-        F = _prox_rows(F, tol)
+        F = _prox_rows(lam, F, tol)
         if self.profile.curvature_bounded:
             return self._prox_newton(lam, F, tol, max_iter, warm)
         # raw singular exponents (m < 1): accelerated proximal gradient
@@ -676,11 +679,11 @@ class FastDiffusionPotential(Potential):
                 return solve_tridiagonal(-c[:, :-1] / h2, 1.0 + 2.0 * c / h2, -c[:, 1:] / h2, -R)
             return self._newton_solve(c, -R)
 
-        Z, worst, iters, converged = _damped_newton(
+        Z, worst, iters, live = _damped_newton(
             evaluate, Z, residual, direction,
             lambda new, merit, t, gd: new <= merit + 1e-10 * np.abs(merit), min(max_iter, 200), 1e-12,
         )
-        if not converged:
+        if live.size:
             return self._prox_fista(lam, F, tol, max_iter, Z)
         return Z, worst, iters
 
@@ -737,8 +740,9 @@ class FastDiffusionPotential(Potential):
                     break
             Y = Z_new + beta * (Z_new - Z)
             Z = Z_new
-        if np.any(resid > np.maximum(target, 0.25 * tol)):
-            raise ProxDidNotConverge(f"FISTA prox of {self.label} stalled", float(np.max(resid)))
+        stalled = np.flatnonzero(resid > np.maximum(target, 0.25 * tol))
+        if stalled.size:
+            raise ProxDidNotConverge(f"FISTA prox of {self.label} stalled", float(np.max(resid)), stalled)
         return Z, float(np.max(resid)), it
 
 

@@ -58,10 +58,6 @@ class RadialProfile:
         """Global Lipschitz constant of the slope (inf when unbounded)."""
         return np.inf
 
-    @property
-    def is_kinked(self) -> bool:
-        return self.kink > 0.0
-
 
 class PowerProfile(RadialProfile):
     """Raw power ``s^p / p``; multivalued slope at 0 when p = 1."""

@@ -166,8 +166,14 @@ def _batched_inner(grid, space, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return grid.cell_volume * np.einsum("ij,ij->i", A, B)
 
 
+def _check_paths(ens: TrajectoryEnsemble):
+    if ens.n_paths < 2:
+        raise ValueError(f"an audit's standard errors need at least 2 paths, got {ens.n_paths}")
+
+
 def check_energy(ens: TrajectoryEnsemble, pot: Potential, C: float) -> SVIReport:
     """Audit the energy bound; also reports the smallest admissible constant."""
+    _check_paths(ens)
     grid, space = ens.grid, ens.space
     norms = space_norm_sq(grid, ens.states, space)  # (paths, steps+1)
     energies = np.stack([pot.eval_batch(ens.states[:, s, :]) for s in range(ens.n_steps + 1)], axis=1)
@@ -209,6 +215,7 @@ def check_variational(
     All five right-hand terms are estimated per path so the margin carries a
     combined standard error; pass requires margin >= -3 SE per checkpoint.
     """
+    _check_paths(ens)
     if Z.grid != ens.grid or Z.space != ens.space:
         raise ValueError("test process must live in the ensemble's geometry")
     grid, space, dt = ens.grid, ens.space, ens.dt

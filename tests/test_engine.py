@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,9 @@ from spdelab.engine import (
     LinearMultiplicativeNoise,
     NemytskiiNoise,
     SchemeParams,
-    apply_B,
     gaussian_increments,
-    hs_norm_sq,
     simulate,
     simulate_coupled,
-    step,
 )
 
 rng = np.random.default_rng(808)
@@ -27,6 +26,11 @@ def grid64():
 def sine_ic(grid, space="L2", amp=1.0):
     x = grid.axis_centers(0)
     return GridFunction(grid, amp * np.sin(np.pi * x), space)
+
+
+def step(state, pot, model, sp):
+    """One scheme step from ``state``: a one-path, one-step ``simulate``."""
+    return simulate(state, pot, model, replace(sp, steps=1), 1, seed=0).state(0, 1)
 
 
 def additive_model(grid, amp=0.1, space="L2"):
@@ -48,45 +52,44 @@ def test_apply_b_zero_increment():
     g = grid64()
     model = additive_model(g)
     u = GridFunction(g, rng.standard_normal(64))
-    assert np.abs(apply_B(model, u, [0.0, 0.0]).values).max() == 0.0
+    assert np.abs(model.apply_batch(u.flat[None, :], [[0.0, 0.0]])).max() == 0.0
 
 
 def test_apply_b_additive_constant_mode():
     g = grid64()
     model = AdditiveNoise([GridFunction(g, np.ones(64))])
     u = GridFunction(g, rng.standard_normal(64))
-    out = apply_B(model, u, [0.3])
-    assert out.values == pytest.approx(np.full(64, 0.3))
+    out = model.apply_batch(u.flat[None, :], [[0.3]])[0]
+    assert out == pytest.approx(np.full(64, 0.3))
 
 
 def test_apply_b_multiplicative_vanishes_at_zero():
     g = grid64()
     model = LinearMultiplicativeNoise([GridFunction(g, np.ones(64))])
-    out = apply_B(model, GridFunction(g, np.zeros(64)), [0.7])
-    assert np.abs(out.values).max() == 0.0
+    out = model.apply_batch(np.zeros((1, 64)), [[0.7]])
+    assert np.abs(out).max() == 0.0
 
 
 def test_apply_b_mode_count_mismatch():
     g = grid64()
     model = additive_model(g)
     with pytest.raises(ValueError):
-        apply_B(model, GridFunction(g, np.zeros(64)), [0.1])
+        model.apply_batch(np.zeros((1, 64)), [[0.1]])
 
 
 def test_hs_norm_additive_independent_of_state():
     g = grid64()
     model = additive_model(g)
-    u, v = GridFunction(g, rng.standard_normal(64)), GridFunction(g, rng.standard_normal(64))
-    assert hs_norm_sq(model, u) == pytest.approx(hs_norm_sq(model, v))
+    hs = model.hs_norm_sq_batch(rng.standard_normal((2, 64)))
+    assert hs[0] == pytest.approx(hs[1])
 
 
 def test_hs_norm_multiplicative_at_one():
     g = grid64()
     fields = [GridFunction(g, rng.standard_normal(64)) for _ in range(3)]
     model = LinearMultiplicativeNoise(fields)
-    one = GridFunction(g, np.ones(64))
     expected = sum(g.cell_volume * np.sum(f.values**2) for f in fields)
-    assert hs_norm_sq(model, one) == pytest.approx(expected)
+    assert model.hs_norm_sq_batch(np.ones((1, 64)))[0] == pytest.approx(expected)
 
 
 def test_lipschitz_certificate_dominates_sampled_ratios():
@@ -108,8 +111,8 @@ def test_nemytskii_model_applies_scalar_map():
     g = grid64()
     model = NemytskiiNoise(lambda u: np.tanh(u), 1.0, [GridFunction(g, np.ones(64))])
     u = GridFunction(g, rng.standard_normal(64))
-    out = apply_B(model, u, [0.5])
-    assert out.values == pytest.approx(0.5 * np.tanh(u.values))
+    out = model.apply_batch(u.flat[None, :], [[0.5]])[0]
+    assert out == pytest.approx(0.5 * np.tanh(u.values))
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +129,7 @@ def test_step_damps_neumann_eigenmodes():
     h = g.spacing[0]
     for k in (1, 3, 7):
         mode = GridFunction(g, np.cos(k * np.pi * x))
-        out = step(mode, pot, zero, sp, [0.0])
+        out = step(mode, pot, zero, sp)
         lam = 2 * (1 - np.cos(k * np.pi / 64)) / h**2
         assert out.values == pytest.approx(mode.values / (1 + sp.dt * lam), rel=1e-10)
 
@@ -140,7 +143,7 @@ def test_step_keeps_constants_fixed():
         potentials.p_dirichlet(g, 1.5, delta=1e-2),
         potentials.p_dirichlet(g, 2.0),
     ):
-        out = step(const, pot, zero, SchemeParams(dt=1e-3, steps=1, delta=pot.delta), [0.0])
+        out = step(const, pot, zero, SchemeParams(dt=1e-3, steps=1, delta=pot.delta))
         assert np.abs(out.values - 0.8).max() < 1e-12
 
 
@@ -150,7 +153,7 @@ def test_step_single_cell_fast_diffusion_closed_form():
     zero = AdditiveNoise([GridFunction(g, np.zeros(1), HMINUS1)])
     x0 = GridFunction(g, np.array([2.0]), HMINUS1)
     dt = 1e-2
-    out = step(x0, pot, zero, SchemeParams(dt=dt, steps=1), [0.0])
+    out = step(x0, pot, zero, SchemeParams(dt=dt, steps=1))
     # single Dirichlet cell: z + dt * (2/h^2) z = x0
     h = g.spacing[0]
     assert out.values[0] == pytest.approx(2.0 / (1 + dt * 2 / h**2), rel=1e-12)
@@ -161,7 +164,7 @@ def test_scheme_delta_mismatch_rejected():
     pot = potentials.p_dirichlet(g, 1.5, delta=1e-2)
     sp = SchemeParams(dt=1e-3, steps=1, delta=1e-3)
     with pytest.raises(ValueError):
-        step(sine_ic(g), pot, additive_model(g), sp, [0.0, 0.0])
+        step(sine_ic(g), pot, additive_model(g), sp)
 
 
 def test_explicit_drift_requires_small_steps():
@@ -203,16 +206,35 @@ def test_simulate_raises_numerical_failure_on_non_finite_state(monkeypatch):
     assert (err.value.path, err.value.step, err.value.solver) == (2, 3, "implicit_prox")
 
 
+def test_simulate_names_the_step_and_paths_of_a_stalled_prox(monkeypatch):
+    g = grid64()
+    pot = potentials.p_dirichlet(g, 1.5, delta=1e-2)
+    real, calls = pot.prox_batch, []
+
+    def stall_on_third_step(lam, F, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise potentials.ProxDidNotConverge("Newton prox stalled", 0.5, rows=[1, 3])
+        return real(lam, F, **kwargs)
+
+    monkeypatch.setattr(pot, "prox_batch", stall_on_third_step)
+    with pytest.raises(potentials.ProxDidNotConverge, match=r"at step 3 on paths \[1, 3\]") as err:
+        simulate(sine_ic(g), pot, additive_model(g), SchemeParams(dt=1e-3, steps=5, delta=1e-2),
+                 n_paths=4, seed=0)
+    assert pot.label in str(err.value)
+    assert (err.value.residual, err.value.rows) == (0.5, (1, 3))
+
+
 def test_explicit_drift_matches_yosida_gradient_formula():
     g = grid64()
     pot = potentials.p_dirichlet(g, 1.5, delta=0.1)
     model = additive_model(g)
     x0 = sine_ic(g)
-    dt = 1e-2
-    dW = [0.02, -0.01]
-    out = step(x0, pot, model, SchemeParams(dt=dt, steps=1, delta=0.1, drift="explicit_yosida"), dW)
-    expected = x0.values + apply_B(model, x0, dW).values - dt * pot.yosida_gradient(x0).values
-    assert out.values == pytest.approx(expected, abs=1e-14)
+    dt = 1.9 / pot.drift_lipschitz_bound()  # simulate's explicit stability limit
+    ens = simulate(x0, pot, model, SchemeParams(dt=dt, steps=1, delta=0.1, drift="explicit_yosida"), 1, seed=5)
+    dW = ens.increments[:, 0, :]
+    expected = x0.flat + model.apply_batch(x0.flat[None, :], dW)[0] - dt * pot.yosida_gradient(x0).flat
+    assert ens.states[0, 1] == pytest.approx(expected, abs=1e-14)
 
 
 def test_explicit_and_implicit_drifts_converge_together():
@@ -221,9 +243,10 @@ def test_explicit_and_implicit_drifts_converge_together():
     zero = AdditiveNoise([GridFunction(g, np.zeros(64))])
     x0 = sine_ic(g)
     diffs = []
-    for dt in (1e-2, 2.5e-3):
-        imp = step(x0, pot, zero, SchemeParams(dt=dt, steps=1, delta=0.1), [0.0])
-        exp = step(x0, pot, zero, SchemeParams(dt=dt, steps=1, delta=0.1, drift="explicit_yosida"), [0.0])
+    dt_max = 1.9 / pot.drift_lipschitz_bound()  # simulate's explicit stability limit
+    for dt in (dt_max, dt_max / 4):
+        imp = step(x0, pot, zero, SchemeParams(dt=dt, steps=1, delta=0.1))
+        exp = step(x0, pot, zero, SchemeParams(dt=dt, steps=1, delta=0.1, drift="explicit_yosida"))
         diffs.append(norm(imp - exp))
     assert diffs[1] < 0.5 * diffs[0]  # one-step gap shrinks superlinearly in dt
 
@@ -254,7 +277,7 @@ def test_simulate_single_path_no_noise_is_deterministic_scheme():
     ens = simulate(sine_ic(g), pot, zero, sp, 1, seed=3)
     state = sine_ic(g)
     for n in range(10):
-        state = step(state, pot, zero, sp, [0.0])
+        state = step(state, pot, zero, sp)
         assert ens.states[0, n + 1] == pytest.approx(state.flat)
 
 
@@ -377,15 +400,10 @@ def test_sampled_initial_condition():
     assert not np.allclose(a.states[0, 0, :], a.states[1, 0, :])
 
 
-def test_snapshot_csv_and_manifest(tmp_path):
+def test_ensemble_manifest():
     g = interval_grid(4)
     pot = potentials.p_dirichlet(g, 2.0)
     zero = AdditiveNoise([GridFunction(g, np.zeros(4))])
     ens = simulate(GridFunction(g, np.ones(4)), pot, zero, SchemeParams(dt=1e-2, steps=2), 2, seed=6)
-    out = tmp_path / "traj.csv"
-    ens.to_csv(out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "path,step,cell_index,value"
-    assert len(lines) == 1 + 2 * 3 * 4
     text = ens.manifest_text()
     assert "seed = 6" in text and "dt =" in text

@@ -305,6 +305,32 @@ def test_cli_non_finite_state_exit_code(tmp_path, monkeypatch, capsys):
     assert "non-finite state on path 0 at step 1" in capsys.readouterr().err
 
 
+def test_cli_stalled_prox_names_its_step_and_paths(tmp_path, monkeypatch, capsys):
+    from spdelab import potentials
+
+    cfg_path = write_cfg(
+        tmp_path, BASE.format(kind="trotter_plaplace", outdir=tmp_path / "o", schedule="1.6")
+    )
+
+    def stall(self, lam, F, tol=1e-9, max_iter=1, warm=None):
+        raise potentials.ProxDidNotConverge("synthetic stall", 1.0, rows=[4])
+
+    monkeypatch.setattr(potentials._DifferencePenaltyPotential, "prox_batch", stall)
+    assert cli.main(["run", str(cfg_path)]) == 2
+    assert "stalled at step 1 on paths [4]" in capsys.readouterr().err
+
+
+def test_svi_audit_needs_two_paths(tmp_path, capsys):
+    # one path validated, then every standard error came out NaN and every
+    # verdict "fail"; mosco_table simulates nothing and keeps n_paths = 1
+    audit = edit(BASE.format(kind="svi_audit_run", outdir=tmp_path / "a", schedule="1.5"),
+                 drop=UNSCHEDULED, set_=[("experiment", "n_paths", "1")])
+    assert cli.main(["validate", str(write_cfg(tmp_path, audit, "audit.ini"))]) == 1
+    assert "[experiment] n_paths" in capsys.readouterr().err
+    mosco = edit(tiny_text(tmp_path, "mosco_table"), set_=[("experiment", "n_paths", "1")])
+    assert cli.main(["validate", str(write_cfg(tmp_path, mosco, "mosco.ini"))]) == 0
+
+
 # One tiny case per schedule kind: 24 cells, 3 paths, 4 steps.
 TINY = """
 [experiment]

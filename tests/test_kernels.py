@@ -121,26 +121,30 @@ def test_nonlocal_energy_ramp_approaches_local_limit():
     assert gaps[2] < 0.1 * 0.5
 
 
+# The nonlocal drift A(u) is minus the energy gradient,
+# -NonlocalPotential.yosida_gradient_batch: Yosida-regularized slopes for
+# delta > 0, raw power slopes for delta = None.
+
+
+def nonlocal_drift(g, profile, eps, p, delta, U):
+    pot = potentials.nonlocal_p(g, Kernel(profile, g.dim), eps, p, delta=delta)
+    return -pot.yosida_gradient_batch(np.atleast_2d(U))
+
+
 def test_nonlocal_apply_zero_on_constants_and_conserves_mass():
     g = interval_grid(30)
-    rk = RescaledKernel(Kernel("tent", 1), 0.25, 1.5)
-    const = GridFunction(g, np.full(30, -1.1))
-    assert np.abs(kernels.nonlocal_apply(rk, 0.01, const).values).max() == 0.0
-    u = GridFunction(g, rng.standard_normal(30))
-    out = kernels.nonlocal_apply(rk, 0.01, u)
-    assert abs(g.cell_volume * out.values.sum()) < 1e-10
+    assert np.abs(nonlocal_drift(g, "tent", 0.25, 1.5, 0.01, np.full(30, -1.1))).max() == 0.0
+    out = nonlocal_drift(g, "tent", 0.25, 1.5, 0.01, rng.standard_normal(30))
+    assert abs(g.cell_volume * out.sum()) < 1e-10
 
 
 def test_nonlocal_apply_monotone_and_coercive():
     g = interval_grid(30)
-    rk = RescaledKernel(Kernel("bump", 1), 0.25, 1.3)
     for _ in range(20):
-        u = GridFunction(g, rng.standard_normal(30))
-        v = GridFunction(g, rng.standard_normal(30))
-        Au = kernels.nonlocal_apply(rk, 0.02, u)
-        Av = kernels.nonlocal_apply(rk, 0.02, v)
-        assert inner(Au - Av, u - v) <= 1e-12
-        assert inner(Au, u) <= 1e-12
+        U = rng.standard_normal((2, 30))
+        Au, Av = nonlocal_drift(g, "bump", 0.25, 1.3, 0.02, U)
+        assert g.cell_volume * (Au - Av) @ (U[0] - U[1]) <= 1e-12
+        assert g.cell_volume * Au @ U[0] <= 1e-12
 
 
 def test_nonlocal_apply_growth_bound():
@@ -151,7 +155,8 @@ def test_nonlocal_apply_growth_bound():
     C = (row_mass.max() / g.cell_volume) * (np.sqrt(g.extents[0]) + 2.0)
     for scale in (0.1, 1.0, 10.0):
         u = GridFunction(g, scale * rng.standard_normal(30))
-        assert norm(kernels.nonlocal_apply(rk, 0.02, u)) <= C * (1.0 + norm(u))
+        out = GridFunction(g, nonlocal_drift(g, "tent", 0.25, 1.5, 0.02, u.flat)[0])
+        assert norm(out) <= C * (1.0 + norm(u))
 
 
 def test_nonlocal_apply_two_cell_exchange_closed_form():
@@ -159,22 +164,21 @@ def test_nonlocal_apply_two_cell_exchange_closed_form():
     eps = 1.5  # resolved: both cells interact
     kern = Kernel("ball", 1)
     rk = RescaledKernel(kern, eps, 2.0)
-    u = GridFunction(g, np.array([1.0, 0.0]))
-    out = kernels.nonlocal_apply(rk, 0.0, u)
+    u = np.array([1.0, 0.0])
+    out = nonlocal_drift(g, "ball", eps, 2.0, None, u)[0]
     h = g.spacing[0]
     w = rk.c_jp / eps**3 * kern.radial(h / eps) * g.cell_volume**2
-    expected = w * (u.values[1] - u.values[0]) / g.cell_volume
-    assert out.values[0] == pytest.approx(expected, rel=1e-12)
-    assert out.values[1] == pytest.approx(-expected, rel=1e-12)
+    expected = w * (u[1] - u[0]) / g.cell_volume
+    assert out[0] == pytest.approx(expected, rel=1e-12)
+    assert out[1] == pytest.approx(-expected, rel=1e-12)
 
 
 def test_nonlocal_apply_matches_energy_gradient():
     g = interval_grid(20)
-    rk = RescaledKernel(Kernel("bump", 1), 0.3, 1.5)
     delta = 0.02
-    pot = potentials.nonlocal_p(g, rk.base, rk.eps, rk.p, delta=delta)
+    pot = potentials.nonlocal_p(g, Kernel("bump", 1), 0.3, 1.5, delta=delta)
     u = GridFunction(g, rng.standard_normal(20))
-    drift = kernels.nonlocal_apply(rk, delta, u)
+    drift = -pot.yosida_gradient(u)
     hdir = GridFunction(g, rng.standard_normal(20))
     h = 1e-6
     fd = (pot.eval(u + h * hdir) - pot.eval(u - h * hdir)) / (2 * h)
@@ -183,9 +187,9 @@ def test_nonlocal_apply_matches_energy_gradient():
 
 def test_p1_requires_regularization():
     g = interval_grid(20)
-    rk = RescaledKernel(Kernel("tent", 1), 0.25, 1.0)
+    pot = potentials.nonlocal_p(g, Kernel("tent", 1), 0.25, 1.0)
     with pytest.raises(ValueError):
-        kernels.nonlocal_apply(rk, 0.0, GridFunction(g, rng.standard_normal(20)))
+        pot.yosida_gradient(GridFunction(g, rng.standard_normal(20)))
 
 
 def test_under_resolved_kernel_warns():
@@ -217,5 +221,5 @@ def test_nonlocal_2d_smoke():
     u = GridFunction(g, rng.standard_normal((12, 12)))
     e = kernels.nonlocal_energy(rk, u)
     assert e > 0
-    out = kernels.nonlocal_apply(rk, 0.05, u)
-    assert abs(g.cell_volume * out.values.sum()) < 1e-10
+    out = nonlocal_drift(g, "tent", 0.25, 1.5, 0.05, u.flat)
+    assert abs(g.cell_volume * out.sum()) < 1e-10

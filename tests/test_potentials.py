@@ -233,8 +233,7 @@ NAN = float("nan")
     lambda: potentials.fast_diffusion(interval_grid(4), 0.5, weight=[1.0, NAN, 1.0, 1.0]),
     lambda: Kernel("bump", 1, NAN),
     lambda: kernels.RescaledKernel(Kernel("bump", 1), NAN, 1.5),
-    lambda: kernels.nonlocal_apply(kernels.RescaledKernel(Kernel("bump", 1), 0.5, 1.5), NAN,
-                                   GridFunction(interval_grid(8), np.zeros(8))),
+    lambda: potentials.nonlocal_p(interval_grid(8), Kernel("bump", 1), 0.5, 1.5, delta=NAN),
 ], ids=["radius", "radius_array", "yosida_delta", "viscous_mu", "visc", "prox_lam", "scheme_dt",
         "grid_extent", "face_weight", "fastdiff_weight", "kernel_radius", "kernel_eps", "nonlocal_delta"])
 def test_nan_parameters_fail_the_positivity_checks(build):
@@ -254,6 +253,39 @@ def test_prox_tolerance_must_be_positive(solve, tol):
     # settled at once and the prox returned f: the drift dropped out
     with pytest.raises(ValueError, match="must be positive"):
         solve(tol)
+
+
+@pytest.mark.parametrize("lam", [np.nan, 0.0, -1.0])
+@pytest.mark.parametrize("build", [
+    lambda: potentials.p_dirichlet(interval_grid(8), 1.5),
+    lambda: potentials.p_dirichlet(interval_grid(8), 1.5, delta=0.05),
+    lambda: potentials.p_dirichlet(interval_grid(8), 1.0),
+    lambda: potentials.p_dirichlet(grids.Grid((1.0, 1.0), (4, 4)), 1.5),
+    lambda: potentials.nonlocal_p(interval_grid(8), Kernel("bump", 1), 0.5, 1.5),
+    lambda: potentials.fast_diffusion(interval_grid(8), 0.5),
+], ids=["chain_raw", "chain_yosida", "chain_tv", "grid_2d", "nonlocal", "fastdiff"])
+def test_prox_batch_refuses_a_bad_lam(build, lam):
+    # a NaN or nonpositive lam used to settle every row at once with F
+    # unchanged (raw total variation returned non-finite rows)
+    pot = build()
+    with pytest.raises(ValueError, match="lam must be positive"):
+        pot.prox_batch(lam, rng.standard_normal((2, pot.grid.num_cells)), tol=1e-9)
+
+
+@pytest.mark.parametrize("build", [
+    lambda g: potentials.p_dirichlet(g, 1.5, delta=1e-2),
+    lambda g: potentials.p_dirichlet(g, 1.5),
+    lambda g: potentials.fast_diffusion(g, 0.5),
+], ids=["newton", "dual_smooth", "fista"])
+def test_stalled_prox_reports_its_unconverged_rows(build):
+    # the zero row is its own prox and settles at once; the others stall at
+    # the one-iteration cap
+    g = interval_grid(16)
+    F = 3.0 * rng.standard_normal((4, 16))
+    F[2] = 0.0
+    with pytest.raises(potentials.ProxDidNotConverge) as err:
+        build(g).prox_batch(5.0, F, tol=1e-10, max_iter=1)
+    assert err.value.rows == (0, 1, 3)
 
 
 def test_prox_nonconvergence_raises_with_residual():

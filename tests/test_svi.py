@@ -68,6 +68,14 @@ def test_regularized_strong_solution_as_test_process():
     assert np.all(rep.margin >= -3.0 * rep.se)
 
 
+def test_audits_need_two_paths():
+    g, pot, model, ens, _ = setup_run(n=16, steps=4, paths=1)
+    with pytest.raises(ValueError, match="at least 2 paths"):
+        svi.check_energy(ens, pot, 1.0)
+    with pytest.raises(ValueError, match="at least 2 paths"):
+        svi.check_variational(ens, svi.SolutionTestProcess(ens, model), pot, model, 1.0)
+
+
 def test_foreign_noise_rejected():
     g, pot, model, ens, x0 = setup_run(paths=10)
     other = simulate(x0, pot, model,
