@@ -3,7 +3,7 @@
 Grids with L2 / H1 / discrete H^-1 geometries, convex potentials with
 certified proximal maps, Moreau-Yosida regularization of singular power
 nonlinearities, rescaled nonlocal interaction kernels, a seeded
-Monte-Carlo time-stepping engine with common-noise coupling, resolvent
+Monte-Carlo time-stepping engine whose seed fixes the common noise, resolvent
 convergence probes and variational-inequality audits, all wired into a
 config-driven experiment CLI.
 """
@@ -42,7 +42,6 @@ from .engine import (
     SchemeParams,
     TrajectoryEnsemble,
     simulate,
-    simulate_coupled,
 )
 from .mosco import MoscoReport, condition_n_check, h1_resolvent_bound_check, mosco_trend, resolvent_distance
 from .svi import (

@@ -1,7 +1,10 @@
 """Time integration of gradient-flow SPDEs with truncated multi-mode noise.
 
 The state obeys ``dX in -grad E(X) dt + B(X) dW`` with E one of the convex
-potentials and W realized as K independent Brownian modes.  The default
+potentials and W realized as K independent Brownian modes.  One class,
+``NemytskiiNoise``, carries B as ``B(u) dW = sum_k b(u) e_k dW_k``;
+``AdditiveNoise`` (b = 1) and ``LinearMultiplicativeNoise`` (b(u) = u) build
+its two common cases.  The default
 scheme is semi-implicit Euler-Maruyama: noise enters explicitly, the drift
 is applied through the proximal map,
 
@@ -18,12 +21,15 @@ the step and the paths.
 
 Randomness is counter-based: every path derives its stream from
 ``SeedSequence((seed, path_index))`` over the Philox generator, so ensembles
-are reproducible and independent of path scheduling; increments are stored
-with the trajectories for coupling and auditing.
+are reproducible and independent of path scheduling.  Common noise comes
+from the seed: two ``simulate`` calls with equal seed, dt and mode count
+ride identical increments, which are stored with the trajectories for
+auditing.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +46,6 @@ __all__ = [
     "TrajectoryEnsemble",
     "gaussian_increments",
     "simulate",
-    "simulate_coupled",
 ]
 
 
@@ -49,104 +54,53 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-class DiffusionModel:
-    """K noise modes mapping a state to per-mode response fields."""
+class NemytskiiNoise:
+    """``B(u) dW = sum_k b(u) e_k dW_k`` with a pointwise map b of slope <= lipschitz_b.
 
-    grid: Grid
-    space: str
-    mode_count: int
-    label: str = "noise"
+    The K modes e_k share one grid and space tag; ``label`` names the model
+    in manifests as ``label[K=...]``.
+    """
 
-    def responses(self, U: np.ndarray) -> np.ndarray:
-        """Mode responses for a batch of states: (m, n) -> (m, K, n)."""
-        raise NotImplementedError
-
-    def apply_batch(self, U: np.ndarray, dW: np.ndarray) -> np.ndarray:
-        """``sum_k response_k(u) dW_k`` rowwise: (m, n), (m, K) -> (m, n)."""
-        raise NotImplementedError
-
-    @property
-    def lipschitz(self) -> float:
-        """Certificate L with ``||B(u) - B(v)||_HS <= L ||u - v||_H``."""
-        raise NotImplementedError
-
-    def hs_norm_sq_batch(self, U: np.ndarray) -> np.ndarray:
-        R = self.responses(np.asarray(U, dtype=float))
-        return np.sum(space_norm_sq(self.grid, R, self.space), axis=-1)
-
-
-def _stack_modes(modes) -> tuple[Grid, str, np.ndarray]:
-    if not modes:
-        raise ValueError("need at least one noise mode")
-    grid = modes[0].grid
-    space = modes[0].space
-    for g in modes:
-        if g.grid != grid or g.space != space:
+    def __init__(self, b, lipschitz_b: float, modes, label: str = "nemytskii"):
+        if not modes:
+            raise ValueError("need at least one noise mode")
+        self.grid, self.space = modes[0].grid, modes[0].space
+        if any(g.grid != self.grid or g.space != self.space for g in modes):
             raise ValueError("noise modes must share one grid and space tag")
-    return grid, space, np.stack([g.flat for g in modes])
-
-
-class AdditiveNoise(DiffusionModel):
-    """State-independent modes: ``B(u) dW = sum_k g_k dW_k``; L = 0."""
-
-    def __init__(self, modes):
-        self.grid, self.space, self._modes = _stack_modes(modes)
-        self.mode_count = self._modes.shape[0]
-        self.label = f"additive[K={self.mode_count}]"
-
-    def responses(self, U):
-        U = np.asarray(U, dtype=float)
-        return np.broadcast_to(self._modes, (U.shape[0],) + self._modes.shape)
-
-    def apply_batch(self, U, dW):
-        return np.asarray(dW, dtype=float) @ self._modes
-
-    @property
-    def lipschitz(self) -> float:
-        return 0.0
-
-
-class LinearMultiplicativeNoise(DiffusionModel):
-    """``B(u) dW = sum_k f_k u dW_k`` (pointwise products)."""
-
-    def __init__(self, fields):
-        self.grid, self.space, self._fields = _stack_modes(fields)
-        self.mode_count = self._fields.shape[0]
-        self.label = f"linear_multiplicative[K={self.mode_count}]"
-
-    def responses(self, U):
-        U = np.asarray(U, dtype=float)
-        return U[:, None, :] * self._fields[None, :, :]
-
-    def apply_batch(self, U, dW):
-        return np.asarray(U, dtype=float) * (np.asarray(dW, dtype=float) @ self._fields)
-
-    @property
-    def lipschitz(self) -> float:
-        # per-mode sup bounds; valid verbatim in the L2 geometry
-        return float(np.sqrt(np.sum(np.max(np.abs(self._fields), axis=1) ** 2)))
-
-
-class NemytskiiNoise(DiffusionModel):
-    """``B(u) dW = sum_k b(u) e_k dW_k`` with a scalar Lipschitz map b."""
-
-    def __init__(self, b, lipschitz_b: float, modes):
-        self.grid, self.space, self._modes = _stack_modes(modes)
+        self._modes = np.stack([g.flat for g in modes])
         self.mode_count = self._modes.shape[0]
         self._b = b
         self._lip_b = float(lipschitz_b)
-        self.label = f"nemytskii[K={self.mode_count}]"
+        self.label = f"{label}[K={self.mode_count}]"
 
-    def responses(self, U):
+    def responses(self, U: np.ndarray) -> np.ndarray:
+        """Mode responses for a batch of states: (m, n) -> (m, K, n)."""
         bU = self._b(np.asarray(U, dtype=float))
         return bU[:, None, :] * self._modes[None, :, :]
 
-    def apply_batch(self, U, dW):
+    def apply_batch(self, U: np.ndarray, dW: np.ndarray) -> np.ndarray:
+        """``sum_k response_k(u) dW_k`` rowwise: (m, n), (m, K) -> (m, n)."""
         return self._b(np.asarray(U, dtype=float)) * (np.asarray(dW, dtype=float) @ self._modes)
 
     @property
     def lipschitz(self) -> float:
+        """Certificate L with ``||B(u) - B(v)||_HS <= L ||u - v||_H`` from per-mode
+        sup bounds; valid verbatim in the L2 geometry."""
         return self._lip_b * float(np.sqrt(np.sum(np.max(np.abs(self._modes), axis=1) ** 2)))
+
+    def hs_norm_sq_batch(self, U: np.ndarray) -> np.ndarray:
+        R = self.responses(U)
+        return np.sum(space_norm_sq(self.grid, R, self.space), axis=-1)
+
+
+def AdditiveNoise(modes) -> NemytskiiNoise:
+    """State-independent modes: ``B(u) dW = sum_k g_k dW_k``; L = 0."""
+    return NemytskiiNoise(np.ones_like, 0.0, modes, "additive")
+
+
+def LinearMultiplicativeNoise(fields) -> NemytskiiNoise:
+    """``B(u) dW = sum_k f_k u dW_k`` (pointwise products); L_b = 1."""
+    return NemytskiiNoise(lambda u: u, 1.0, fields, "linear_multiplicative")
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +188,7 @@ class TrajectoryEnsemble:
         """E ||X_t||_H^2 estimate per stored step."""
         return np.mean(space_norm_sq(self.grid, self.states, self.space), axis=0)
 
-    def realized_drift(self, model: DiffusionModel) -> np.ndarray:
+    def realized_drift(self, model: NemytskiiNoise) -> np.ndarray:
         """Per-step drift increments ``(X_{n+1} - X_n - B(X_n) dW_n) / dt``.
 
         For the implicit scheme each returned row is an exact element of the
@@ -276,7 +230,8 @@ def gaussian_increments(seed: int, n_paths: int, steps: int, modes: int, dt: flo
 
 def _check_scheme_potential(pot: Potential, sp: SchemeParams):
     if sp.delta is not None:
-        if pot.delta is None or not np.isclose(pot.delta, sp.delta):
+        # relative only: an absolute floor would accept delta=1e-8 for 1e-9
+        if pot.delta is None or not math.isclose(pot.delta, sp.delta):
             raise ValueError(
                 f"scheme delta {sp.delta} does not match the potential's "
                 f"regularization {pot.delta}"
@@ -285,7 +240,7 @@ def _check_scheme_potential(pot: Potential, sp: SchemeParams):
         raise ValueError("explicit drift needs a Yosida-regularized potential")
 
 
-def _advance(X: np.ndarray, pot: Potential, model: DiffusionModel, sp: SchemeParams, dW: np.ndarray) -> np.ndarray:
+def _advance(X: np.ndarray, pot: Potential, model: NemytskiiNoise, sp: SchemeParams, dW: np.ndarray) -> np.ndarray:
     Y = X + model.apply_batch(X, dW)
     if sp.drift == "implicit_prox":
         Z, _, _ = pot.prox_batch(sp.dt, Y, tol=sp.prox_tol, warm=X)
@@ -314,37 +269,31 @@ def _smooth_initial(grid: Grid, X: np.ndarray, rounds: int) -> np.ndarray:
 def simulate(
     x0,
     pot: Potential,
-    model: DiffusionModel,
+    model: NemytskiiNoise,
     sp: SchemeParams,
     n_paths: int,
     seed: int,
 ) -> TrajectoryEnsemble:
-    """Monte-Carlo ensemble of the scheme; stores all states and increments.
+    """Monte-Carlo ensemble of the scheme from ``x0``; stores all states and increments.
 
-    ``x0`` is a GridFunction or a callable ``path_rng -> GridFunction``
-    sampled per path from a child stream of the ensemble seed.  The explicit
-    drift is refused unless ``dt`` times the drift's Lipschitz bound is at
-    most 2, and a non-finite state raises ``NumericalFailure``; a stalled
-    prox is re-raised naming its step and paths.
+    The explicit drift is refused unless ``dt`` times the drift's Lipschitz
+    bound is at most 2, and a non-finite state raises ``NumericalFailure``;
+    a stalled prox is re-raised naming its step and paths.  Two calls with
+    equal ``seed``, ``dt`` and mode count draw identical increments on each
+    path, so they are coupled on common noise.
     """
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be at least 1, got {n_paths}")
     _check_scheme_potential(pot, sp)
     drift_bound = pot.drift_lipschitz_bound()
     dt_lip = sp.dt * drift_bound if drift_bound is not None else None
     if sp.drift == "explicit_yosida" and (dt_lip is None or dt_lip > 2.0):
         raise ValueError(f"explicit Yosida drift needs dt * Lip <= 2 for stability, got {dt_lip}")
     grid = pot.grid
+    if x0.grid != grid or x0.space != pot.space:
+        raise ValueError("initial state must live on the potential's grid and space")
     n = grid.num_cells
-    X = np.empty((n_paths, n))
-    if callable(x0):
-        for p in range(n_paths):
-            gen = np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), p, 0xA5))))
-            g0 = x0(gen)
-            X[p] = g0.flat
-    else:
-        if x0.grid != grid or x0.space != pot.space:
-            raise ValueError("initial state must live on the potential's grid and space")
-        X[:] = x0.flat
-    X = _smooth_initial(grid, X, sp.ic_smoothing)
+    X = _smooth_initial(grid, np.tile(x0.flat, (n_paths, 1)), sp.ic_smoothing)
     increments = gaussian_increments(seed, n_paths, sp.steps, model.mode_count, sp.dt)
     states = np.empty((n_paths, sp.steps + 1, n))
     states[:, 0, :] = X
@@ -370,21 +319,3 @@ def simulate(
         model_label=model.label,
         dt_drift_lipschitz=dt_lip,
     )
-
-
-def simulate_coupled(
-    x0,
-    y0,
-    pot_x: Potential,
-    pot_y: Potential,
-    model: DiffusionModel,
-    sp: SchemeParams,
-    n_paths: int,
-    seed: int,
-) -> tuple[TrajectoryEnsemble, TrajectoryEnsemble]:
-    """Two ensembles driven by identical Brownian increments (common noise)."""
-    ens_x = simulate(x0, pot_x, model, sp, n_paths, seed)
-    ens_y = simulate(y0, pot_y, model, sp, n_paths, seed)
-    if not np.array_equal(ens_x.increments, ens_y.increments):
-        raise AssertionError("coupling broken: increments differ")
-    return ens_x, ens_y

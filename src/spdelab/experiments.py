@@ -266,7 +266,7 @@ def _initial_state(cfg: ExperimentConfig, grid: Grid, space: str) -> GridFunctio
     return GridFunction(grid, amp * vals, space)
 
 
-def _noise_model(cfg: ExperimentConfig, grid: Grid, space: str) -> engine.DiffusionModel:
+def _noise_model(cfg: ExperimentConfig, grid: Grid, space: str) -> engine.NemytskiiNoise:
     kind = cfg.get("noise", "kind")
     K = cfg.get("noise", "modes")
     amp = cfg.get("noise", "amplitude")

@@ -11,7 +11,7 @@ import pytest
 
 from oracles import c_jp_direct, chain_dp_prox, neumann_laplacian_dense
 from spdelab import engine, kernels, mosco, potentials, svi, yosida
-from spdelab.engine import AdditiveNoise, LinearMultiplicativeNoise, SchemeParams, simulate, simulate_coupled
+from spdelab.engine import AdditiveNoise, LinearMultiplicativeNoise, SchemeParams, simulate
 from spdelab.grids import GridFunction, interval_grid, norm
 from spdelab.kernels import Kernel, RescaledKernel
 
@@ -257,7 +257,7 @@ def test_criterion_08_contraction_certificate():
     bump = GridFunction(g, np.cos(2 * np.pi * x))
     y0 = GridFunction(g, x0.values + 0.1 * bump.values / norm(bump))
     d0 = norm(x0 - y0) ** 2
-    ex, ey = simulate_coupled(x0, y0, pot, pot, model, sp, 200, seed=808)
+    ex, ey = (simulate(z0, pot, model, sp, 200, seed=808) for z0 in (x0, y0))  # common noise from the seed
     diff_sq = g.cell_volume * np.sum((ex.states - ey.states) ** 2, axis=2)
     mean_gap = diff_sq.mean(axis=0)
     rel_se = diff_sq.std(axis=0, ddof=1) / np.sqrt(200) / np.maximum(mean_gap, 1e-300)
@@ -290,7 +290,7 @@ def test_criterion_09_delta_stability_trend():
     def norm_gap(delta):
         pa = potentials.p_dirichlet(g, 1.0, delta=delta)
         pb = potentials.p_dirichlet(g, 1.0, delta=delta / 2)
-        ea, eb = simulate_coupled(x0, x0, pa, pb, model, sp, 100, seed=909)
+        ea, eb = (simulate(x0, pot, model, sp, 100, seed=909) for pot in (pa, pb))
         dsq = g.cell_volume * np.sum((ea.states - eb.states) ** 2, axis=2)
         return float(np.sqrt(dsq.mean(axis=0).max()))
 

@@ -13,7 +13,6 @@ from spdelab.engine import (
     SchemeParams,
     gaussian_increments,
     simulate,
-    simulate_coupled,
 )
 
 rng = np.random.default_rng(808)
@@ -107,6 +106,31 @@ def test_lipschitz_certificate_dominates_sampled_ratios():
         assert np.sqrt(hs_diff) <= L * norm(u - v) + 1e-12
 
 
+def test_additive_and_linear_models_keep_their_own_arithmetic():
+    # both are NemytskiiNoise with b = 1 or b(u) = u; 1.0 * x is exact
+    g = grid64()
+    modes = [GridFunction(g, rng.standard_normal(64)) for _ in range(3)]
+    M = np.stack([m.flat for m in modes])
+    U, dW = rng.standard_normal((5, 64)), rng.standard_normal((5, 3))
+    add, lin = AdditiveNoise(modes), LinearMultiplicativeNoise(modes)
+    assert isinstance(add, NemytskiiNoise) and isinstance(lin, NemytskiiNoise)
+    assert np.array_equal(add.apply_batch(U, dW), dW @ M)
+    assert np.array_equal(lin.apply_batch(U, dW), U * (dW @ M))
+    assert np.array_equal(add.responses(U), np.broadcast_to(M, (5, 3, 64)))
+    assert np.array_equal(lin.responses(U), U[:, None, :] * M[None, :, :])
+    assert add.lipschitz == 0.0
+    assert lin.lipschitz == float(np.sqrt(np.sum(np.max(np.abs(M), axis=1) ** 2)))
+    assert np.array_equal(add._modes, M)
+    with pytest.raises(ValueError):
+        lin.apply_batch(U, dW[:, :2])
+    with pytest.raises(ValueError):
+        AdditiveNoise([modes[0], GridFunction(interval_grid(32), np.ones(32))])
+    pot = potentials.p_dirichlet(g, 2.0)
+    for model, label in ((add, "additive[K=3]"), (lin, "linear_multiplicative[K=3]")):
+        ens = simulate(sine_ic(g), pot, model, SchemeParams(dt=1e-3, steps=1), 1, seed=0)
+        assert f"noise = {label}" in ens.manifest_text()
+
+
 def test_nemytskii_model_applies_scalar_map():
     g = grid64()
     model = NemytskiiNoise(lambda u: np.tanh(u), 1.0, [GridFunction(g, np.ones(64))])
@@ -160,11 +184,21 @@ def test_step_single_cell_fast_diffusion_closed_form():
 
 
 def test_scheme_delta_mismatch_rejected():
+    # compared relatively: an absolute floor of 1e-8 would accept 1e-8 for 1e-9
     g = grid64()
-    pot = potentials.p_dirichlet(g, 1.5, delta=1e-2)
-    sp = SchemeParams(dt=1e-3, steps=1, delta=1e-3)
-    with pytest.raises(ValueError):
-        step(sine_ic(g), pot, additive_model(g), sp)
+    for pot_delta, scheme_delta in ((1e-2, 1e-3), (1e-8, 1e-9)):
+        sp = SchemeParams(dt=1e-3, steps=1, delta=scheme_delta)
+        with pytest.raises(ValueError, match="does not match"):
+            step(sine_ic(g), potentials.p_dirichlet(g, 1.5, delta=pot_delta), additive_model(g), sp)
+        step(sine_ic(g), potentials.p_dirichlet(g, 1.5, delta=scheme_delta), additive_model(g), sp)
+
+
+def test_simulate_refuses_fewer_than_one_path():
+    g = grid64()
+    pot = potentials.p_dirichlet(g, 2.0)
+    for n_paths in (0, -1):
+        with pytest.raises(ValueError, match="n_paths"):
+            simulate(sine_ic(g), pot, additive_model(g), SchemeParams(dt=1e-3, steps=1), n_paths, seed=0)
 
 
 def test_explicit_drift_requires_small_steps():
@@ -326,7 +360,9 @@ def test_coupled_runs_share_noise_and_match_for_equal_data():
     pot = potentials.p_dirichlet(g, 1.5, delta=1e-2)
     sp = SchemeParams(dt=1e-3, steps=15, delta=1e-2)
     model = additive_model(g)
-    ex, ey = simulate_coupled(sine_ic(g), sine_ic(g), pot, pot, model, sp, 6, seed=77)
+    ex = simulate(sine_ic(g), pot, model, sp, 6, seed=77)
+    ey = simulate(sine_ic(g), pot, model, sp, 6, seed=77)
+    assert np.array_equal(ex.increments, ey.increments)
     assert np.array_equal(ex.states, ey.states)
 
 
@@ -338,7 +374,8 @@ def test_contraction_certificate_under_common_noise():
     model = LinearMultiplicativeNoise([GridFunction(g, 0.3 * (1 + 0.5 * np.sin(np.pi * x)))])
     x0 = sine_ic(g)
     y0 = GridFunction(g, x0.values + 0.1 * np.cos(np.pi * x))
-    ex, ey = simulate_coupled(x0, y0, pot, pot, model, sp, 60, seed=9)
+    ex, ey = (simulate(z0, pot, model, sp, 60, seed=9) for z0 in (x0, y0))
+    assert np.array_equal(ex.increments, ey.increments)
     d0 = norm(x0 - y0) ** 2
     diff_sq = g.cell_volume * np.sum((ex.states - ey.states) ** 2, axis=2)
     mean_gap = diff_sq.mean(axis=0)
@@ -383,21 +420,6 @@ def test_ic_smoothing_reduces_roughness():
     rough_energy0 = d2.eval_batch(e0.states[:, 0, :])[0]
     rough_energy5 = d2.eval_batch(e5.states[:, 0, :])[0]
     assert rough_energy5 < 0.5 * rough_energy0
-
-
-def test_sampled_initial_condition():
-    g = interval_grid(16)
-    pot = potentials.p_dirichlet(g, 2.0)
-    zero = AdditiveNoise([GridFunction(g, np.zeros(16))])
-    sp = SchemeParams(dt=1e-3, steps=1)
-
-    def sampler(gen):
-        return GridFunction(g, gen.standard_normal(16))
-
-    a = simulate(sampler, pot, zero, sp, 4, seed=10)
-    b = simulate(sampler, pot, zero, sp, 4, seed=10)
-    assert np.array_equal(a.states[:, 0, :], b.states[:, 0, :])
-    assert not np.allclose(a.states[0, 0, :], a.states[1, 0, :])
 
 
 def test_ensemble_manifest():

@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -378,12 +379,15 @@ def tiny_text(tmp_path, case):
     return edit(text, drop=("noise", "scheme delta")) if kind == "mosco_table" else text
 
 
-def tiny_table(tmp_path, case):
-    """Numeric columns of the case's ``table.csv`` (wall time dropped) as ``float.hex``."""
-    outdir = experiments.run_experiment(parse_config(write_cfg(tmp_path, tiny_text(tmp_path, case))))
+def hex_table(outdir):
+    """Numeric columns of ``outdir/table.csv`` (wall time dropped) as ``float.hex``."""
     header, *rows = (outdir / "table.csv").read_text().strip().splitlines()
     wall = header.split(",").index("wall_time")
     return [[float.hex(float(v)) for j, v in enumerate(r.split(",")[1:], 1) if j != wall] for r in rows]
+
+
+def tiny_table(tmp_path, case):
+    return hex_table(experiments.run_experiment(parse_config(write_cfg(tmp_path, tiny_text(tmp_path, case)))))
 
 
 # float.hex of parameter, weak_metric, resolvent_distance, energy_gap and the
@@ -435,6 +439,19 @@ TINY_GOLDEN = {
 @pytest.mark.parametrize("case", sorted(TINY_CASES))
 def test_schedule_kind_numeric_columns_are_pinned(tmp_path, case):
     assert tiny_table(tmp_path, case) == TINY_GOLDEN[case]
+
+
+def test_one_path_schedule_run_warns_nothing(tmp_path):
+    # the weak metric takes no per-path standard error, so one path has no
+    # degrees-of-freedom warning; the table is the one recorded before that
+    text = edit(tiny_text(tmp_path, "trotter_plaplace"), set_=[("experiment", "n_paths", "1")])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", str(write_cfg(tmp_path, text))]) == 0
+    assert hex_table(tmp_path / "out") == [
+        ['0x1.e666666666666p+0', '0x1.921076b28a5b4p-15', '0x1.2f4b97c00941ap-6', '0x1.8d744fba9f44dp+8'],
+        ['0x1.b333333333333p+0', '0x1.993c3e6856386p-16', '0x1.14d211ecafa4cp-7', '0x1.088ed0a3e1fd2p+7'],
+    ]
 
 
 def test_fast_diffusion_power_schedule_approaches_the_raw_m0_resolvent(tmp_path):
