@@ -23,7 +23,7 @@ from .grids import (
     norm,
 )
 from .kernels import Kernel, RescaledKernel, c_jp, k_pd, nonlocal_energy
-from .profiles import PowerProfile, ViscousProfile, YosidaPowerProfile
+from .profiles import PowerProfile, YosidaPowerProfile
 from .potentials import (
     FastDiffusionPotential,
     GradientPotential,
@@ -31,7 +31,6 @@ from .potentials import (
     ProxDidNotConverge,
     ProxResult,
     fast_diffusion,
-    general_gradient,
     nonlocal_p,
     p_dirichlet,
 )

@@ -292,6 +292,11 @@ def simulate(
     grid = pot.grid
     if x0.grid != grid or x0.space != pot.space:
         raise ValueError("initial state must live on the potential's grid and space")
+    if model.grid != grid or model.space != pot.space:
+        raise ValueError(
+            f"noise {model.label} lives on {model.grid} in {model.space}, but the "
+            f"potential {pot.label} on {grid} in {pot.space}"
+        )
     n = grid.num_cells
     X = _smooth_initial(grid, np.tile(x0.flat, (n_paths, 1)), sp.ic_smoothing)
     increments = gaussian_increments(seed, n_paths, sp.steps, model.mode_count, sp.dt)

@@ -30,7 +30,6 @@ import numpy as np
 from . import engine, mosco, potentials, svi
 from .grids import Grid, GridFunction, HMINUS1, L2, box_grid
 from .kernels import PROFILE_NAMES, Kernel, nonlocal_energy
-from .profiles import PowerProfile, ViscousProfile, YosidaPowerProfile
 
 
 class ConfigError(ValueError):
@@ -364,12 +363,9 @@ def _gradient_schedule(cfg, grid, delta=None):
         if kind == "power":
             sim_pot = potentials.p_dirichlet(grid, value, delta=delta, visc=visc)
             raw_pot = potentials.p_dirichlet(grid, value, visc=visc)
-        elif kind == "viscosity":
-            sim_base = PowerProfile(p_target) if delta is None else YosidaPowerProfile(p_target, delta)
-            prof_sim = ViscousProfile(sim_base, 1.0 / value)
-            prof_raw = ViscousProfile(PowerProfile(p_target), 1.0 / value)
-            sim_pot = potentials.general_gradient(grid, prof_sim, visc=visc)
-            raw_pot = potentials.general_gradient(grid, prof_raw, visc=visc)
+        elif kind == "viscosity":  # psi + (1/value) |grad u|^2 / 2 on unit face weights
+            sim_pot = potentials.p_dirichlet(grid, p_target, delta=delta, visc=visc + 1.0 / value)
+            raw_pot = potentials.p_dirichlet(grid, p_target, visc=visc + 1.0 / value)
         else:  # delta
             sim_pot = raw_pot = potentials.p_dirichlet(grid, p_target, delta=value, visc=visc)
         seq.append((value, sim_pot, raw_pot))

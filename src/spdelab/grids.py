@@ -22,7 +22,7 @@ proximal solvers depend on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -65,15 +65,16 @@ class Grid:
     def dim(self) -> int:
         return len(self.shape)
 
-    @property
+    # derived once per grid; equality and hashing still use the two fields
+    @cached_property
     def spacing(self) -> tuple[float, ...]:
         return tuple(e / n for e, n in zip(self.extents, self.shape))
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
-    @property
+    @cached_property
     def num_cells(self) -> int:
         return int(np.prod(self.shape))
 

@@ -6,8 +6,8 @@ Families
   plus an optional unweighted viscosity term ``(visc/2) int |grad u|^2``,
   with zero-flux (Neumann) faces.  Lives in the L2 geometry.  Covers the
   p-Dirichlet energies (total variation at p = 1), their Moreau-Yosida
-  regularizations, the vanishing-viscosity profiles and the weighted
-  (oscillating-coefficient) variants.
+  regularizations, the weighted (oscillating-coefficient) variants and,
+  through ``visc``, the vanishing-viscosity energies ``psi + (mu/2) |grad u|^2``.
 * ``FastDiffusionPotential`` -- zero-order energies ``int a(x) psi(u)``
   measured in the discrete H^-1 geometry (Dirichlet Laplacian dual),
   ``psi(r) = |r|^(m+1) / (m+1)`` with m in [0, 1].
@@ -15,15 +15,18 @@ Families
   rescaled compactly supported kernel; shares the proximal machinery with
   the gradient family through the common "difference penalty" normal form
 
-      eval(u) = vol * sum_e [ w_e psi(|K u|_e) + (q_e / 2) (K u)_e^2 ].
+      eval(u) = vol * sum_e [ w_e psi(|K u|_e) + (q_e / 2) (K u)_e^2 ],
+
+  whose per-edge ``q_e`` is the only home of a quadratic (viscosity) term.
 
 Proximal maps minimize ``1/2 ||v - f||_H^2 + lam * eval(v)``.  Primal
 Newton, Newton on the face dual and Newton in H^-1 for fast diffusion supply
 objective, residual, Newton direction and acceptance test to one batched
 damped-Newton driver; FISTA handles raw singular fast diffusion.  The face
-dual is one routine: a smooth edge conjugate for powers p > 1 and viscous
-profiles, and for total variation the box ``|y_e| <= lam w_e``, where
-unknowns pinned on the bound make it projected Newton.
+dual is one routine: a smooth edge conjugate for powers p > 1 and for any
+profile with ``q_e > 0``, and for total variation the box
+``|y_e| <= lam w_e``, where unknowns pinned on the bound make it projected
+Newton.
 The driver alone tracks which batch rows are live: the callbacks see only
 the unconverged sub-batch, so a settled row is not evaluated or solved
 again.  The Newton systems are banded.  On 1D chains ``K`` and ``K^T`` are
@@ -71,7 +74,11 @@ from .grids import (
 from .profiles import EdgeConjugate, PowerProfile, RadialProfile, YosidaPowerProfile
 
 DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 10_000
+# iteration caps: primal Newton, face dual, fast-diffusion Newton, FISTA
+NEWTON_CAP = 400
+DUAL_CAP = 500
+FD_NEWTON_CAP = 200
+FISTA_CAP = 10_000
 _PROBE_COUNT = 64
 
 
@@ -157,7 +164,6 @@ class Potential:
         lam: float,
         F: np.ndarray,
         tol: float = DEFAULT_TOL,
-        max_iter: int = DEFAULT_MAX_ITER,
         warm: np.ndarray | None = None,
     ) -> tuple[np.ndarray, float, int]:
         """Batched proximal map on raw value rows; returns (Z, residual, iters).
@@ -166,18 +172,12 @@ class Potential:
         """
         raise NotImplementedError
 
-    def prox(
-        self,
-        lam: float,
-        f: GridFunction,
-        tol: float = DEFAULT_TOL,
-        max_iter: int = DEFAULT_MAX_ITER,
-    ) -> ProxResult:
+    def prox(self, lam: float, f: GridFunction, tol: float = DEFAULT_TOL) -> ProxResult:
         if f.grid != self.grid or f.space != self.space:
             raise ValueError(
                 f"prox of {self.label} needs a {self.space}-tagged function on its own grid"
             )
-        Z, residual, iters = self.prox_batch(lam, f.flat[None, :], tol=tol, max_iter=max_iter)
+        Z, residual, iters = self.prox_batch(lam, f.flat[None, :], tol=tol)
         z = GridFunction(self.grid, Z[0].reshape(self.grid.shape), self.space)
         kkt = residual + self._probe_violation(lam, f, z)
         diff = f - z
@@ -305,25 +305,25 @@ class _DifferencePenaltyPotential(Potential):
         M = (self.K.T @ sp.diags(c) @ self.K).tocsr()
         return float(np.max(np.abs(M).sum(axis=1)))
 
-    def prox_batch(self, lam, F, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, warm=None):
+    def prox_batch(self, lam, F, tol=DEFAULT_TOL, warm=None):
         F = _prox_rows(lam, F, tol)
         prof = self.profile
         if not self._quad and not prof.slope_unbounded:
             # total variation, raw or Yosida: the dual lives in a box
-            return _dual_projected_newton(self, lam, F, tol, max_iter, dual_quad=prof.delta or 0.0)
+            return _dual_projected_newton(self, lam, F, tol, dual_quad=prof.delta or 0.0)
         dual_ok = prof.slope_unbounded or np.all(self.edge_q > 0)
         if prof.curvature_bounded:
             # remaining regularized / quadratic profiles: primal Newton is fast
             try:
-                return _newton_difference(self, lam, F, tol, max_iter, warm)
+                return _newton_difference(self, lam, F, tol, warm)
             except ProxDidNotConverge:
                 # semismooth cycling at the regularization kink in the very
                 # stiff regime; the face dual is well conditioned exactly there
                 if not dual_ok:
                     raise
-                return _dual_newton_smooth(self, lam, F, tol, max_iter)
+                return _dual_newton_smooth(self, lam, F, tol)
         # raw singular powers (and kink + viscosity): smooth dual
-        return _dual_newton_smooth(self, lam, F, tol, max_iter)
+        return _dual_newton_smooth(self, lam, F, tol)
 
 
 def _damped_newton(evaluate, X, residual, direction, accept, cap, t_min, patience=0):
@@ -407,7 +407,7 @@ def _hessian_band(core, curv):
     return ab
 
 
-def _newton_difference(core, lam, F, tol, max_iter, warm):
+def _newton_difference(core, lam, F, tol, warm):
     """Damped Newton on the strongly convex smoothed objective (batched)."""
     prof = core.profile
     W = lam * core.edge_w
@@ -444,7 +444,7 @@ def _newton_difference(core, lam, F, tol, max_iter, warm):
 
     # Armijo backtracking per row (Hessian >= I, so full steps dominate)
     V, worst, iters, live = _damped_newton(
-        evaluate, V, residual, direction, _armijo, min(max_iter, 400), 1e-12, patience=25
+        evaluate, V, residual, direction, _armijo, NEWTON_CAP, 1e-12, patience=25
     )
     if live.size:
         raise ProxDidNotConverge(f"Newton prox of {core.label} stalled", worst, live)
@@ -484,7 +484,7 @@ def _dual_start(core, F, tol):
     return core._gram_band, 0.25 * tol * (1.0 + fnorm) ** 2, core._grad(F)
 
 
-def _dual_newton(core, lam, F, tol, max_iter, conj, bound=np.inf):
+def _dual_newton(core, lam, F, tol, conj, bound=np.inf):
     """Newton on the Fenchel dual over face/pair variables, projected onto
     the box ``|y_e| <= bound_e`` when one is given.
 
@@ -529,22 +529,22 @@ def _dual_newton(core, lam, F, tol, max_iter, conj, bound=np.inf):
         return solve_banded_spd(ab, rhs)
 
     Y, worst, iters, live = _damped_newton(
-        evaluate, np.zeros(KF.shape), residual, direction, _armijo, min(max_iter, 500), 1e-14
+        evaluate, np.zeros(KF.shape), residual, direction, _armijo, DUAL_CAP, 1e-14
     )
     if live.size:
         raise ProxDidNotConverge(f"dual Newton prox of {core.label} stalled", worst, live)
     return F - core._div(Y), worst, iters
 
 
-def _dual_newton_smooth(core, lam, F, tol, max_iter):
+def _dual_newton_smooth(core, lam, F, tol):
     """The smooth face dual: for raw powers p in (1, 2) the edge conjugate is
     C^1 with curvature vanishing (not blowing up) at the origin, so Newton
     behaves where the primal Hessian degenerates."""
     conj = EdgeConjugate(core.profile, lam * core.edge_w, lam * core.edge_q)
-    return _dual_newton(core, lam, F, tol, max_iter, conj.maps)
+    return _dual_newton(core, lam, F, tol, conj.maps)
 
 
-def _dual_projected_newton(core, lam, F, tol, max_iter, dual_quad: float = 0.0):
+def _dual_projected_newton(core, lam, F, tol, dual_quad: float = 0.0):
     """The box dual of raw (``dual_quad = 0``) or Yosida-regularized total
     variation: ``h*(y) = dq y^2 / 2`` on ``|y| <= lam w``, ``dq = delta / (lam w)``."""
     bound = lam * core.edge_w
@@ -553,7 +553,7 @@ def _dual_projected_newton(core, lam, F, tol, max_iter, dual_quad: float = 0.0):
     def conj(Y):
         return 0.5 * dq * Y**2, dq * Y, np.broadcast_to(dq, Y.shape)
 
-    return _dual_newton(core, lam, F, tol, max_iter, conj, bound)
+    return _dual_newton(core, lam, F, tol, conj, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -644,14 +644,14 @@ class FastDiffusionPotential(Potential):
     def _hminus1_res(self, R: np.ndarray) -> np.ndarray:
         return np.sqrt(np.maximum(hminus1_norm_sq(self.grid, R), 0.0))
 
-    def prox_batch(self, lam, F, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, warm=None):
+    def prox_batch(self, lam, F, tol=DEFAULT_TOL, warm=None):
         F = _prox_rows(lam, F, tol)
         if self.profile.curvature_bounded:
-            return self._prox_newton(lam, F, tol, max_iter, warm)
+            return self._prox_newton(lam, F, tol, warm)
         # raw singular exponents (m < 1): accelerated proximal gradient
-        return self._prox_fista(lam, F, tol, max_iter, warm)
+        return self._prox_fista(lam, F, tol, warm)
 
-    def _prox_newton(self, lam, F, tol, max_iter, warm):
+    def _prox_newton(self, lam, F, tol, warm):
         """Globalized Newton on ``z + lam * L [a phi(z)] = f`` (column-dominant)."""
         L = self._L
         a = self._a
@@ -681,10 +681,10 @@ class FastDiffusionPotential(Potential):
 
         Z, worst, iters, live = _damped_newton(
             evaluate, Z, residual, direction,
-            lambda new, merit, t, gd: new <= merit + 1e-10 * np.abs(merit), min(max_iter, 200), 1e-12,
+            lambda new, merit, t, gd: new <= merit + 1e-10 * np.abs(merit), FD_NEWTON_CAP, 1e-12,
         )
         if live.size:
-            return self._prox_fista(lam, F, tol, max_iter, Z)
+            return self._prox_fista(lam, F, tol, Z)
         return Z, worst, iters
 
     def _newton_solve(self, c: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -703,7 +703,7 @@ class FastDiffusionPotential(Potential):
         z = solve_banded_spd(ab, sc * b)
         return b - (self._L @ (sc * z).T).T
 
-    def _prox_fista(self, lam, F, tol, max_iter, warm):
+    def _prox_fista(self, lam, F, tol, warm):
         """Accelerated proximal gradient for the kinked (m = 0) case.
 
         Works in plain coordinates: the smooth part ``1/2 (z-f)^T G (z-f)``
@@ -729,7 +729,7 @@ class FastDiffusionPotential(Potential):
             zeta = A - t_step * lu.solve((A - F).T).T
             return np.sign(zeta) * prof.prox_radius(thresh, np.abs(zeta))
 
-        for it in range(1, max_iter + 1):
+        for it in range(1, FISTA_CAP + 1):
             Z_new = prox_grad_step(Y)
             if it == 1 or it % 25 == 0:
                 # fixed-point residual of the prox-gradient map, zero at optimum
@@ -784,15 +784,6 @@ def p_dirichlet(
     profile = PowerProfile(p) if delta is None else YosidaPowerProfile(p, delta)
     return GradientPotential(grid, profile, weight=weight, visc=visc,
                              label=f"p_dirichlet[p={p}, delta={delta}, visc={visc}]")
-
-
-def general_gradient(
-    grid: Grid,
-    profile: RadialProfile,
-    weight: np.ndarray | None = None,
-    visc: float = 0.0,
-) -> GradientPotential:
-    return GradientPotential(grid, profile, weight=weight, visc=visc)
 
 
 def fast_diffusion(

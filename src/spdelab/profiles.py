@@ -10,10 +10,10 @@ proximal map ``r + tau * psi'(r) = s`` (closed forms over
 curvature together; for the Moreau-Yosida profiles all three come from a
 single resolvent radius, so Newton loops pay one radius solve per point.
 
-Supported families: raw powers ``s^p / p`` with p in [1, 2], their
-Moreau-Yosida regularizations, and an additive quadratic (used both for the
-vanishing-viscosity profiles ``psi + mu s^2 / 2`` and the viscosity term of
-the approximating schemes).
+Supported families: raw powers ``s^p / p`` with p in [1, 2] and their
+Moreau-Yosida regularizations.  A quadratic face term ``q s^2 / 2``
+(viscosity) is not a profile: the potentials carry it per face, and
+``EdgeConjugate`` takes it as ``Q``.
 """
 
 from __future__ import annotations
@@ -154,47 +154,6 @@ class YosidaPowerProfile(RadialProfile):
         return f"YosidaPowerProfile(p={self.p}, delta={self.delta})"
 
 
-class ViscousProfile(RadialProfile):
-    """``base(s) + mu * s^2 / 2`` -- the vanishing-viscosity family."""
-
-    def __init__(self, base: RadialProfile, mu: float):
-        if not mu >= 0:
-            raise ValueError(f"mu must be nonnegative, got {mu}")
-        self.base = base
-        self.mu = float(mu)
-        self.kink = base.kink
-        self.delta = base.delta
-        self.curvature_bounded = base.curvature_bounded
-        self.slope_unbounded = base.slope_unbounded or self.mu > 0.0
-
-    def value(self, s):
-        s = np.asarray(s, dtype=float)
-        return self.base.value(s) + 0.5 * self.mu * s**2
-
-    def slope(self, s):
-        s = np.asarray(s, dtype=float)
-        return self.base.slope(s) + self.mu * s
-
-    def curvature(self, s):
-        return self.base.curvature(s) + self.mu
-
-    def maps(self, s):
-        s = np.asarray(s, dtype=float)
-        value, slope, curvature = self.base.maps(s)
-        return value + 0.5 * self.mu * s**2, slope + self.mu * s, curvature + self.mu
-
-    def prox_radius(self, tau, s):
-        # r + tau (psi'(r) + mu r) = s is the base prox at tau / (1 + tau mu), s / (1 + tau mu)
-        scale = 1.0 + np.asarray(tau, dtype=float) * self.mu
-        return self.base.prox_radius(tau / scale, np.asarray(s, dtype=float) / scale)
-
-    def slope_lipschitz(self) -> float:
-        return self.base.slope_lipschitz() + self.mu
-
-    def __repr__(self):
-        return f"ViscousProfile({self.base!r}, mu={self.mu})"
-
-
 class EdgeConjugate:
     """Fenchel conjugate of an edge penalty ``h(g) = W psi(|g|) + Q g^2 / 2``.
 
@@ -224,9 +183,6 @@ class EdgeConjugate:
         if self._quad:
             # r + (W/Q) psi'(r) = t/Q
             r = prof.prox_radius(W / Q, t / Q)
-        elif isinstance(prof, ViscousProfile):
-            # W (base'(r) + mu r) = t, i.e. r + base'(r) / mu = t / (W mu)
-            r = prof.base.prox_radius(1.0 / prof.mu, t / (W * prof.mu))
         else:
             # raw power: W r^(p-1) = t; the conjugate of a Moreau envelope
             # is psi* + (delta/2) y^2, so its slope adds delta t/W

@@ -201,6 +201,20 @@ def test_simulate_refuses_fewer_than_one_path():
             simulate(sine_ic(g), pot, additive_model(g), SchemeParams(dt=1e-3, steps=1), n_paths, seed=0)
 
 
+@pytest.mark.parametrize("model,names", [
+    # H^-1-tagged modes used to run silently against the L2 potential
+    (lambda: additive_model(grid64(), space=HMINUS1), ("Hminus1", "L2")),
+    # 32-cell modes used to fail inside the step with a numpy broadcast error
+    (lambda: additive_model(interval_grid(32)), ("shape=(32,)", "shape=(64,)")),
+], ids=["space", "grid"])
+def test_simulate_refuses_noise_off_the_potentials_grid_and_space(model, names):
+    g = grid64()
+    pot = potentials.p_dirichlet(g, 2.0)
+    with pytest.raises(ValueError, match="noise additive") as err:
+        simulate(sine_ic(g), pot, model(), SchemeParams(dt=1e-3, steps=1), 2, seed=0)
+    assert all(name in str(err.value) for name in names)
+
+
 def test_explicit_drift_requires_small_steps():
     with pytest.raises(ValueError):
         SchemeParams(dt=1e-2, steps=1, delta=1e-2, drift="explicit_yosida")

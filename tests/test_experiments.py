@@ -298,7 +298,7 @@ def test_cli_non_finite_state_exit_code(tmp_path, monkeypatch, capsys):
         tmp_path, BASE.format(kind="trotter_plaplace", outdir=tmp_path / "o", schedule="1.6")
     )
 
-    def nan_prox(self, lam, F, tol=1e-9, max_iter=1, warm=None):
+    def nan_prox(self, lam, F, tol=1e-9, warm=None):
         return np.full_like(F, np.nan), 0.0, 1
 
     monkeypatch.setattr(potentials._DifferencePenaltyPotential, "prox_batch", nan_prox)
@@ -313,7 +313,7 @@ def test_cli_stalled_prox_names_its_step_and_paths(tmp_path, monkeypatch, capsys
         tmp_path, BASE.format(kind="trotter_plaplace", outdir=tmp_path / "o", schedule="1.6")
     )
 
-    def stall(self, lam, F, tol=1e-9, max_iter=1, warm=None):
+    def stall(self, lam, F, tol=1e-9, warm=None):
         raise potentials.ProxDidNotConverge("synthetic stall", 1.0, rows=[4])
 
     monkeypatch.setattr(potentials._DifferencePenaltyPotential, "prox_batch", stall)
@@ -386,8 +386,12 @@ def hex_table(outdir):
     return [[float.hex(float(v)) for j, v in enumerate(r.split(",")[1:], 1) if j != wall] for r in rows]
 
 
+def tiny_table_text(tmp_path, text):
+    return hex_table(experiments.run_experiment(parse_config(write_cfg(tmp_path, text))))
+
+
 def tiny_table(tmp_path, case):
-    return hex_table(experiments.run_experiment(parse_config(write_cfg(tmp_path, tiny_text(tmp_path, case)))))
+    return tiny_table_text(tmp_path, tiny_text(tmp_path, case))
 
 
 # float.hex of parameter, weak_metric, resolvent_distance, energy_gap and the
@@ -452,6 +456,33 @@ def test_one_path_schedule_run_warns_nothing(tmp_path):
         ['0x1.e666666666666p+0', '0x1.921076b28a5b4p-15', '0x1.2f4b97c00941ap-6', '0x1.8d744fba9f44dp+8'],
         ['0x1.b333333333333p+0', '0x1.993c3e6856386p-16', '0x1.14d211ecafa4cp-7', '0x1.088ed0a3e1fd2p+7'],
     ]
+
+
+# parameter, weak_metric, resolvent_distance and energy_gap of tiny viscosity
+# schedules, recorded while the schedule composed psi + (1/value) s^2 / 2 as a
+# profile of its own.  The face term visc + 1/value is the same energy, so
+# the columns agree to rounding (<= 5.3e-15 relative on these runs).
+VISCOSITY_SCHEDULE_TABLES = {
+    # Yosida p = 1 with the face term: primal Newton; raw p = 1: smooth dual
+    "trotter_plaplace": ("p = 1.0\nschedule = 10, 40\nschedule_kind = viscosity\nvisc = 0.05", [
+        [10.0, 2.4512432310307502e-05, 0.0, 76.356811610033716],
+        [40.0, 6.2206364499706182e-06, 0.0, 19.089202902508433],
+    ]),
+    "mosco_table": ("p = 1.5\nschedule = 10, 40\nschedule_kind = viscosity", [
+        [10.0, 0.0, 0.00013643091705112421, 64.83284563292105],
+        [40.0, 0.0, 3.578255038319997e-05, 16.208211408230255],
+    ]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(VISCOSITY_SCHEDULE_TABLES))
+def test_viscosity_schedule_keeps_its_table(tmp_path, kind):
+    potential, expected = VISCOSITY_SCHEDULE_TABLES[kind]
+    text = TINY.format(kind=kind, outdir=tmp_path / "out", potential=potential, kernel="")
+    if kind == "mosco_table":
+        text = edit(text, drop=("noise", "scheme delta"))
+    table = [[float.fromhex(v) for v in row] for row in tiny_table_text(tmp_path, text)]
+    assert table == [pytest.approx(row, rel=1e-13, abs=0.0) for row in expected]
 
 
 def test_fast_diffusion_power_schedule_approaches_the_raw_m0_resolvent(tmp_path):

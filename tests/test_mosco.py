@@ -36,10 +36,8 @@ class ShiftedPotential(Potential):
     def eval_batch(self, U):
         return self.base.eval_batch(np.asarray(U, dtype=float) - self.shift.flat[None, :])
 
-    def prox_batch(self, lam, F, tol=1e-10, max_iter=10000, warm=None):
-        Z, r, i = self.base.prox_batch(
-            lam, np.asarray(F, dtype=float) - self.shift.flat[None, :], tol=tol, max_iter=max_iter
-        )
+    def prox_batch(self, lam, F, tol=1e-10, warm=None):
+        Z, r, i = self.base.prox_batch(lam, np.asarray(F, dtype=float) - self.shift.flat[None, :], tol=tol)
         return Z + self.shift.flat[None, :], r, i
 
 

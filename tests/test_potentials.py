@@ -24,7 +24,7 @@ from spdelab.grids import (
     norm,
 )
 from spdelab.kernels import Kernel
-from spdelab.profiles import PowerProfile, ViscousProfile
+from spdelab.profiles import PowerProfile
 
 rng = np.random.default_rng(404)
 
@@ -224,7 +224,6 @@ NAN = float("nan")
     lambda: yosida.prox_radius(1.5, NAN, np.ones(3)),
     lambda: yosida.prox_radius(1.7, np.array([0.1, NAN]), np.ones(2)),
     lambda: profiles.YosidaPowerProfile(1.5, NAN),
-    lambda: ViscousProfile(PowerProfile(1.5), NAN),
     lambda: potentials.p_dirichlet(interval_grid(8), 1.5, visc=NAN),
     lambda: potentials.p_dirichlet(interval_grid(8), 1.5).prox(NAN, GridFunction(interval_grid(8), np.zeros(8))),
     lambda: SchemeParams(dt=NAN, steps=4),
@@ -234,7 +233,7 @@ NAN = float("nan")
     lambda: Kernel("bump", 1, NAN),
     lambda: kernels.RescaledKernel(Kernel("bump", 1), NAN, 1.5),
     lambda: potentials.nonlocal_p(interval_grid(8), Kernel("bump", 1), 0.5, 1.5, delta=NAN),
-], ids=["radius", "radius_array", "yosida_delta", "viscous_mu", "visc", "prox_lam", "scheme_dt",
+], ids=["radius", "radius_array", "yosida_delta", "visc", "prox_lam", "scheme_dt",
         "grid_extent", "face_weight", "fastdiff_weight", "kernel_radius", "kernel_eps", "nonlocal_delta"])
 def test_nan_parameters_fail_the_positivity_checks(build):
     with pytest.raises(ValueError):
@@ -272,27 +271,34 @@ def test_prox_batch_refuses_a_bad_lam(build, lam):
         pot.prox_batch(lam, rng.standard_normal((2, pot.grid.num_cells)), tol=1e-9)
 
 
+@pytest.fixture
+def one_iteration_caps(monkeypatch):
+    """Every prox solver stops after one iteration."""
+    for cap in ("NEWTON_CAP", "DUAL_CAP", "FD_NEWTON_CAP", "FISTA_CAP"):
+        monkeypatch.setattr(potentials, cap, 1)
+
+
 @pytest.mark.parametrize("build", [
     lambda g: potentials.p_dirichlet(g, 1.5, delta=1e-2),
     lambda g: potentials.p_dirichlet(g, 1.5),
     lambda g: potentials.fast_diffusion(g, 0.5),
 ], ids=["newton", "dual_smooth", "fista"])
-def test_stalled_prox_reports_its_unconverged_rows(build):
+def test_stalled_prox_reports_its_unconverged_rows(build, one_iteration_caps):
     # the zero row is its own prox and settles at once; the others stall at
     # the one-iteration cap
     g = interval_grid(16)
     F = 3.0 * rng.standard_normal((4, 16))
     F[2] = 0.0
     with pytest.raises(potentials.ProxDidNotConverge) as err:
-        build(g).prox_batch(5.0, F, tol=1e-10, max_iter=1)
+        build(g).prox_batch(5.0, F, tol=1e-10)
     assert err.value.rows == (0, 1, 3)
 
 
-def test_prox_nonconvergence_raises_with_residual():
+def test_prox_nonconvergence_raises_with_residual(one_iteration_caps):
     g = interval_grid(16)
     pot = potentials.p_dirichlet(g, 1.4)
     with pytest.raises(potentials.ProxDidNotConverge) as err:
-        pot.prox(5.0, random_l2(g, scale=3.0), tol=1e-10, max_iter=1)
+        pot.prox(5.0, random_l2(g, scale=3.0), tol=1e-10)
     assert err.value.residual > 0.0
 
 
@@ -405,7 +411,7 @@ def test_newton_prox_solves_one_radius_per_evaluated_point(monkeypatch):
         return real(p, delta, s)
 
     monkeypatch.setattr(yosida, "prox_radius", counting)
-    _, resid, iters = potentials._newton_difference(pot, 0.05, F, 1e-10, 500, None)
+    _, resid, iters = potentials._newton_difference(pot, 0.05, F, 1e-10, None)
     assert resid <= 1e-10 and iters > 2
     points = len(set(inputs))  # the start point plus every line-search candidate
     candidates = points - 1
@@ -563,9 +569,10 @@ def test_hessian_band_needs_two_cells_per_edge():
 
 
 # the non-chain families, built once each: primal Newton for the Yosida 2D
-# gradient, the nonlocal and the fast-diffusion potentials, the smooth face
-# dual for the raw 2D gradient, the box dual for raw total variation in 2D
-# and on the nonlocal stencil
+# gradient (also with viscosity), the nonlocal and the fast-diffusion
+# potentials, the smooth face dual for the raw 2D gradient and for total
+# variation plus viscosity, the box dual for raw total variation in 2D and
+# on the nonlocal stencil
 NON_CHAIN_FAMILIES = {
     "p15_2d_raw": potentials.p_dirichlet(GRID_8X8, 1.5),
     "tv_2d_raw": potentials.p_dirichlet(GRID_8X8, 1.0),
@@ -573,6 +580,8 @@ NON_CHAIN_FAMILIES = {
     "p15_2d_delta": potentials.p_dirichlet(GRID_8X8, 1.5, delta=0.05),
     "nonlocal_p15_delta": potentials.nonlocal_p(interval_grid(32), BUMP_1D, 0.25, 1.5, delta=0.05),
     "fastdiff_2d": potentials.fast_diffusion(GRID_8X8, 0.5, delta=0.05),
+    "tv_2d_visc": potentials.p_dirichlet(GRID_8X8, 1.0, visc=0.1),
+    "p15_2d_delta_visc": potentials.p_dirichlet(GRID_8X8, 1.5, delta=0.05, visc=0.1),
 }
 
 
@@ -589,7 +598,7 @@ def test_non_chain_prox_is_certified_and_firmly_nonexpansive(family, lam, scale,
     g, gen, tol = pot.grid, np.random.default_rng(seed), 1e-9
     f1, f2 = (GridFunction(g, scale * gen.standard_normal(g.shape), pot.space) for _ in range(2))
     r1, r2 = pot.prox(lam, f1, tol=tol), pot.prox(lam, f2, tol=tol)
-    power = 2 if family in ("p15_2d_raw", "tv_2d_raw", "nonlocal_p1_raw") else 1
+    power = 2 if family in ("p15_2d_raw", "tv_2d_raw", "nonlocal_p1_raw", "tv_2d_visc") else 1
     for f, r in ((f1, r1), (f2, r2)):
         assert r.kkt_residual <= tol * (1.0 + norm(f)) ** power
     dz = r1.minimizer - r2.minimizer
@@ -670,18 +679,18 @@ def test_traced_solver_entry_points_keep_names_results_and_nesting(monkeypatch):
     g = interval_grid(12)
     F = np.random.default_rng(3).standard_normal((2, 12))
     results = [
-        potentials._newton_difference(potentials.p_dirichlet(g, 1.5, delta=0.05), 0.1, F, 1e-9, 500, None),
-        potentials._dual_newton_smooth(potentials.p_dirichlet(g, 1.5), 0.1, F, 1e-9, 500),
-        potentials._dual_projected_newton(potentials.p_dirichlet(g, 1.0), 0.1, F, 1e-9, 500),
-        potentials.fast_diffusion(g, 0.5, delta=0.05)._prox_newton(0.1, F, 1e-9, 500, None),
-        potentials.fast_diffusion(g, 0.0)._prox_fista(0.1, F, 1e-9, 10_000, None),
+        potentials._newton_difference(potentials.p_dirichlet(g, 1.5, delta=0.05), 0.1, F, 1e-9, None),
+        potentials._dual_newton_smooth(potentials.p_dirichlet(g, 1.5), 0.1, F, 1e-9),
+        potentials._dual_projected_newton(potentials.p_dirichlet(g, 1.0), 0.1, F, 1e-9),
+        potentials.fast_diffusion(g, 0.5, delta=0.05)._prox_newton(0.1, F, 1e-9, None),
+        potentials.fast_diffusion(g, 0.0)._prox_fista(0.1, F, 1e-9, None),
     ]
     for Z, resid, iters in results:
         assert Z.shape == F.shape
         assert isinstance(resid, float) and resid <= 1e-9
         assert isinstance(iters, int) and iters >= 1
     # FISTA on a Yosida profile: the radial prox is the closed-form envelope prox
-    Z, resid, iters = potentials.fast_diffusion(g, 0.5, delta=0.05)._prox_fista(0.1, F, 1e-9, 10_000, None)
+    Z, resid, iters = potentials.fast_diffusion(g, 0.5, delta=0.05)._prox_fista(0.1, F, 1e-9, None)
     assert Z.shape == F.shape and resid <= 1e-9 and iters == 50
 
     # the tracer counts tridiagonal solves through the alias the chain paths call
@@ -694,13 +703,13 @@ def test_traced_solver_entry_points_keep_names_results_and_nesting(monkeypatch):
 
     monkeypatch.setattr(potentials, "solve_tridiagonal", counting)
     _, _, iters = potentials._newton_difference(potentials.p_dirichlet(g, 1.5, delta=0.05), 0.1, F[:1],
-                                                1e-9, 500, None)
+                                                1e-9, None)
     # one solve per Newton step; the last iteration only finds the row converged
     assert iters > 2 and solves == [(1, 12)] * (iters - 1)
     # a row that settles drops out of the solves while the other goes on
     solves.clear()
     _, _, iters = potentials._newton_difference(potentials.p_dirichlet(g, 1.5, delta=0.05), 0.1, F,
-                                                1e-9, 500, None)
+                                                1e-9, None)
     both = solves.count((2, 12))
     assert 1 <= both < iters - 1 and solves == [(2, 12)] * both + [(1, 12)] * (iters - 1 - both)
 
@@ -712,8 +721,9 @@ def test_traced_solver_entry_points_keep_names_results_and_nesting(monkeypatch):
     monkeypatch.setattr(potentials, "_newton_difference", stall)
     _, resid, _ = potentials.p_dirichlet(g, 1.5, delta=0.05).prox_batch(0.1, F, tol=1e-9)
     assert resid <= 1e-9
-    monkeypatch.setattr(FD, "_prox_fista", lambda self, lam, F, tol, max_iter, warm: ("fista", warm))
-    out = potentials.fast_diffusion(g, 0.5, delta=0.05)._prox_newton(0.1, F, 1e-9, 1, None)
+    monkeypatch.setattr(FD, "_prox_fista", lambda self, lam, F, tol, warm: ("fista", warm))
+    monkeypatch.setattr(potentials, "FD_NEWTON_CAP", 1)
+    out = potentials.fast_diffusion(g, 0.5, delta=0.05)._prox_newton(0.1, F, 1e-9, None)
     assert out[0] == "fista" and out[1].shape == F.shape
 
 
@@ -757,7 +767,7 @@ def test_chain_newton_trajectories_on_mosco_probes(delta, probe, newton_iters, p
     g = interval_grid(64)
     F = dict(mosco.default_probes(g))[probe].flat[None, :]
     pot = potentials.p_dirichlet(g, 1.5, delta=delta)
-    args = (pot, 1.0, F, 1e-9, potentials.DEFAULT_MAX_ITER, None)
+    args = (pot, 1.0, F, 1e-9, None)
     if newton_iters is None:
         with pytest.raises(potentials.ProxDidNotConverge):
             potentials._newton_difference(*args)
@@ -773,11 +783,9 @@ def test_chain_newton_trajectories_on_mosco_probes(delta, probe, newton_iters, p
 CHAIN_PINS = json.loads((Path(__file__).parent / "chain_pins.json").read_text())
 CHAIN_PIN_SOLVERS = {
     "newton": lambda g, lam, F: potentials._newton_difference(
-        potentials.p_dirichlet(g, 1.5, delta=0.025), lam, F, 1e-9, 10_000, None),
-    "dual_smooth": lambda g, lam, F: potentials._dual_newton_smooth(potentials.p_dirichlet(g, 1.5), lam, F,
-                                                                    1e-9, 10_000),
-    "dual_box": lambda g, lam, F: potentials._dual_projected_newton(potentials.p_dirichlet(g, 1.0), lam, F,
-                                                                    1e-9, 10_000),
+        potentials.p_dirichlet(g, 1.5, delta=0.025), lam, F, 1e-9, None),
+    "dual_smooth": lambda g, lam, F: potentials._dual_newton_smooth(potentials.p_dirichlet(g, 1.5), lam, F, 1e-9),
+    "dual_box": lambda g, lam, F: potentials._dual_projected_newton(potentials.p_dirichlet(g, 1.0), lam, F, 1e-9),
 }
 
 
@@ -798,14 +806,14 @@ def test_chain_branches_match_their_float_hex_pins(branch):
 
 @pytest.mark.parametrize("lam", [0.05, 0.5])
 def test_kinked_viscous_profile_takes_smooth_dual(lam, monkeypatch):
-    # |s| + (mu/2) s^2 has an unbounded slope, so its face dual is smooth; the
-    # box dual of raw total variation would drop the quadratic
+    # |s| plus the face term (visc/2) s^2 has an unbounded slope, so its face
+    # dual is smooth; the box dual of raw total variation would drop the quadratic
     def box_dual(*args, **kwargs):
         raise AssertionError("kink + viscosity reached the box dual")
 
     monkeypatch.setattr(potentials, "_dual_projected_newton", box_dual)
     g = interval_grid(48)
-    pot = potentials.general_gradient(g, ViscousProfile(PowerProfile(1.0), 0.1))
+    pot = potentials.p_dirichlet(g, 1.0, visc=0.1)
     f = GridFunction(g, np.random.default_rng(11).standard_normal(48))
     assert pot.prox(lam, f, tol=1e-9).kkt_residual <= 1e-8
 

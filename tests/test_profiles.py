@@ -9,7 +9,6 @@ from spdelab._linalg import solve_banded_spd, solve_tridiagonal
 from spdelab.profiles import (
     EdgeConjugate,
     PowerProfile,
-    ViscousProfile,
     YosidaPowerProfile,
 )
 
@@ -21,10 +20,7 @@ PROFILES = [
     PowerProfile(2.0),
     YosidaPowerProfile(1.0, 0.05),
     YosidaPowerProfile(1.5, 0.01),
-    ViscousProfile(PowerProfile(1.3), 0.2),
-    ViscousProfile(YosidaPowerProfile(1.0, 0.1), 0.5),
     YosidaPowerProfile(1.7, 0.02),
-    ViscousProfile(PowerProfile(1.0), 0.3),
 ]
 
 
@@ -63,24 +59,16 @@ def test_prox_radius_array_tau(prof):
     assert np.abs(resid).max() < 1e-10
 
 
-def test_viscous_profile_adds_quadratic():
-    base = PowerProfile(1.5)
-    prof = ViscousProfile(base, 0.7)
-    s = rng.uniform(0, 2, size=20)
-    assert prof.value(s) == pytest.approx(base.value(s) + 0.35 * s**2)
-    assert prof.slope(s) == pytest.approx(base.slope(s) + 0.7 * s)
-
-
 @pytest.mark.parametrize(
     "prof,W,Q",
     [
         (PowerProfile(1.5), 0.3, 0.0),
         (PowerProfile(1.2), 1.0, 0.0),
         (PowerProfile(1.0), 0.5, 0.4),
-        (ViscousProfile(PowerProfile(1.7), 0.1), 0.2, 0.05),
+        (PowerProfile(1.7), 0.2, 0.05),
         (YosidaPowerProfile(1.5, 0.05), 0.3, 0.0),
         (YosidaPowerProfile(1.3, 0.1), 0.7, 0.2),
-        (ViscousProfile(YosidaPowerProfile(1.5, 0.05), 0.4), 0.5, 0.0),
+        (YosidaPowerProfile(1.5, 0.05), 0.5, 0.2),
     ],
 )
 def test_edge_conjugate_fenchel_young_equality(prof, W, Q):
@@ -135,8 +123,6 @@ MAPS_PROFILES = [
     for make in (
         PowerProfile,
         lambda p: YosidaPowerProfile(p, 0.03),
-        lambda p: ViscousProfile(PowerProfile(p), 0.4),
-        lambda p: ViscousProfile(YosidaPowerProfile(p, 0.2), 0.1),
     )
 ]
 
