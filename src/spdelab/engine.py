@@ -17,7 +17,7 @@ available behind ``drift="explicit_yosida"`` with the step bound
 Euler stability limit ``dt * Lip <= 2`` for the potential's drift bound.
 A non-finite state after any step of ``simulate`` raises
 ``NumericalFailure``, and a stalled prox raises ``ProxDidNotConverge`` naming
-the step and the paths.
+the solver that stalled, the step and the paths.
 
 Randomness is counter-based: every path derives its stream from
 ``SeedSequence((seed, path_index))`` over the Philox generator, so ensembles
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, GridFunction, space_norm_sq
+from .grids import Grid, space_norm_sq
 from .potentials import Potential, ProxDidNotConverge
 
 __all__ = [
@@ -123,22 +123,20 @@ class SchemeParams:
     """Time-stepping parameters of the regularized scheme.
 
     delta is the Yosida parameter the potential must carry (None for
-    prox-friendly families like the quadratic ones); ic_smoothing applies
-    that many implicit heat steps to the initial state before time stepping.
+    prox-friendly families like the quadratic ones).
     """
 
     dt: float
     steps: int
     delta: float | None = None
-    ic_smoothing: int = 0
     drift: str = "implicit_prox"
     prox_tol: float = 1e-9
 
     def __post_init__(self):
-        if not self.dt > 0 or self.steps <= 0:
-            raise ValueError("dt and steps must be positive")
-        if not self.prox_tol > 0:
-            raise ValueError(f"prox_tol must be positive, got {self.prox_tol}")
+        if not 0 < self.dt < math.inf or self.steps <= 0:
+            raise ValueError("dt must be positive and finite, and steps positive")
+        if not 0 < self.prox_tol < math.inf:
+            raise ValueError(f"prox_tol must be positive and finite, got {self.prox_tol}")
         if self.drift not in ("implicit_prox", "explicit_yosida"):
             raise ValueError(f"unknown drift mode {self.drift!r}")
         if self.drift == "explicit_yosida":
@@ -180,13 +178,6 @@ class TrajectoryEnsemble:
 
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.n_steps + 1)
-
-    def state(self, path: int, step: int) -> GridFunction:
-        return GridFunction(self.grid, self.states[path, step].reshape(self.grid.shape), self.space)
-
-    def mean_norm_sq(self) -> np.ndarray:
-        """E ||X_t||_H^2 estimate per stored step."""
-        return np.mean(space_norm_sq(self.grid, self.states, self.space), axis=0)
 
     def realized_drift(self, model: NemytskiiNoise) -> np.ndarray:
         """Per-step drift increments ``(X_{n+1} - X_n - B(X_n) dW_n) / dt``.
@@ -248,24 +239,6 @@ def _advance(X: np.ndarray, pot: Potential, model: NemytskiiNoise, sp: SchemePar
     return Y - sp.dt * pot.yosida_gradient_batch(X)
 
 
-def _smooth_initial(grid: Grid, X: np.ndarray, rounds: int) -> np.ndarray:
-    """Implicit heat half-steps (I + h^2 * neumann_neg_laplacian)^-1 per round."""
-    if rounds <= 0:
-        return X
-    import scipy.sparse as sps
-    import scipy.sparse.linalg as spla
-
-    from .grids import NEUMANN, neg_laplacian_matrix
-
-    tau = float(np.mean(np.asarray(grid.spacing)) ** 2)
-    A = (sps.eye(grid.num_cells) + tau * neg_laplacian_matrix(grid, NEUMANN)).tocsc()
-    lu = spla.splu(A)
-    out = X
-    for _ in range(rounds):
-        out = lu.solve(out.T).T
-    return out
-
-
 def simulate(
     x0,
     pot: Potential,
@@ -278,9 +251,9 @@ def simulate(
 
     The explicit drift is refused unless ``dt`` times the drift's Lipschitz
     bound is at most 2, and a non-finite state raises ``NumericalFailure``;
-    a stalled prox is re-raised naming its step and paths.  Two calls with
-    equal ``seed``, ``dt`` and mode count draw identical increments on each
-    path, so they are coupled on common noise.
+    a stalled prox is re-raised naming its solver, step and paths.  Two
+    calls with equal ``seed``, ``dt`` and mode count draw identical
+    increments on each path, so they are coupled on common noise.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be at least 1, got {n_paths}")
@@ -298,7 +271,7 @@ def simulate(
             f"potential {pot.label} on {grid} in {pot.space}"
         )
     n = grid.num_cells
-    X = _smooth_initial(grid, np.tile(x0.flat, (n_paths, 1)), sp.ic_smoothing)
+    X = np.tile(x0.flat, (n_paths, 1))
     increments = gaussian_increments(seed, n_paths, sp.steps, model.mode_count, sp.dt)
     states = np.empty((n_paths, sp.steps + 1, n))
     states[:, 0, :] = X
@@ -306,7 +279,7 @@ def simulate(
         try:
             X = _advance(X, pot, model, sp, increments[:, nstep, :])
         except ProxDidNotConverge as exc:
-            where = f"prox of {pot.label} stalled at step {nstep + 1} on paths {list(exc.rows)}"
+            where = f"{exc.message} at step {nstep + 1} on paths {list(exc.rows)}"
             raise ProxDidNotConverge(where, exc.residual, exc.rows) from exc
         finite = np.isfinite(X).all(axis=1)
         if not finite.all():

@@ -104,10 +104,6 @@ _SIMULATED = {
     ("initial", "shape"): (_choice("sine", "ramp", "bump", "zero"), "sine"),
     ("initial", "amplitude"): (_REAL, 1.0),
     ("scheme", "delta"): (_POSITIVE, 1e-2),
-    ("scheme", "ic_smoothing"): (_NATURAL, 0),
-    # the schedule runs build their scheme without delta (_scheme), so only
-    # svi_audit_run widens this to the explicit Yosida drift
-    ("scheme", "drift"): (_choice("implicit_prox"), "implicit_prox"),
     ("scheme", "prox_tol"): (_POSITIVE, 1e-9),
 }
 
@@ -138,7 +134,8 @@ CONFIG_KEYS = {
     # the Jensen diagnostic raises the weight to the power -1/m, so m > 0
     "homogenize_fastdiffusion": {**_COMMON, **_SIMULATED, **_EPS_SCHEDULE, **_WEIGHT,
                                  ("potential", "m"): (_checked(_M, lambda v: v > 0, "positive"), 0.5)},
-    # the audit's standard errors need at least two paths
+    # the audit's standard errors need at least two paths; it alone reads
+    # drift, as the schedule runs build their scheme without delta (_scheme)
     "svi_audit_run": {**_COMMON, **_SIMULATED, **_GRADIENT_P,
                       ("experiment", "n_paths"): (_checked(_COUNT, lambda v: v >= 2, "at least 2"), 100),
                       ("scheme", "drift"): (_choice("implicit_prox", "explicit_yosida"), "implicit_prox")},
@@ -239,9 +236,9 @@ def _validate(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 
-def cell_average_over_period(a, samples: int = 4096) -> float:
-    """Average of a(y) over one period by midpoint quadrature."""
-    y = (np.arange(samples) + 0.5) / samples
+def cell_average_over_period(a) -> float:
+    """Average of a(y) over one period by 4096-point midpoint quadrature."""
+    y = (np.arange(4096) + 0.5) / 4096
     return float(np.mean(a(y)))
 
 

@@ -56,8 +56,8 @@ class Grid:
             raise ValueError(f"only 1D and 2D grids are supported, got dim {len(self.shape)}")
         if any(n <= 0 for n in self.shape):
             raise ValueError(f"cell counts must be positive, got {self.shape}")
-        if any(not e > 0 for e in self.extents):
-            raise ValueError(f"extents must be positive, got {self.extents}")
+        if any(not 0 < e < np.inf for e in self.extents):
+            raise ValueError(f"extents must be positive and finite, got {self.extents}")
         object.__setattr__(self, "extents", tuple(float(e) for e in self.extents))
         object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
 

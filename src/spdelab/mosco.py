@@ -20,7 +20,6 @@ import numpy as np
 from .grids import GridFunction, Grid, L2, h1_norm, norm
 from .potentials import Potential
 
-DEFAULT_LAMBDAS = (0.1, 1.0, 10.0)
 CONDITION_N_LAMBDAS = (0.1, 1.0, 10.0)
 RESOLVENT_TOL = 1e-9  # prox tolerance of the resolvent-distance tables
 
@@ -90,9 +89,9 @@ def condition_n_check(pots, target: Potential | None = None, tol: float = 1e-8) 
     return True
 
 
-def default_probes(grid: Grid, space: str = L2, count: int = 16, seed: int = 777):
+def default_probes(grid: Grid, space: str = L2, count: int = 16):
     """Mixed probe panel: trigonometric, piecewise-constant, Gaussian fields."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(777)
     xs = grid.centers()
     probes = []
     n_trig = max(count // 3, 1)
@@ -123,11 +122,12 @@ def default_probes(grid: Grid, space: str = L2, count: int = 16, seed: int = 777
 def mosco_trend(
     pots,
     target: Potential,
+    lambdas,
     probes=None,
-    lambdas=DEFAULT_LAMBDAS,
     tol: float = RESOLVENT_TOL,
 ) -> MoscoReport:
-    """Resolvent-distance table of a potential sequence against its target.
+    """Resolvent-distance table of a potential sequence against its target
+    at each resolvent parameter in ``lambdas``.
 
     Also reports the pointwise upper-bound surrogate
     ``max_probes (eval_n(probe) - eval_target(probe))_+`` per sequence

@@ -83,11 +83,12 @@ _PROBE_COUNT = 64
 
 
 class ProxDidNotConverge(RuntimeError):
-    """Raised when a proximal solve stalls; carries the last residual and
-    the batch rows still unconverged."""
+    """Raised when a proximal solve stalls; carries the message naming the
+    solver, the last residual and the batch rows still unconverged."""
 
     def __init__(self, message: str, residual: float, rows=()):
         super().__init__(f"{message} (last residual {residual:.3e})")
+        self.message = message
         self.residual = float(residual)
         self.rows = tuple(int(r) for r in rows)
 
@@ -101,12 +102,13 @@ class ProxResult:
 
 
 def _prox_rows(lam: float, F, tol: float) -> np.ndarray:
-    """``F`` as float rows; refuses a NaN ``lam`` or tolerance, which would
-    settle every row at once with ``F`` unchanged, or one that is not positive."""
-    if not lam > 0:
-        raise ValueError(f"lam must be positive, got {lam}")
-    if not tol > 0:
-        raise ValueError(f"prox tolerance must be positive, got {tol}")
+    """``F`` as float rows; refuses a ``lam`` or tolerance that is NaN or
+    infinite, which would settle every row at once with ``F`` unchanged, or
+    one that is not positive."""
+    if not 0 < lam < np.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"prox tolerance must be positive and finite, got {tol}")
     return np.asarray(F, dtype=float)
 
 
@@ -311,7 +313,6 @@ class _DifferencePenaltyPotential(Potential):
         if not self._quad and not prof.slope_unbounded:
             # total variation, raw or Yosida: the dual lives in a box
             return _dual_projected_newton(self, lam, F, tol, dual_quad=prof.delta or 0.0)
-        dual_ok = prof.slope_unbounded or np.all(self.edge_q > 0)
         if prof.curvature_bounded:
             # remaining regularized / quadratic profiles: primal Newton is fast
             try:
@@ -319,8 +320,6 @@ class _DifferencePenaltyPotential(Potential):
             except ProxDidNotConverge:
                 # semismooth cycling at the regularization kink in the very
                 # stiff regime; the face dual is well conditioned exactly there
-                if not dual_ok:
-                    raise
                 return _dual_newton_smooth(self, lam, F, tol)
         # raw singular powers (and kink + viscosity): smooth dual
         return _dual_newton_smooth(self, lam, F, tol)
@@ -608,7 +607,6 @@ class FastDiffusionPotential(Potential):
         m: float,
         weight: np.ndarray | None = None,
         delta: float | None = None,
-        label: str | None = None,
     ):
         if not 0.0 <= m <= 1.0:
             raise ValueError(f"fast-diffusion exponent m must lie in [0, 1], got {m}")
@@ -621,7 +619,7 @@ class FastDiffusionPotential(Potential):
             raise ValueError("cell weights must be strictly positive")
         self._a = np.ones(grid.num_cells) if weight is None else self.weight.reshape(-1)
         self._L = neg_laplacian_matrix(grid, DIRICHLET)
-        self.label = label or f"fastdiffusion[m={m}, delta={delta}]"
+        self.label = f"fastdiffusion[m={m}, delta={delta}]"
 
     def _accepts(self, space: str) -> bool:
         return space == HMINUS1

@@ -2,13 +2,13 @@
 
 Every potential in this package integrates a radial profile of either a face
 gradient, a pairwise difference, or the state itself.  A profile exposes the
-few scalar maps the solvers need: the value, the (minimal-section) slope, an
-almost-everywhere curvature for Newton steps, the slope limit at 0+ (nonzero
-only for kinked profiles like the raw absolute value), and the radial
-proximal map ``r + tau * psi'(r) = s`` (closed forms over
-``yosida.prox_radius``).  ``maps`` returns value, slope and
-curvature together; for the Moreau-Yosida profiles all three come from a
-single resolvent radius, so Newton loops pay one radius solve per point.
+few scalar maps the solvers need: the value, the (minimal-section) slope,
+``maps`` (value, slope and an almost-everywhere curvature for Newton steps
+together), the slope limit at 0+ (nonzero only for kinked profiles like the
+raw absolute value), and the radial proximal map ``r + tau * psi'(r) = s``
+(closed forms over ``yosida.prox_radius``).  For the Moreau-Yosida profiles
+``maps`` takes all three from a single resolvent radius, so Newton loops pay
+one radius solve per point.
 
 Supported families: raw powers ``s^p / p`` with p in [1, 2] and their
 Moreau-Yosida regularizations.  A quadratic face term ``q s^2 / 2``
@@ -26,29 +26,12 @@ CURVATURE_CAP = 1e12
 
 
 class RadialProfile:
-    """Interface: vectorized maps of nonnegative magnitudes."""
+    """Interface: ``value``, ``slope``, ``maps`` and ``prox_radius`` of nonnegative magnitudes."""
 
     kink: float = 0.0  # slope limit at 0+, nonzero for nonsmooth-at-zero profiles
     delta: float | None = None  # Yosida parameter when the profile is regularized
     curvature_bounded: bool = False  # True when psi'' is bounded (Newton-friendly)
     slope_unbounded: bool = False  # True when psi' is surjective onto [0, inf)
-
-    def value(self, s):
-        raise NotImplementedError
-
-    def slope(self, s):
-        raise NotImplementedError
-
-    def curvature(self, s):
-        raise NotImplementedError
-
-    def maps(self, s):
-        """``(value(s), slope(s), curvature(s))`` in one call."""
-        return self.value(s), self.slope(s), self.curvature(s)
-
-    def prox_radius(self, tau, s):
-        """Solve ``r + tau * psi'(r) = s`` for r >= 0 (s >= 0, tau > 0)."""
-        raise NotImplementedError
 
     def signed_slope(self, x):
         x = np.asarray(x, dtype=float)
@@ -80,15 +63,18 @@ class PowerProfile(RadialProfile):
             return (s > 0.0).astype(float)
         return s ** (self.p - 1.0)
 
-    def curvature(self, s):
+    def maps(self, s):
+        """``(value, slope, curvature)`` at s, the curvature capped at ``CURVATURE_CAP``."""
         s = np.asarray(s, dtype=float)
         if self.p == 1.0:
-            return np.zeros_like(s)
-        if self.p == 2.0:
-            return np.ones_like(s)
-        with np.errstate(divide="ignore", over="ignore"):
-            c = (self.p - 1.0) * s ** (self.p - 2.0)
-        return np.minimum(np.where(np.isfinite(c), c, CURVATURE_CAP), CURVATURE_CAP)
+            curv = np.zeros_like(s)
+        elif self.p == 2.0:
+            curv = np.ones_like(s)
+        else:
+            with np.errstate(divide="ignore", over="ignore"):
+                c = (self.p - 1.0) * s ** (self.p - 2.0)
+            curv = np.minimum(np.where(np.isfinite(c), c, CURVATURE_CAP), CURVATURE_CAP)
+        return self.value(s), self.slope(s), curv
 
     def prox_radius(self, tau, s):
         return yosida.prox_radius(self.p, tau, s)
@@ -121,10 +107,8 @@ class YosidaPowerProfile(RadialProfile):
         s = np.asarray(s, dtype=float)
         return (s - yosida.prox_radius(self.p, self.delta, s)) / self.delta
 
-    def curvature(self, s):
-        return self.maps(s)[2]
-
     def maps(self, s):
+        """``(value, slope, curvature)`` at s from one resolvent radius."""
         s = np.asarray(s, dtype=float)
         p, d = self.p, self.delta
         r = yosida.prox_radius(p, d, s)
@@ -202,14 +186,3 @@ class EdgeConjugate:
         with np.errstate(divide="ignore"):
             curvature = np.where(denom > 0.0, 1.0 / denom, 0.0)
         return value, np.sign(y) * r, np.where(flat, 0.0, curvature)
-
-    def slope(self, y):
-        """(h*)'(y): the g achieving the conjugate supremum (odd in y)."""
-        return np.sign(y) * self._radius(np.abs(y))[0]
-
-    def value(self, y):
-        return self.maps(y)[0]
-
-    def curvature(self, y):
-        return self.maps(y)[2]
-

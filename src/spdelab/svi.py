@@ -30,7 +30,7 @@ from .engine import NemytskiiNoise, TrajectoryEnsemble
 from .grids import GridFunction, dirichlet_solve, space_norm_sq, HMINUS1
 from .potentials import Potential
 
-DEFAULT_CHECKPOINTS = 8
+CHECKPOINTS = 8
 
 
 class TestProcess:
@@ -123,8 +123,8 @@ class SVIReport:
                 fh.write(f"{t:.17g},{a:.17g},{b:.17g},{m:.17g},{s:.17g},{v}\n")
 
 
-def _checkpoint_steps(n_steps: int, count: int = DEFAULT_CHECKPOINTS) -> np.ndarray:
-    return np.unique(np.linspace(1, n_steps, min(count, n_steps), dtype=int))
+def _checkpoint_steps(n_steps: int) -> np.ndarray:
+    return np.unique(np.linspace(1, n_steps, min(CHECKPOINTS, n_steps), dtype=int))
 
 
 def _trapezoid_cumulative(values: np.ndarray, dt: float) -> np.ndarray:
@@ -195,7 +195,6 @@ def check_variational(
     pot: Potential,
     model: NemytskiiNoise,
     C: float,
-    checkpoints=None,
 ) -> SVIReport:
     """Audit the test-process inequality on common noise.
 
@@ -210,7 +209,7 @@ def check_variational(
     Zp = Z.realize(ens)
     if Zp.shape != ens.states.shape:
         raise ValueError("test process realization does not match the ensemble")
-    steps_idx = _checkpoint_steps(n_steps) if checkpoints is None else np.asarray(checkpoints, dtype=int)
+    steps_idx = _checkpoint_steps(n_steps)
 
     diff = ens.states - Zp
     diff_sq = space_norm_sq(grid, diff, space)  # (paths, steps+1)
@@ -298,17 +297,14 @@ def weak_convergence_metric(
     return float(np.max(vals))
 
 
-def default_test_functionals(grid, n_space: int = 8, n_time: int = 4):
-    """Low trigonometric spatial modes crossed with polynomial time weights."""
+def default_test_functionals(grid):
+    """8 low cosine spatial modes crossed with the time weights (t/T)^j, j < 4."""
     xs = grid.centers()
     fns = []
-    for k in range(n_space):
+    for k in range(8):
         mode = np.ones(grid.shape)
         for a, x in enumerate(xs):
-            wavenumber = (k + a) % n_space
-            mode = mode * np.cos(np.pi * wavenumber * x / grid.extents[a])
+            mode = mode * np.cos(np.pi * ((k + a) % 8) * x / grid.extents[a])
         fns.append(mode.reshape(-1))
-    weights = []
-    for j in range(n_time):
-        weights.append(lambda t, j=j: (t / (t[-1] if t[-1] > 0 else 1.0)) ** j)
-    return [(f, w) for f in fns[:n_space] for w in weights[:n_time]]
+    weights = [lambda t, j=j: (t / (t[-1] if t[-1] > 0 else 1.0)) ** j for j in range(4)]
+    return [(f, w) for f in fns for w in weights]

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import neumann_laplacian_dense, ou_second_moment
 from spdelab import engine, potentials
-from spdelab.grids import HMINUS1, GridFunction, Grid, interval_grid, norm
+from spdelab.grids import HMINUS1, GridFunction, Grid, interval_grid, norm, space_norm_sq
 from spdelab.engine import (
     AdditiveNoise,
     LinearMultiplicativeNoise,
@@ -29,7 +29,8 @@ def sine_ic(grid, space="L2", amp=1.0):
 
 def step(state, pot, model, sp):
     """One scheme step from ``state``: a one-path, one-step ``simulate``."""
-    return simulate(state, pot, model, replace(sp, steps=1), 1, seed=0).state(0, 1)
+    ens = simulate(state, pot, model, replace(sp, steps=1), 1, seed=0)
+    return GridFunction(ens.grid, ens.states[0, 1].reshape(ens.grid.shape), ens.space)
 
 
 def additive_model(grid, amp=0.1, space="L2"):
@@ -257,20 +258,27 @@ def test_simulate_raises_numerical_failure_on_non_finite_state(monkeypatch):
 def test_simulate_names_the_step_and_paths_of_a_stalled_prox(monkeypatch):
     g = grid64()
     pot = potentials.p_dirichlet(g, 1.5, delta=1e-2)
+    sp = SchemeParams(dt=1e-3, steps=5, delta=1e-2)
     real, calls = pot.prox_batch, []
 
     def stall_on_third_step(lam, F, **kwargs):
         calls.append(None)
         if len(calls) == 3:
-            raise potentials.ProxDidNotConverge("Newton prox stalled", 0.5, rows=[1, 3])
+            raise potentials.ProxDidNotConverge(f"Newton prox of {pot.label} stalled", 0.5, rows=[1, 3])
         return real(lam, F, **kwargs)
 
     monkeypatch.setattr(pot, "prox_batch", stall_on_third_step)
     with pytest.raises(potentials.ProxDidNotConverge, match=r"at step 3 on paths \[1, 3\]") as err:
-        simulate(sine_ic(g), pot, additive_model(g), SchemeParams(dt=1e-3, steps=5, delta=1e-2),
-                 n_paths=4, seed=0)
-    assert pot.label in str(err.value)
+        simulate(sine_ic(g), pot, additive_model(g), sp, n_paths=4, seed=0)
+    assert str(err.value).startswith(f"Newton prox of {pot.label} stalled at step 3")
     assert (err.value.residual, err.value.rows) == (0.5, (1, 3))
+    # a real stall: primal Newton hands over to the face dual, which stalls too
+    monkeypatch.undo()
+    monkeypatch.setattr(potentials, "NEWTON_CAP", 1)
+    monkeypatch.setattr(potentials, "DUAL_CAP", 1)
+    with pytest.raises(potentials.ProxDidNotConverge) as err:
+        simulate(sine_ic(g), pot, additive_model(g), sp, n_paths=4, seed=0)
+    assert str(err.value).startswith(f"dual Newton prox of {pot.label} stalled at step 1 on paths [0, 1, 2, 3]")
 
 
 def test_explicit_drift_matches_yosida_gradient_formula():
@@ -363,7 +371,7 @@ def test_second_moment_matches_ou_recursion_oracle():
     A = neumann_laplacian_dense(24, g.spacing[0])
     modes = np.stack([m for m in model._modes])
     oracle = ou_second_moment(A, modes, np.zeros(24), dt, steps, g.cell_volume)
-    est = ens.mean_norm_sq()
+    est = np.mean(space_norm_sq(g, ens.states, ens.space), axis=0)
     per_path = g.cell_volume * np.sum(ens.states**2, axis=2)
     se = per_path.std(axis=0, ddof=1) / np.sqrt(400)
     assert np.all(np.abs(est - oracle) <= 3.5 * se + 1e-12)
@@ -419,21 +427,6 @@ def test_mass_conservation_with_mean_zero_noise():
     ens = simulate(sine_ic(g), pot, model, sp, 10, seed=4)
     means = ens.states.mean(axis=2)
     assert np.abs(means - means[:, :1]).max() < 1e-10
-
-
-def test_ic_smoothing_reduces_roughness():
-    g = grid64()
-    pot = potentials.p_dirichlet(g, 2.0)
-    zero = AdditiveNoise([GridFunction(g, np.zeros(64))])
-    rough = GridFunction(g, rng.standard_normal(64))
-    sp0 = SchemeParams(dt=1e-3, steps=1)
-    sp5 = SchemeParams(dt=1e-3, steps=1, ic_smoothing=5)
-    e0 = simulate(rough, pot, zero, sp0, 1, seed=1)
-    e5 = simulate(rough, pot, zero, sp5, 1, seed=1)
-    d2 = potentials.p_dirichlet(g, 2.0)
-    rough_energy0 = d2.eval_batch(e0.states[:, 0, :])[0]
-    rough_energy5 = d2.eval_batch(e5.states[:, 0, :])[0]
-    assert rough_energy5 < 0.5 * rough_energy0
 
 
 def test_ensemble_manifest():

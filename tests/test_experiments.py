@@ -1,6 +1,7 @@
 import configparser
 import io
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -242,7 +243,7 @@ def test_cli_explicit_drift_only_validates_for_svi_audit(tmp_path):
     # run can honour the explicit Yosida drift
     text = BASE.format(kind="trotter_plaplace", outdir=tmp_path / "trotter", schedule="1.6")
     path = write_cfg(tmp_path, text.replace("dt = 2e-3", "dt = 2e-3\ndrift = explicit_yosida"))
-    with pytest.raises(ConfigError, match="explicit_yosida"):
+    with pytest.raises(ConfigError, match=r"trotter_plaplace does not read \[scheme\] drift"):
         parse_config(path)
     assert cli.main(["validate", str(path)]) == 1
     assert cli.main(["validate", str(explicit_audit_config(tmp_path, 8, explicit_step_limit(8)))]) == 0
@@ -314,11 +315,11 @@ def test_cli_stalled_prox_names_its_step_and_paths(tmp_path, monkeypatch, capsys
     )
 
     def stall(self, lam, F, tol=1e-9, warm=None):
-        raise potentials.ProxDidNotConverge("synthetic stall", 1.0, rows=[4])
+        raise potentials.ProxDidNotConverge(f"FISTA prox of {self.label} stalled", 1.0, rows=[4])
 
     monkeypatch.setattr(potentials._DifferencePenaltyPotential, "prox_batch", stall)
     assert cli.main(["run", str(cfg_path)]) == 2
-    assert "stalled at step 1 on paths [4]" in capsys.readouterr().err
+    assert re.search(r"FISTA prox of p_dirichlet\[.*\] stalled at step 1 on paths \[4\]", capsys.readouterr().err)
 
 
 def test_svi_audit_needs_two_paths(tmp_path, capsys):
@@ -496,17 +497,20 @@ def test_fast_diffusion_power_schedule_approaches_the_raw_m0_resolvent(tmp_path)
     assert float(rows[-1].split(",")[column]) <= 1e-10
 
 
-# Per kind: a key it does not read, a key it requires and a value it rejects.
+# Per kind: keys it does not read, a key it requires and a value it rejects.
+# Only svi_audit_run reads [scheme] drift, and no kind reads ic_smoothing.
 SCHEMA_CASES = {
-    "trotter_plaplace": (("potential", "m", "0.5"), "potential schedule", ("potential", "schedule_kind", "bogus")),
-    "trotter_fastdiffusion": (("potential", "visc", "0.1"), "potential schedule",
-                              ("potential", "schedule_kind", "viscosity")),
-    "nonlocal_to_local": (("potential", "m", "0.5"), "potential p", ("kernel", "profile", "cone")),
-    "homogenize_plaplace": (("potential", "schedule", "0.25, 0.125"), "kernel eps_schedule",
+    "trotter_plaplace": ([("potential", "m", "0.5"), ("scheme", "drift", "implicit_prox")], "potential schedule",
+                         ("potential", "schedule_kind", "bogus")),
+    "trotter_fastdiffusion": ([("potential", "visc", "0.1"), ("scheme", "drift", "implicit_prox")],
+                              "potential schedule", ("potential", "schedule_kind", "viscosity")),
+    "nonlocal_to_local": ([("potential", "m", "0.5")], "potential p", ("kernel", "profile", "cone")),
+    "homogenize_plaplace": ([("potential", "schedule", "0.25, 0.125")], "kernel eps_schedule",
                             ("potential", "weight", "none")),
-    "homogenize_fastdiffusion": (("kernel", "profile", "bump"), "potential weight", ("potential", "m", "0")),
-    "svi_audit_run": (("potential", "schedule", "1.5"), "scheme dt", ("grid", "cells", "0")),
-    "mosco_table": (("noise", "kind", "additive"), "experiment seed", ("grid", "cells", "16x")),
+    "homogenize_fastdiffusion": ([("kernel", "profile", "bump")], "potential weight", ("potential", "m", "0")),
+    "svi_audit_run": ([("potential", "schedule", "1.5"), ("scheme", "ic_smoothing", "0")], "scheme dt",
+                      ("grid", "cells", "0")),
+    "mosco_table": ([("noise", "kind", "additive")], "experiment seed", ("grid", "cells", "16x")),
 }
 
 
@@ -518,8 +522,7 @@ def test_validate_honours_or_rejects_every_key(tmp_path, capsys, kind):
         text = tiny_text(tmp_path, kind)
     assert cli.main(["validate", str(write_cfg(tmp_path, text))]) == 0
     unread, required, bad = SCHEMA_CASES[kind]
-    broken = [
-        (edit(text, set_=[unread]), "[{}] {}".format(*unread)),
+    broken = [(edit(text, set_=[key]), "[{}] {}".format(*key)) for key in unread] + [
         (edit(text, drop=[required]), "[{}] {}".format(*required.split())),
         (edit(text, set_=[bad]), "[{}] {}".format(*bad)),
     ]

@@ -233,14 +233,17 @@ NAN = float("nan")
     lambda: Kernel("bump", 1, NAN),
     lambda: kernels.RescaledKernel(Kernel("bump", 1), NAN, 1.5),
     lambda: potentials.nonlocal_p(interval_grid(8), Kernel("bump", 1), 0.5, 1.5, delta=NAN),
+    lambda: grids.Grid((np.inf,), (4,)),
+    lambda: SchemeParams(dt=np.inf, steps=4),
 ], ids=["radius", "radius_array", "yosida_delta", "visc", "prox_lam", "scheme_dt",
-        "grid_extent", "face_weight", "fastdiff_weight", "kernel_radius", "kernel_eps", "nonlocal_delta"])
+        "grid_extent", "face_weight", "fastdiff_weight", "kernel_radius", "kernel_eps", "nonlocal_delta",
+        "grid_extent_inf", "scheme_dt_inf"])
 def test_nan_parameters_fail_the_positivity_checks(build):
     with pytest.raises(ValueError):
         build()
 
 
-@pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0])
+@pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
 @pytest.mark.parametrize("solve", [
     lambda tol: SchemeParams(dt=1e-3, steps=1, prox_tol=tol),
     lambda tol: potentials.p_dirichlet(interval_grid(8), 1.5).prox(0.5, GridFunction(interval_grid(8), np.ones(8)), tol),
@@ -248,13 +251,13 @@ def test_nan_parameters_fail_the_positivity_checks(build):
     lambda tol: potentials.fast_diffusion(GRID_8X8, 0.5, delta=0.05).prox_batch(0.5, np.ones((1, 64)), tol=tol),
 ], ids=["scheme", "prox", "prox_batch", "fastdiff_prox_batch"])
 def test_prox_tolerance_must_be_positive(solve, tol):
-    # with a NaN tolerance no residual exceeds its target, so every row
-    # settled at once and the prox returned f: the drift dropped out
+    # with a NaN or infinite tolerance no residual exceeds its target, so
+    # every row settled at once and the prox returned f: the drift dropped out
     with pytest.raises(ValueError, match="must be positive"):
         solve(tol)
 
 
-@pytest.mark.parametrize("lam", [np.nan, 0.0, -1.0])
+@pytest.mark.parametrize("lam", [np.nan, 0.0, -1.0, np.inf])
 @pytest.mark.parametrize("build", [
     lambda: potentials.p_dirichlet(interval_grid(8), 1.5),
     lambda: potentials.p_dirichlet(interval_grid(8), 1.5, delta=0.05),
@@ -264,8 +267,8 @@ def test_prox_tolerance_must_be_positive(solve, tol):
     lambda: potentials.fast_diffusion(interval_grid(8), 0.5),
 ], ids=["chain_raw", "chain_yosida", "chain_tv", "grid_2d", "nonlocal", "fastdiff"])
 def test_prox_batch_refuses_a_bad_lam(build, lam):
-    # a NaN or nonpositive lam used to settle every row at once with F
-    # unchanged (raw total variation returned non-finite rows)
+    # a NaN, infinite or nonpositive lam used to settle every row at once
+    # with F unchanged (raw total variation returned non-finite rows)
     pot = build()
     with pytest.raises(ValueError, match="lam must be positive"):
         pot.prox_batch(lam, rng.standard_normal((2, pot.grid.num_cells)), tol=1e-9)

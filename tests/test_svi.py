@@ -4,7 +4,7 @@ import pytest
 from oracles import neumann_laplacian_dense, ou_second_moment
 from spdelab import engine, potentials, svi
 from spdelab.engine import AdditiveNoise, SchemeParams, simulate
-from spdelab.grids import GridFunction, interval_grid
+from spdelab.grids import GridFunction, interval_grid, space_norm_sq
 
 rng = np.random.default_rng(606)
 
@@ -105,7 +105,7 @@ def test_energy_estimates_match_ou_oracle():
     ens = simulate(x0, pot, model, sp, 500, seed=3)
     A = neumann_laplacian_dense(24, g.spacing[0])
     oracle = ou_second_moment(A, model._modes, np.zeros(24), sp.dt, sp.steps, g.cell_volume)
-    est = ens.mean_norm_sq()
+    est = np.mean(space_norm_sq(g, ens.states, ens.space), axis=0)
     per_path = g.cell_volume * np.sum(ens.states**2, axis=2)
     se = per_path.std(axis=0, ddof=1) / np.sqrt(500)
     assert np.all(np.abs(est - oracle) <= 3.5 * se + 1e-12)
