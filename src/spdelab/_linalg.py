@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import LinAlgError, get_lapack_funcs
 
+_GTSV, _PBSV = get_lapack_funcs(("gtsv", "pbsv"), dtype=np.float64)
+
 
 def solve_tridiagonal(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tridiagonal solve per row of the array ``b``, batched over its leading
@@ -26,8 +28,7 @@ def solve_tridiagonal(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarr
     flat = buf.reshape(4, -1)
     if flat.shape[1] == 1:
         return buf[3] / buf[1]
-    gtsv = get_lapack_funcs("gtsv", dtype=np.float64)
-    *_, x, info = gtsv(flat[0, :-1], flat[1], flat[2, :-1], flat[3], True, True, True, True)
+    *_, x, info = _GTSV(flat[0, :-1], flat[1], flat[2, :-1], flat[3], True, True, True, True)
     if info:
         raise LinAlgError(f"singular tridiagonal system (gtsv info {info})")
     return x.reshape(b.shape)
@@ -56,8 +57,7 @@ def solve_banded_spd(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     buf[:, n:, 0] = 1.0
     rhs = np.zeros((m, stride))
     rhs[:, :n] = b
-    pbsv = get_lapack_funcs("pbsv", dtype=np.float64)
-    _, x, info = pbsv(buf.reshape(m * stride, w).T, rhs.reshape(m * stride, 1),
+    _, x, info = _PBSV(buf.reshape(m * stride, w).T, rhs.reshape(m * stride, 1),
                       lower=1, overwrite_ab=1, overwrite_b=1)
     if info:
         raise LinAlgError(f"banded system not positive definite (pbsv info {info})")

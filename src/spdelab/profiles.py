@@ -6,9 +6,11 @@ few scalar maps the solvers need: the value, the (minimal-section) slope,
 ``maps`` (value, slope and an almost-everywhere curvature for Newton steps
 together), the slope limit at 0+ (nonzero only for kinked profiles like the
 raw absolute value), and the radial proximal map ``r + tau * psi'(r) = s``
-(closed forms over ``yosida.prox_radius``).  For the Moreau-Yosida profiles
-``maps`` takes all three from a single resolvent radius, so Newton loops pay
-one radius solve per point.
+(closed forms over ``yosida.prox_radius``).  ``maps`` pays one power per
+point: raw powers share ``t = s^(p-1)`` between value, slope and curvature,
+and the Moreau-Yosida profiles take all three from one resolvent radius and
+the power ``r^(p-1)`` its solve already took.  The maps switch no
+floating-point error state of their own.
 
 Supported families: raw powers ``s^p / p`` with p in [1, 2] and their
 Moreau-Yosida regularizations.  A quadratic face term ``q s^2 / 2``
@@ -53,28 +55,33 @@ class PowerProfile(RadialProfile):
         self.curvature_bounded = self.p == 2.0
         self.slope_unbounded = self.p > 1.0
 
-    def value(self, s):
+    def _power(self, s):
+        """s as floats and the slope ``t = s^(p-1)`` (0 at s = 0 when p = 1)."""
         s = np.asarray(s, dtype=float)
-        return s**self.p / self.p
+        return s, (s > 0.0).astype(float) if self.p == 1.0 else s ** (self.p - 1.0)
+
+    def value(self, s):
+        s, t = self._power(s)
+        return s * t / self.p
 
     def slope(self, s):
-        s = np.asarray(s, dtype=float)
-        if self.p == 1.0:
-            return (s > 0.0).astype(float)
-        return s ** (self.p - 1.0)
+        return self._power(s)[1]
 
     def maps(self, s):
-        """``(value, slope, curvature)`` at s, the curvature capped at ``CURVATURE_CAP``."""
-        s = np.asarray(s, dtype=float)
-        if self.p == 1.0:
+        """``(value, slope, curvature)`` at s from one power ``t = s^(p-1)``; the
+        curvature ``(p-1) t / s`` is capped at ``CURVATURE_CAP``."""
+        s, t = self._power(s)
+        p = self.p
+        if p == 1.0:
             curv = np.zeros_like(s)
-        elif self.p == 2.0:
+        elif p == 2.0:
             curv = np.ones_like(s)
         else:
-            with np.errstate(divide="ignore", over="ignore"):
-                c = (self.p - 1.0) * s ** (self.p - 2.0)
-            curv = np.minimum(np.where(np.isfinite(c), c, CURVATURE_CAP), CURVATURE_CAP)
-        return self.value(s), self.slope(s), curv
+            # at or below this s the curvature reaches the cap, so it is not divided out
+            at_cap = ((p - 1.0) / CURVATURE_CAP) ** (1.0 / (2.0 - p))
+            curv = np.divide((p - 1.0) * t, s, out=np.full_like(s, CURVATURE_CAP), where=s > at_cap)
+            np.minimum(curv, CURVATURE_CAP, out=curv)
+        return s * t / p, t, curv
 
     def prox_radius(self, tau, s):
         return yosida.prox_radius(self.p, tau, s)
@@ -108,21 +115,25 @@ class YosidaPowerProfile(RadialProfile):
         return (s - yosida.prox_radius(self.p, self.delta, s)) / self.delta
 
     def maps(self, s):
-        """``(value, slope, curvature)`` at s from one resolvent radius."""
+        """``(value, slope, curvature)`` at s from one resolvent radius r and
+        the power ``t = r^(p-1)`` its solve already took."""
         s = np.asarray(s, dtype=float)
         p, d = self.p, self.delta
-        r = yosida.prox_radius(p, d, s)
+        if p == 1.0 or p == 2.0:
+            r = yosida.prox_radius(p, d, s)
+            slope = (s - r) / d
+            curv = np.where(s < d, 1.0 / d, 0.0) if p == 1.0 else np.full_like(s, 1.0 / (1.0 + d))
+            return 0.5 * d * slope**2 + r**p / p, slope, curv
+        r, t = yosida._radius_power(p, d, s)
         slope = (s - r) / d
-        value = 0.5 * d * slope**2 + r**p / p
-        if p == 1.0:
-            return value, slope, np.where(s < d, 1.0 / d, 0.0)
-        if p == 2.0:
-            return value, slope, np.full_like(s, 1.0 / (1.0 + d))
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            phi_prime = (p - 1.0) * r ** (p - 2.0)
-            ratio = phi_prime / (1.0 + d * phi_prime)
-        # chain rule through the resolvent; limit 1/delta at r = 0
-        return value, slope, np.where(np.isfinite(phi_prime), ratio, 1.0 / d)
+        value = 0.5 * d * slope**2 + r * t / p
+        # chain rule through the resolvent: phi' / (1 + delta phi'), phi' = (p-1) t / r
+        if p == 1.5:
+            # t = sqrt(r), so this is 1 / (2t + delta): exactly 1/delta at r = 0
+            return value, slope, 1.0 / (2.0 * t + d)
+        # (r == 0) turns the 0/0 at r = 0 into its limit 1/delta
+        at, zero = (p - 1.0) * t, r == 0.0
+        return value, slope, (at + zero) / (r + d * at + d * zero)
 
     def prox_radius(self, tau, s):
         # prox of a Moreau envelope: (delta s + tau prox_{(tau+delta) psi}(s)) / (tau + delta)

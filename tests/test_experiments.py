@@ -409,14 +409,17 @@ def tiny_table(tmp_path, case):
 # general-p Yosida radius moved to Newton from above the root, whose radii are
 # within 2e-16 of the exact root where the old bracketed Newton was up to
 # 1e-12 relative off (weak_metric <= 6.8e-15 relative, other columns <= 1 ulp).
+# The trotter, homogenize and mosco_table_visc cases were re-recorded when the
+# profile maps moved to one power per point (value r t / p for r^p / p, and the
+# curvature from t = r^(p-1)): rounding only, <= 7.8e-14 relative.
 TINY_GOLDEN = {
     'homogenize_fastdiffusion': [
-        ['0x1.0000000000000p-2', '0x1.8a356fa60091bp-18', '0x1.5e2327a007c8ep-14', '0x1.80bd26fc16200p-5', '0x1.0000000000000p+1', '-0x1.14468b980884cp-3'],
-        ['0x1.0000000000000p-3', '0x1.2ec3c9522fadfp-17', '0x1.ef67b6344bc4cp-14', '0x1.4508e7837f680p-4', '0x1.0000000000000p+1', '-0x1.14468b980884cp-3'],
+        ['0x1.0000000000000p-2', '0x1.8a356fa60098dp-18', '0x1.5e2327a007c8ep-14', '0x1.80bd26fc16200p-5', '0x1.0000000000000p+1', '-0x1.14468b980884cp-3'],
+        ['0x1.0000000000000p-3', '0x1.2ec3c9522fab7p-17', '0x1.ef67b6344bc4cp-14', '0x1.4508e7837f670p-4', '0x1.0000000000000p+1', '-0x1.14468b980884cp-3'],
     ],
     'homogenize_plaplace': [
-        ['0x1.0000000000000p-2', '0x1.cf0a9814aea53p-14', '0x1.2c94e36fe92a0p-11', '0x1.8ce5e6ea4b180p+2', '0x1.0000000000000p+1'],
-        ['0x1.0000000000000p-3', '0x1.39850cec478a3p-17', '0x1.e940ed520eccfp-14', '0x1.fefb7bd007880p+0', '0x1.0000000000000p+1'],
+        ['0x1.0000000000000p-2', '0x1.cf0a9814aea50p-14', '0x1.2c94e36fe92a0p-11', '0x1.8ce5e6ea4b180p+2', '0x1.0000000000000p+1'],
+        ['0x1.0000000000000p-3', '0x1.39850cec476f7p-17', '0x1.e940ed520eccfp-14', '0x1.fefb7bd007800p+0', '0x1.0000000000000p+1'],
     ],
     'mosco_table': [
         ['0x1.0000000000000p+0', '0x0.0p+0', '0x1.56289eaab7802p-6', '0x0.0p+0'],
@@ -424,19 +427,19 @@ TINY_GOLDEN = {
     ],
     'mosco_table_visc': [
         ['0x1.0000000000000p+0', '0x0.0p+0', '0x1.2e731f604e956p-6', '0x0.0p+0'],
-        ['0x1.0000000000000p-1', '0x0.0p+0', '0x1.46d1dba812a96p-7', '0x0.0p+0'],
+        ['0x1.0000000000000p-1', '0x0.0p+0', '0x1.46d1dba812a98p-7', '0x0.0p+0'],
     ],
     'nonlocal_to_local': [
         ['0x1.3333333333333p-2', '0x1.e81998cc42de8p-15', '0x1.97e72977fded3p-10', '0x1.3c7688020bdf0p-1'],
         ['0x1.999999999999ap-3', '0x1.d3f7a533fa290p-16', '0x1.0f06292532a69p-11', '0x1.568d87f3bc300p-2'],
     ],
     'trotter_fastdiffusion': [
-        ['0x1.ccccccccccccdp-1', '0x1.9a58d46dbc38dp-19', '0x1.b0578ba53331cp-8', '0x0.0p+0'],
-        ['0x1.999999999999ap-1', '0x1.3e643fdbeb178p-19', '0x1.16b68f8e8f353p-8', '0x0.0p+0'],
+        ['0x1.ccccccccccccdp-1', '0x1.9a58d46dbc38bp-19', '0x1.b0578ba53331cp-8', '0x0.0p+0'],
+        ['0x1.999999999999ap-1', '0x1.3e643fdbeb171p-19', '0x1.16b68f8e8f353p-8', '0x0.0p+0'],
     ],
     'trotter_plaplace': [
-        ['0x1.e666666666666p+0', '0x1.936935d94ae51p-15', '0x1.2f4b97c00941ap-6', '0x1.8d744fba9f44dp+8'],
-        ['0x1.b333333333333p+0', '0x1.9a7fd9f2d2838p-16', '0x1.14d211ecafa4cp-7', '0x1.088ed0a3e1fd2p+7'],
+        ['0x1.e666666666666p+0', '0x1.936935d94ae47p-15', '0x1.2f4b97c00941ap-6', '0x1.8d744fba9f44dp+8'],
+        ['0x1.b333333333333p+0', '0x1.9a7fd9f2d2831p-16', '0x1.14d211ecafa4ep-7', '0x1.088ed0a3e1fd2p+7'],
     ],
 }
 
@@ -448,14 +451,15 @@ def test_schedule_kind_numeric_columns_are_pinned(tmp_path, case):
 
 def test_one_path_schedule_run_warns_nothing(tmp_path):
     # the weak metric takes no per-path standard error, so one path has no
-    # degrees-of-freedom warning; the table is the one recorded before that
+    # degrees-of-freedom warning; the table is the one recorded before that,
+    # re-recorded with the one-power profile maps (<= 3.4e-15 relative)
     text = edit(tiny_text(tmp_path, "trotter_plaplace"), set_=[("experiment", "n_paths", "1")])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main(["run", str(write_cfg(tmp_path, text))]) == 0
     assert hex_table(tmp_path / "out") == [
-        ['0x1.e666666666666p+0', '0x1.921076b28a5b4p-15', '0x1.2f4b97c00941ap-6', '0x1.8d744fba9f44dp+8'],
-        ['0x1.b333333333333p+0', '0x1.993c3e6856386p-16', '0x1.14d211ecafa4cp-7', '0x1.088ed0a3e1fd2p+7'],
+        ['0x1.e666666666666p+0', '0x1.921076b28a59cp-15', '0x1.2f4b97c00941ap-6', '0x1.8d744fba9f44dp+8'],
+        ['0x1.b333333333333p+0', '0x1.993c3e6856388p-16', '0x1.14d211ecafa4ep-7', '0x1.088ed0a3e1fd2p+7'],
     ]
 
 

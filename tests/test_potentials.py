@@ -782,7 +782,9 @@ def test_chain_newton_trajectories_on_mosco_probes(delta, probe, newton_iters, p
 
 # float.hex of each chain branch's minimizers and iteration counts on four
 # fixed 64-cell rows (tol 1e-9), solved alone and as one 4-row batch: the
-# Newton hot loop may change how it dispatches, never what it computes
+# Newton hot loop may change how it dispatches, never what it computes.  The
+# newton minimizers were re-recorded when the Yosida maps moved to one power
+# per point (<= 4.2e-14 relative, the same iteration counts)
 CHAIN_PINS = json.loads((Path(__file__).parent / "chain_pins.json").read_text())
 CHAIN_PIN_SOLVERS = {
     "newton": lambda g, lam, F: potentials._newton_difference(

@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import LinAlgError, solve_banded
 
+from spdelab import yosida
 from spdelab._linalg import solve_banded_spd, solve_tridiagonal
 from spdelab.profiles import (
+    CURVATURE_CAP,
     EdgeConjugate,
     PowerProfile,
     YosidaPowerProfile,
@@ -135,6 +137,38 @@ def test_maps_bit_identical_to_separate_calls(prof, s):
     value, slope, _ = prof.maps(s)
     np.testing.assert_array_equal(bits(value), bits(prof.value(s)))
     np.testing.assert_array_equal(bits(slope), bits(prof.slope(s)))
+
+
+def separate_power_maps(prof, s):
+    """Oracle: the maps with a power of their own for value, slope and
+    curvature, under switched error states, as they were before one power
+    per point."""
+    p, d = prof.p, prof.delta
+    if d is None:
+        with np.errstate(divide="ignore", over="ignore"):
+            c = (p - 1.0) * s ** (p - 2.0)
+        return s**p / p, s ** (p - 1.0), np.minimum(np.where(np.isfinite(c), c, CURVATURE_CAP), CURVATURE_CAP)
+    r = yosida.prox_radius(p, d, s)
+    slope = (s - r) / d
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        phi_prime = (p - 1.0) * r ** (p - 2.0)
+        ratio = phi_prime / (1.0 + d * phi_prime)
+    return 0.5 * d * slope**2 + r**p / p, slope, np.where(np.isfinite(phi_prime), ratio, 1.0 / d)
+
+
+@pytest.mark.parametrize("raw", [False, True], ids=["yosida", "raw"])
+@pytest.mark.parametrize("delta", [1e-2, 0.1])
+@pytest.mark.parametrize("p", [1.5, 1.55, 1.7, 1.9])
+def test_one_power_maps_match_the_separate_powers(p, delta, raw):
+    # 0, a magnitude whose radius underflows, the crossover of the radius
+    # solve's two starts, and both scales
+    s = np.array([0.0, 1e-300, delta ** (1.0 / (2.0 - p)), 1.0, 1e6])
+    prof = PowerProfile(p) if raw else YosidaPowerProfile(p, delta)
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        maps = prof.maps(s)
+    for got, want in zip(maps, separate_power_maps(prof, s)):
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    assert maps[2][0] == (CURVATURE_CAP if raw else 1.0 / delta)
 
 
 @settings(max_examples=200, deadline=None)

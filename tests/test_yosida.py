@@ -282,6 +282,14 @@ def test_general_radius_rows_do_not_depend_on_the_batch():
     assert np.array_equal(batch, alone)
 
 
+@pytest.mark.parametrize("p,delta", [(1.05, 1.0), (1.55, 10.0), (1.7, 1.0), (1.9, 1.0), (1.9, 10.0)])
+def test_general_radius_of_a_scalar_equals_its_batch_row(p, delta):
+    # a 0-d magnitude sweeps as an array too, not through scalar power
+    s = np.concatenate([[0.37, 6.67e-3, 0.0], rng.uniform(0.0, 10.0, 20)])
+    scalars = np.array([yosida.prox_radius(p, delta, v) for v in s])
+    assert np.array_equal(scalars, yosida.prox_radius(p, delta, s))
+
+
 @settings(max_examples=300, deadline=None)
 @given(p=general_powers, s=magnitudes, delta=deltas)
 def test_general_radius_residual(p, s, delta):
