@@ -58,7 +58,7 @@ def solve_banded_spd(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     rhs = np.zeros((m, stride))
     rhs[:, :n] = b
     _, x, info = _PBSV(buf.reshape(m * stride, w).T, rhs.reshape(m * stride, 1),
-                      lower=1, overwrite_ab=1, overwrite_b=1)
+                       lower=1, overwrite_ab=1, overwrite_b=1)
     if info:
         raise LinAlgError(f"banded system not positive definite (pbsv info {info})")
     return x.reshape(m, stride)[:, :n]

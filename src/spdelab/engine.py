@@ -23,13 +23,12 @@ Randomness is counter-based: every path derives its stream from
 ``SeedSequence((seed, path_index))`` over the Philox generator, so ensembles
 are reproducible and independent of path scheduling.  Common noise comes
 from the seed: two ``simulate`` calls with equal seed, dt and mode count
-ride identical increments, drawn once and shared read-only, which are
-stored with the trajectories for auditing.
+ride identical increments, which are stored with the trajectories for
+auditing.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -210,19 +209,13 @@ class TrajectoryEnsemble:
         return "\n".join(lines) + "\n"
 
 
-@functools.lru_cache(maxsize=4)
 def gaussian_increments(seed: int, n_paths: int, steps: int, modes: int, dt: float) -> np.ndarray:
-    """Counter-based increments, variance dt, keyed by (seed, path).
-
-    Read-only and memoized: the ``simulate`` calls of one run that share
-    their arguments share one draw.
-    """
+    """Counter-based increments, variance dt, keyed by (seed, path)."""
     out = np.empty((n_paths, steps, modes))
     root = np.sqrt(dt)
     for p in range(n_paths):
         gen = np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), p))))
         out[p] = root * gen.standard_normal((steps, modes))
-    out.flags.writeable = False
     return out
 
 

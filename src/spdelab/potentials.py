@@ -427,17 +427,12 @@ def _newton_difference(core, lam, F, tol, warm):
 
     def residual(state, rows):
         _, _, G, slope, _, E = state
-        y = W * (np.sign(G) * slope)
-        if core._quad:
-            y = y + Q * G
-        grad = E + core._div(y)
+        grad = E + core._div(W * (np.sign(G) * slope) + Q * G)
         return np.sqrt((grad**2).sum(axis=1)) * scale, target[rows], grad
 
     def direction(state, grad):
         """Solve ``(I + K^T diag(c) K) x = -grad`` per batch row."""
-        curv = W * state[4]
-        if core._quad:
-            curv = curv + Q
+        curv = W * state[4] + Q
         if core._tridiagonal:
             c = -(curv * core._scale_sq)  # couplings -c_e s_e^2; s_e = 1/h on grids
             d = np.ones(grad.shape)
@@ -469,9 +464,7 @@ def _fenchel_gap(core, lam, Y, F, hstar):
     Q = lam * core.edge_q
     V = F - core._div(Y)
     G = core._grad(V)
-    hval = W * prof.value(np.abs(G))
-    if core._quad:
-        hval = hval + 0.5 * Q * G**2
+    hval = W * prof.value(np.abs(G)) + 0.5 * Q * G**2
     terms = hval + hstar - Y * G
     vol = core.grid.cell_volume
     gap = vol * np.maximum(terms.sum(axis=1), 0.0)

@@ -8,9 +8,9 @@ together), the slope limit at 0+ (nonzero only for kinked profiles like the
 raw absolute value), and the radial proximal map ``r + tau * psi'(r) = s``
 (closed forms over ``yosida.prox_radius``).  ``maps`` pays one power per
 point: raw powers share ``t = s^(p-1)`` between value, slope and curvature,
-and the Moreau-Yosida profiles take all three from one resolvent radius and
-the power ``r^(p-1)`` its solve already took.  The maps switch no
-floating-point error state of their own.
+and the Moreau-Yosida profiles take all three from one resolvent radius r
+and ``r^(p-1)`` (at p = 3/2 the closed-form root, with no radius solve of
+its own).  The maps switch no floating-point error state of their own.
 
 Supported families: raw powers ``s^p / p`` with p in [1, 2] and their
 Moreau-Yosida regularizations.  A quadratic face term ``q s^2 / 2``
@@ -116,20 +116,25 @@ class YosidaPowerProfile(RadialProfile):
 
     def maps(self, s):
         """``(value, slope, curvature)`` at s from one resolvent radius r and
-        the power ``t = r^(p-1)`` its solve already took."""
+        one power ``t = r^(p-1)``."""
         s = np.asarray(s, dtype=float)
         p, d = self.p, self.delta
-        if p == 1.0 or p == 2.0:
+        if p == 1.5:
+            # the closed-form root sqrt(r) is r^(p-1) itself
+            t = yosida._sqrt_radius(d, np.maximum(s, 0.0))
+            r = t * t
+        else:
             r = yosida.prox_radius(p, d, s)
-            slope = (s - r) / d
-            curv = np.where(s < d, 1.0 / d, 0.0) if p == 1.0 else np.full_like(s, 1.0 / (1.0 + d))
-            return 0.5 * d * slope**2 + r**p / p, slope, curv
-        r, t = yosida._radius_power(p, d, s)
+            t = r ** (p - 1.0)
         slope = (s - r) / d
         value = 0.5 * d * slope**2 + r * t / p
+        if p == 1.0:
+            return value, slope, np.where(s < d, 1.0 / d, 0.0)
+        if p == 2.0:
+            return value, slope, np.full_like(s, 1.0 / (1.0 + d))
         # chain rule through the resolvent: phi' / (1 + delta phi'), phi' = (p-1) t / r
         if p == 1.5:
-            # t = sqrt(r), so this is 1 / (2t + delta): exactly 1/delta at r = 0
+            # with t = sqrt(r) this is 1 / (2t + delta): exactly 1/delta at r = 0
             return value, slope, 1.0 / (2.0 * t + d)
         # (r == 0) turns the 0/0 at r = 0 into its limit 1/delta
         at, zero = (p - 1.0) * t, r == 0.0

@@ -53,44 +53,32 @@ def prox_radius(p: float, delta: float, s) -> np.ndarray:
         return np.maximum(s - delta, 0.0)
     if p == 2.0:
         return s / (1.0 + delta)
-    return _radius_power(p, delta, s)[0]
-
-
-def _radius_power(p: float, delta, s):
-    """``(r, t)`` for 1 < p < 2: the radius of ``prox_radius`` at ``max(s, 0)``
-    and ``t = r^(p-1)``, the power its convergence check took (for p = 3/2 the
-    closed-form root q, with r = q^2).  p and delta are taken as checked."""
     s = np.maximum(s, 0.0)
     if p == 1.5:
-        q = 2.0 * s / (delta + np.sqrt(delta * delta + 4.0 * s))
-        return q * q, q
+        q = _sqrt_radius(delta, s)
+        return q * q
+    # a 0-d magnitude sweeps as a 1-element array: scalar power rounds differently
+    zero_d, s = s.ndim == 0, np.atleast_1d(s)
     a = p - 1.0
     with np.errstate(over="ignore"):
-        r = np.asarray(np.minimum(s, np.power(s / delta, 1.0 / a)))
-    da, db = delta * a, delta * (1.0 - a)
-    bound = 8.0 * _EPS * (1.0 + s)
-    t, num, den = np.empty_like(r), np.empty_like(r), np.empty_like(r)
-    # each sweep runs in place: the same operations, in the same order, as
-    # r * ((s - db t) / (r + da t + (r == 0)))
+        r = np.minimum(s, (s / delta) ** (1.0 / a))
     for k in range(_ROOT_MAX_ITER + 1):
-        np.power(r, a, out=t)
+        t = r**a
         if k >= _ROOT_SWEEPS:
-            np.multiply(delta, t, out=num)
-            num += r
-            num -= s
-            live = (np.abs(num, out=num) > bound) & (r >= _TINY)
+            live = (np.abs(r + delta * t - s) > 8.0 * _EPS * (1.0 + s)) & (r >= _TINY)
             if not live.any():
-                return r, t
+                return r.reshape(np.shape(delta)) if zero_d else r
             if k == _ROOT_MAX_ITER:
                 raise FloatingPointError(f"prox_radius(p={p}): {live.sum()} radii unconverged")
-        np.multiply(db, t, out=num)
-        np.subtract(s, num, out=num)
-        np.multiply(da, t, out=den)
-        den += r
         # the denominator is 0 only at r = 0, a fixed point; (r == 0) keeps it there
-        den += r == 0.0
-        num /= den
-        np.multiply(r, num, out=r, where=live if k >= _ROOT_SWEEPS else True)
+        step = r * ((s - (delta * (1.0 - a)) * t) / (r + (delta * a) * t + (r == 0.0)))
+        r = step if k < _ROOT_SWEEPS else np.where(live, step, r)
+
+
+def _sqrt_radius(delta, s):
+    """``sqrt(r)`` for the p = 3/2 radius at magnitudes s >= 0 (delta taken as
+    checked): the root of ``q^2 + delta q = s``, which is also ``r^(p-1)``."""
+    return 2.0 * s / (delta + np.sqrt(delta * delta + 4.0 * s))
 
 
 def _split(xi, axis):

@@ -344,25 +344,6 @@ def test_increment_statistics():
     assert np.all(np.abs(var - 1e-3) < 5 * se)
 
 
-def test_increments_are_memoized_as_a_read_only_fresh_draw():
-    inc = gaussian_increments(5, 3, 4, 2, 1e-3)
-    fresh = gaussian_increments.__wrapped__(5, 3, 4, 2, 1e-3)
-    assert inc.tobytes() == fresh.tobytes()
-    assert gaussian_increments(5, 3, 4, 2, 1e-3) is inc
-    with pytest.raises(ValueError, match="read-only"):
-        inc[0, 0, 0] = 0.0
-
-
-def test_simulate_calls_with_one_seed_share_their_increments():
-    g = interval_grid(16)
-    sp = SchemeParams(dt=1e-3, steps=3)
-    model = additive_model(g)
-    a = simulate(sine_ic(g), potentials.p_dirichlet(g, 2.0), model, sp, 2, seed=21)
-    b = simulate(sine_ic(g), potentials.p_dirichlet(g, 1.5, delta=0.01), model, replace(sp, delta=0.01), 2, seed=21)
-    assert a.increments is b.increments
-    assert not a.increments.flags.writeable
-
-
 def test_ensemble_mean_matches_noiseless_for_linear_dynamics():
     # expectation is exact for linear dynamics with additive noise; compare a
     # scalar pairing of the final states so 3 standard errors is the right bar
