@@ -17,7 +17,6 @@ from .grids import (
     Grid,
     GridFunction,
     box_grid,
-    h1_norm,
     inner,
     interval_grid,
     norm,
@@ -42,13 +41,12 @@ from .engine import (
     TrajectoryEnsemble,
     simulate,
 )
-from .mosco import MoscoReport, condition_n_check, h1_resolvent_bound_check, mosco_trend, resolvent_distance
+from .mosco import MoscoReport, condition_n_check, mosco_trend, resolvent_distance
 from .svi import (
     SVIReport,
     SolutionTestProcess,
     TestProcess,
-    check_energy,
-    check_variational,
+    audit,
     default_constant,
     weak_convergence_metric,
 )

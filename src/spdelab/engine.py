@@ -154,7 +154,7 @@ class TrajectoryEnsemble:
 
     ``states`` has shape (paths, steps+1, cells); ``increments`` holds the
     Brownian increments (paths, steps, modes) that produced it, enabling
-    common-noise coupling and test-process realization on identical noise.
+    common-noise coupling and audits whose test processes ride the same noise.
     """
 
     grid: Grid
@@ -178,18 +178,6 @@ class TrajectoryEnsemble:
 
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.n_steps + 1)
-
-    def realized_drift(self, model: NemytskiiNoise) -> np.ndarray:
-        """Per-step drift increments ``(X_{n+1} - X_n - B(X_n) dW_n) / dt``.
-
-        For the implicit scheme each returned row is an exact element of the
-        negative subdifferential at X_{n+1} (prox optimality).
-        """
-        out = np.empty((self.n_paths, self.n_steps, self.grid.num_cells))
-        for n in range(self.n_steps):
-            noise = model.apply_batch(self.states[:, n, :], self.increments[:, n, :])
-            out[:, n, :] = (self.states[:, n + 1, :] - self.states[:, n, :] - noise) / self.dt
-        return out
 
     def manifest_text(self) -> str:
         lines = [

@@ -496,13 +496,9 @@ def run_svi_audit(cfg: ExperimentConfig, outdir: Path | None = None) -> Converge
     x0 = _initial_state(cfg, grid, L2)
     model = _noise_model(cfg, grid, L2)
     ens = engine.simulate(x0, pot, model, sp, cfg.n_paths, cfg.seed)
-    C = svi.default_constant(model)
-    reports = [("energy", svi.check_energy(ens, pot, C))]
-    family = structured_test_family(ens, model, x0)
-    for name, Z in family:
-        reports.append((name, svi.check_variational(ens, Z, pot, model, C)))
+    reports = svi.audit(ens, pot, model, svi.default_constant(model), structured_test_family(ens, model, x0))
     rows = []
-    for i, (name, rep) in enumerate(reports):
+    for i, (name, rep) in enumerate(reports.items()):
         rows.append(
             TableRow(i, float(i), float(np.min(rep.margin)), float(np.max(rep.se)),
                      0.0, 0.0, extras={"passed": 1.0 if rep.passed else 0.0})
@@ -518,12 +514,12 @@ def structured_test_family(ens, model, x0):
     grid, space = ens.grid, ens.space
     smooth = GridFunction(grid, 0.25 * np.ones(grid.shape), space)
     G = np.tile(0.1 * x0.flat, (ens.n_steps, 1))
-    return [
-        ("zero", svi.TestProcess.constant(grid, space, 0.0)),
-        ("constant", svi.TestProcess.from_function(smooth)),
-        ("drifted", svi.TestProcess.from_function(smooth, G=G)),
-        ("solution", svi.SolutionTestProcess(ens, model)),
-    ]
+    return {
+        "zero": svi.TestProcess.constant(grid, space, 0.0),
+        "constant": svi.TestProcess.from_function(smooth),
+        "drifted": svi.TestProcess.from_function(smooth, G=G),
+        "solution": svi.SolutionTestProcess(ens, model),
+    }
 
 
 def run_mosco_table(cfg: ExperimentConfig, outdir: Path | None = None) -> ConvergenceTable:

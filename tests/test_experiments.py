@@ -412,6 +412,8 @@ def tiny_table(tmp_path, case):
 # The trotter, homogenize and mosco_table_visc cases were re-recorded when the
 # profile maps moved to one power per point (value r t / p for r^p / p, and the
 # curvature from t = r^(p-1)): rounding only, <= 7.8e-14 relative.
+# trotter_fastdiffusion's row-1 weak_metric was re-recorded (+2 ulp) when
+# tests/conftest.py fixed numpy's dispatch below AVX-512.
 TINY_GOLDEN = {
     'homogenize_fastdiffusion': [
         ['0x1.0000000000000p-2', '0x1.8a356fa60098dp-18', '0x1.5e2327a007c8ep-14', '0x1.80bd26fc16200p-5', '0x1.0000000000000p+1', '-0x1.14468b980884cp-3'],
@@ -435,7 +437,7 @@ TINY_GOLDEN = {
     ],
     'trotter_fastdiffusion': [
         ['0x1.ccccccccccccdp-1', '0x1.9a58d46dbc38bp-19', '0x1.b0578ba53331cp-8', '0x0.0p+0'],
-        ['0x1.999999999999ap-1', '0x1.3e643fdbeb171p-19', '0x1.16b68f8e8f353p-8', '0x0.0p+0'],
+        ['0x1.999999999999ap-1', '0x1.3e643fdbeb173p-19', '0x1.16b68f8e8f353p-8', '0x0.0p+0'],
     ],
     'trotter_plaplace': [
         ['0x1.e666666666666p+0', '0x1.936935d94ae47p-15', '0x1.2f4b97c00941ap-6', '0x1.8d744fba9f44dp+8'],
@@ -447,6 +449,84 @@ TINY_GOLDEN = {
 @pytest.mark.parametrize("case", sorted(TINY_CASES))
 def test_schedule_kind_numeric_columns_are_pinned(tmp_path, case):
     assert tiny_table(tmp_path, case) == TINY_GOLDEN[case]
+
+
+def hex_report_csv(path):
+    """Numeric columns of an ``svi_*.csv`` (the verdict dropped) as ``float.hex``."""
+    header, *rows = path.read_text().strip().splitlines()
+    return [[float.hex(float(v)) for v in r.split(",")[:-1]] for r in rows]
+
+
+# float.hex of the numeric columns of table.csv (wall time dropped) and of
+# every svi_*.csv of a 16-cell, 4-path, 12-step svi_audit_run, recorded with
+# check_energy and check_variational before the one-pass audit
+TINY_AUDIT_GOLDEN = {
+    'table.csv': [
+        ['0x0.0p+0', '0x1.f854c4c3606ccp-1', '0x1.fe697b1308ff1p-8', '0x0.0p+0', '0x1.0000000000000p+0'],
+        ['0x1.0000000000000p+0', '0x1.f36d16312e4a0p-9', '0x1.f378cbb8cfe64p-8', '0x0.0p+0', '0x1.0000000000000p+0'],
+        ['0x1.0000000000000p+1', '0x1.c1408ad897990p-9', '0x1.423dccce1a3a3p-8', '0x0.0p+0', '0x1.0000000000000p+0'],
+        ['0x1.8000000000000p+1', '0x1.c11a8526bfc40p-9', '0x1.413a0f97449b0p-8', '0x0.0p+0', '0x1.0000000000000p+0'],
+        ['0x1.0000000000000p+2', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x1.0000000000000p+0'],
+    ],
+    'svi_constant.csv': [
+        ['0x1.0624dd2f1a9fcp-9', '0x1.ec15a5cf49824p-3', '0x1.f31aa7faabe0ap-3', '0x1.c1408ad897990p-9', '0x1.8bc901730dcfdp-10'],
+        ['0x1.0624dd2f1a9fcp-8', '0x1.e639ff6f31262p-3', '0x1.f327b95f70a64p-3', '0x1.9db73e07f0050p-8', '0x1.89330bb015db5p-9'],
+        ['0x1.0624dd2f1a9fcp-7', '0x1.dc6dc810bb982p-3', '0x1.f341c81f01b3ap-3', '0x1.6d4000e461b80p-7', '0x1.d0a77a391a4fbp-9'],
+        ['0x1.47ae147ae147bp-7', '0x1.d7804c04ce3c3p-3', '0x1.f34ec580a2addp-3', '0x1.bce797bd4719cp-7', '0x1.e6bd00689a251p-9'],
+        ['0x1.cac083126e979p-7', '0x1.cd7381ff7b7c2p-3', '0x1.f368ac589c2f5p-3', '0x1.2fa952c90599ap-6', '0x1.50fff58df84ccp-9'],
+        ['0x1.0624dd2f1a9fcp-6', '0x1.c767d1890ce9ap-3', '0x1.f37595d5bef33p-3', '0x1.606e2265904c6p-6', '0x1.895da06a05079p-9'],
+        ['0x1.47ae147ae147bp-6', '0x1.bc8c72757c4c8p-3', '0x1.f38f55033d147p-3', '0x1.b817146e063f8p-6', '0x1.423dccce1a3a3p-8'],
+        ['0x1.89374bc6a7efap-6', '0x1.b20a13b314ea0p-3', '0x1.f3a8f9e0d897ep-3', '0x1.067b98b70eb75p-5', '0x1.4002b925e196bp-8'],
+    ],
+    'svi_drifted.csv': [
+        ['0x1.0624dd2f1a9fcp-9', '0x1.ebcf6d6ee7d6ap-3', '0x1.f2d3d78382d5cp-3', '0x1.c11a8526bfc40p-9', '0x1.8bba000f7f317p-10'],
+        ['0x1.0624dd2f1a9fcp-8', '0x1.e5afcf8658c5fp-3', '0x1.f29b48da58bf5p-3', '0x1.9d6f2a7fff2d8p-8', '0x1.89138de5dd95cp-9'],
+        ['0x1.0624dd2f1a9fcp-7', '0x1.db61c4faaa635p-3', '0x1.f22d5a586428dp-3', '0x1.6cb955db9c590p-7', '0x1.d07324c569abdp-9'],
+        ['0x1.47ae147ae147bp-7', '0x1.d63679c947032p-3', '0x1.f1f7fe6b87040p-3', '0x1.bc184a24000e8p-7', '0x1.e67f2060adb07p-9'],
+        ['0x1.cac083126e979p-7', '0x1.cbb43e859dd8fp-3', '0x1.f1907c6373710p-3', '0x1.2ee1eeeeacc0ap-6', '0x1.50cb1c2eab31bp-9'],
+        ['0x1.0624dd2f1a9fcp-6', '0x1.c5719329a4b21p-3', '0x1.f15e5500c3357p-3', '0x1.5f660eb8f41b2p-6', '0x1.88949856f5ebap-9'],
+        ['0x1.47ae147ae147bp-6', '0x1.ba2dd01e10d7ep-3', '0x1.f0fd73b9137c6p-3', '0x1.b67d1cd815244p-6', '0x1.413a0f97449b0p-8'],
+        ['0x1.89374bc6a7efap-6', '0x1.af4ac8aedf3a4p-3', '0x1.f0a02c9a5ec45p-3', '0x1.05558fadfe284p-5', '0x1.3ecd3966584c0p-8'],
+    ],
+    'svi_energy.csv': [
+        ['0x1.0624dd2f1a9fcp-9', '0x1.07ab3b3c9f934p-1', '0x1.8000000000000p+0', '0x1.f854c4c3606ccp-1', '0x1.318dcb2fa88d0p-9'],
+        ['0x1.0624dd2f1a9fcp-8', '0x1.036ac582b85eep-1', '0x1.8000000000000p+0', '0x1.fc953a7d47a12p-1', '0x1.27618345549f4p-8'],
+        ['0x1.0624dd2f1a9fcp-7', '0x1.f8986b6e1eea5p-2', '0x1.8000000000000p+0', '0x1.01d9e52478457p+0', '0x1.583c257700c58p-8'],
+        ['0x1.47ae147ae147bp-7', '0x1.f1fed25221cd9p-2', '0x1.8000000000000p+0', '0x1.03804b6b778cap+0', '0x1.675ad583ac693p-8'],
+        ['0x1.cac083126e979p-7', '0x1.e58a3080149dfp-2', '0x1.8000000000000p+0', '0x1.069d73dffad88p+0', '0x1.f8f71cdc2a4cfp-9'],
+        ['0x1.0624dd2f1a9fcp-6', '0x1.dee460cacd626p-2', '0x1.8000000000000p+0', '0x1.0846e7cd4ca76p+0', '0x1.31dfd81b13ee4p-8'],
+        ['0x1.47ae147ae147bp-6', '0x1.d32c5ad7e4d08p-2', '0x1.8000000000000p+0', '0x1.0b34e94a06cbep+0', '0x1.fcf5f7b5338dep-8'],
+        ['0x1.89374bc6a7efap-6', '0x1.c878b7f601965p-2', '0x1.8000000000000p+0', '0x1.0de1d2027f9a7p+0', '0x1.fe697b1308ff1p-8'],
+    ],
+    'svi_solution.csv': [
+        ['0x1.0624dd2f1a9fcp-9', '0x1.c150908e2d276p-8', '0x1.c150908e2d276p-8', '0x0.0p+0', '0x0.0p+0'],
+        ['0x1.0624dd2f1a9fcp-8', '0x1.a8548e46418f4p-7', '0x1.a8548e46418f4p-7', '0x0.0p+0', '0x0.0p+0'],
+        ['0x1.0624dd2f1a9fcp-7', '0x1.7e84b85ec03aep-6', '0x1.7e84b85ec03aep-6', '0x0.0p+0', '0x0.0p+0'],
+        ['0x1.47ae147ae147bp-7', '0x1.c7811b1ba3233p-6', '0x1.c7811b1ba3233p-6', '0x0.0p+0', '0x0.0p+0'],
+        ['0x1.cac083126e979p-7', '0x1.2291f1026b63dp-5', '0x1.2291f1026b63dp-5', '0x0.0p+0', '0x0.0p+0'],
+        ['0x1.0624dd2f1a9fcp-6', '0x1.3d77d32c5b51fp-5', '0x1.3d77d32c5b51fp-5', '0x0.0p+0', '0x0.0p+0'],
+        ['0x1.47ae147ae147bp-6', '0x1.6b40221907928p-5', '0x1.6b40221907928p-5', '0x0.0p+0', '0x0.0p+0'],
+        ['0x1.89374bc6a7efap-6', '0x1.8fdfe15fb41f6p-5', '0x1.8fdfe15fb41f6p-5', '0x0.0p+0', '0x0.0p+0'],
+    ],
+    'svi_zero.csv': [
+        ['0x1.0624dd2f1a9fcp-9', '0x1.fc1fb1df47218p-2', '0x1.00034605d4bf1p-1', '0x1.f36d16312e4a0p-9', '0x1.23d863f4ff290p-9'],
+        ['0x1.0624dd2f1a9fcp-8', '0x1.f8e48a59a95eep-2', '0x1.00068a5f05f08p-1', '0x1.ca229918a0860p-8', '0x1.2323e6817e6bcp-8'],
+        ['0x1.0624dd2f1a9fcp-7', '0x1.f373b0318e5b9p-2', '0x1.000d0e0eea33dp-1', '0x1.94cd7d88c1828p-7', '0x1.594c614775ddbp-8'],
+        ['0x1.47ae147ae147bp-7', '0x1.f08770ca8c6f2p-2', '0x1.00104d6752726p-1', '0x1.f32540830eb60p-7', '0x1.6ad272d99d93cp-8'],
+        ['0x1.cac083126e979p-7', '0x1.ea3af9c654b86p-2', '0x1.0016c71d50d2cp-1', '0x1.5f294744ced2cp-6', '0x1.f86b5c735bfb1p-9'],
+        ['0x1.0624dd2f1a9fcp-6', '0x1.e624be2ae304ep-2', '0x1.001a017c9983bp-1', '0x1.a0f44ce50027cp-6', '0x1.2a4c81a3a6cc8p-8'],
+        ['0x1.47ae147ae147bp-6', '0x1.de98e69153c2fp-2', '0x1.00207147f90c0p-1', '0x1.0d3fdff4f2a84p-5', '0x1.f0745353fba45p-8'],
+        ['0x1.89374bc6a7efap-6', '0x1.d6ff7ff184542p-2', '0x1.0026da7f5fecep-1', '0x1.4a71a869dc2ccp-5', '0x1.f378cbb8cfe64p-8'],
+    ],
+}
+
+
+def test_svi_audit_numeric_columns_are_pinned(tmp_path):
+    text = edit(BASE.format(kind="svi_audit_run", outdir=tmp_path / "out", schedule="1.5"), drop=UNSCHEDULED,
+                set_=[("grid", "cells", "16"), ("experiment", "n_paths", "4"), ("scheme", "steps", "12")])
+    outdir = experiments.run_experiment(parse_config(write_cfg(tmp_path, text)))
+    tables = {path.name: hex_report_csv(path) for path in sorted(outdir.glob("svi_*.csv"))}
+    assert {"table.csv": hex_table(outdir), **tables} == TINY_AUDIT_GOLDEN
 
 
 def test_one_path_schedule_run_warns_nothing(tmp_path):

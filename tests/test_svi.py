@@ -28,7 +28,7 @@ def setup_run(n=48, steps=60, paths=60, amp=0.15, p=1.5, delta=1e-2, seed=17):
 def test_solution_decomposition_margin_is_zero():
     g, pot, model, ens, _ = setup_run()
     Z = svi.SolutionTestProcess(ens, model)
-    rep = svi.check_variational(ens, Z, pot, model, svi.default_constant(model))
+    rep = svi.audit(ens, pot, model, svi.default_constant(model), {"solution": Z})["solution"]
     assert np.abs(rep.margin).max() < 1e-12
     assert rep.passed
 
@@ -37,9 +37,10 @@ def test_zero_test_process_passes_and_relates_to_energy():
     g, pot, model, ens, _ = setup_run()
     C = svi.default_constant(model)
     Z0 = svi.TestProcess.constant(g, "L2", 0.0)
-    rep = svi.check_variational(ens, Z0, pot, model, C)
+    reports = svi.audit(ens, pot, model, C, {"zero": Z0})
+    rep = reports["zero"]
     assert rep.passed
-    energy_rep = svi.check_energy(ens, pot, C)
+    energy_rep = reports["energy"]
     assert energy_rep.passed
     assert energy_rep.smallest_constant <= C
 
@@ -48,11 +49,11 @@ def test_constant_and_drifted_test_processes_pass():
     g, pot, model, ens, x0 = setup_run()
     C = svi.default_constant(model)
     const = svi.TestProcess.from_function(GridFunction(g, np.full(48, 0.3)))
-    rep_c = svi.check_variational(ens, const, pot, model, C)
+    rep_c = svi.audit(ens, pot, model, C, {"constant": const})["constant"]
     assert rep_c.passed
     G = np.tile(0.2 * x0.flat, (ens.n_steps, 1))
     drift = svi.TestProcess.from_function(GridFunction(g, np.full(48, 0.1)), G=G)
-    rep_d = svi.check_variational(ens, drift, pot, model, C)
+    rep_d = svi.audit(ens, pot, model, C, {"drifted": drift})["drifted"]
     assert rep_d.passed
 
 
@@ -64,16 +65,16 @@ def test_regularized_strong_solution_as_test_process():
     ens_z = simulate(y0, pot, model,
                      SchemeParams(dt=ens.dt, steps=ens.n_steps, delta=pot.delta), 40, ens.seed)
     Z = svi.SolutionTestProcess(ens_z, model)
-    rep = svi.check_variational(ens, Z, pot, model, svi.default_constant(model))
+    rep = svi.audit(ens, pot, model, svi.default_constant(model), {"other": Z})["other"]
     assert np.all(rep.margin >= -3.0 * rep.se)
 
 
 def test_audits_need_two_paths():
     g, pot, model, ens, _ = setup_run(n=16, steps=4, paths=1)
     with pytest.raises(ValueError, match="at least 2 paths"):
-        svi.check_energy(ens, pot, 1.0)
+        svi.audit(ens, pot, model, 1.0, {})
     with pytest.raises(ValueError, match="at least 2 paths"):
-        svi.check_variational(ens, svi.SolutionTestProcess(ens, model), pot, model, 1.0)
+        svi.audit(ens, pot, model, 1.0, {"solution": svi.SolutionTestProcess(ens, model)})
 
 
 def test_foreign_noise_rejected():
@@ -82,14 +83,14 @@ def test_foreign_noise_rejected():
                      SchemeParams(dt=ens.dt, steps=ens.n_steps, delta=pot.delta), 10, seed=999)
     Z = svi.SolutionTestProcess(other, model)
     with pytest.raises(ValueError):
-        svi.check_variational(ens, Z, pot, model, 1.0)
+        svi.audit(ens, pot, model, 1.0, {"foreign": Z})
 
 
 def test_energy_check_monotone_in_constant():
     g, pot, model, ens, _ = setup_run(paths=30, steps=30)
     C0 = svi.default_constant(model)
-    rep1 = svi.check_energy(ens, pot, C0)
-    rep2 = svi.check_energy(ens, pot, 2 * C0)
+    rep1 = svi.audit(ens, pot, model, C0, {})["energy"]
+    rep2 = svi.audit(ens, pot, model, 2 * C0, {})["energy"]
     assert rep1.passed
     assert rep2.passed
     assert np.all(rep2.margin >= rep1.margin)
@@ -154,7 +155,7 @@ def test_weak_metric_shape_mismatch_rejected():
 
 def test_report_csv(tmp_path):
     g, pot, model, ens, _ = setup_run(paths=10, steps=10)
-    rep = svi.check_energy(ens, pot, 2.0)
+    rep = svi.audit(ens, pot, model, 2.0, {})["energy"]
     out = tmp_path / "svi.csv"
     rep.to_csv(out)
     lines = out.read_text().strip().splitlines()
@@ -163,16 +164,100 @@ def test_report_csv(tmp_path):
     assert rep.quad_error_est >= 0.0
 
 
-def test_hminus1_audit_smoke():
+def hminus1_run():
     g = interval_grid(24)
     x = g.axis_centers(0)
     pot = potentials.fast_diffusion(g, 0.5, delta=1e-2)
     model = AdditiveNoise([GridFunction(g, 0.1 * np.sin(np.pi * x), "Hminus1")])
     sp = SchemeParams(dt=1e-3, steps=25, delta=1e-2)
     x0 = GridFunction(g, np.sin(np.pi * x), "Hminus1")
-    ens = simulate(x0, pot, model, sp, 25, seed=8)
+    return pot, model, simulate(x0, pot, model, sp, 25, seed=8)
+
+
+def test_hminus1_audit_smoke():
+    pot, model, ens = hminus1_run()
     C = svi.default_constant(model)
-    assert svi.check_energy(ens, pot, C).passed
-    Z = svi.SolutionTestProcess(ens, model)
-    rep = svi.check_variational(ens, Z, pot, model, C)
+    reports = svi.audit(ens, pot, model, C, {"solution": svi.SolutionTestProcess(ens, model)})
+    assert reports["energy"].passed
+    rep = reports["solution"]
     assert np.abs(rep.margin).max() < 1e-12
+
+
+def hex_report(rep):
+    """``float.hex`` of (lhs, rhs, margin, se) per checkpoint, then the
+    quadrature error estimate."""
+    rows = zip(rep.lhs, rep.rhs, rep.margin, rep.se)
+    return [[float.hex(float(v)) for v in row] for row in rows] + [[float.hex(rep.quad_error_est)]]
+
+
+# float.hex of the H^-1 fast-diffusion audit of hminus1_run's ensemble,
+# recorded with check_energy and check_variational before the one-pass audit
+HMINUS1_AUDIT_GOLDEN = {
+    "energy": [
+        ['0x1.f70842e00de34p-5', '0x1.0e11e839a9ff4p+0', '0x1.fcb34c4553205p-1', '0x1.7fcaae081c63bp-14'],
+        ['0x1.ddf6d2504537fp-5', '0x1.0e11e839a9ff4p+0', '0x1.fe44634e4fab0p-1', '0x1.5afd66d7e12e8p-13'],
+        ['0x1.c6028b8e44eb4p-5', '0x1.0e11e839a9ff4p+0', '0x1.ffc3a7ba6fafdp-1', '0x1.cbebea81f25ddp-13'],
+        ['0x1.a70082e0fa1c0p-5', '0x1.0e11e839a9ff4p+0', '0x1.00d9e422a22e6p+0', '0x1.176708edff31ap-12'],
+        ['0x1.8e7da130d3771p-5', '0x1.0e11e839a9ff4p+0', '0x1.019dfb3023638p+0', '0x1.17b9c10a2796ep-12'],
+        ['0x1.72b94fb80f99dp-5', '0x1.0e11e839a9ff4p+0', '0x1.027c1dbbe9827p+0', '0x1.3bd3a2a4281bap-12'],
+        ['0x1.5f611dd81dc40p-5', '0x1.0e11e839a9ff4p+0', '0x1.0316df4ae9112p+0', '0x1.4c48bd3ababdbp-12'],
+        ['0x1.4455cd1e18725p-5', '0x1.0e11e839a9ff4p+0', '0x1.03ef39d0b93bbp+0', '0x1.3b5fb991cf1ccp-12'],
+        ['0x1.001ce6feeb410p-12'],
+    ],
+    "solution": [
+        ['0x1.7e2947cb28a17p-11', '0x1.7e2947cb28a17p-11', '0x0.0p+0', '0x0.0p+0'],
+        ['0x1.74596f957e08ep-9', '0x1.74596f957e08ep-9', '0x0.0p+0', '0x0.0p+0'],
+        ['0x1.3da6d2c4b49fap-8', '0x1.3da6d2c4b49fap-8', '0x0.0p+0', '0x0.0p+0'],
+        ['0x1.e2ab5246b8124p-8', '0x1.e2ab5246b8124p-8', '0x0.0p+0', '0x0.0p+0'],
+        ['0x1.2b675b4a2dbb0p-7', '0x1.2b675b4a2dbb0p-7', '0x0.0p+0', '0x0.0p+0'],
+        ['0x1.7416ec160ea41p-7', '0x1.7416ec160ea41p-7', '0x0.0p+0', '0x0.0p+0'],
+        ['0x1.a76ddba46e3aap-7', '0x1.a76ddba46e3aap-7', '0x0.0p+0', '0x0.0p+0'],
+        ['0x1.e774658792e8fp-7', '0x1.e774658792e8fp-7', '0x0.0p+0', '0x0.0p+0'],
+        ['0x1.f3b5d14892c40p-13'],
+    ],
+    "drifted": [
+        ['0x1.9ca99e27b8f34p-6', '0x1.9f742205a759ap-6', '0x1.6541eef733252p-13', '0x1.bdcd4f89f350dp-15'],
+        ['0x1.9d238552dbc6dp-6', '0x1.a736db252c96dp-6', '0x1.426aba4a1a003p-11', '0x1.9cc787b6d0a52p-14'],
+        ['0x1.9de82bda584b3p-6', '0x1.aef9f36f1b1d7p-6', '0x1.111c794c2d248p-10', '0x1.1bff736cd8be8p-13'],
+        ['0x1.9e7d0f88d0228p-6', '0x1.b954059b0227cp-6', '0x1.ad6f61232052cp-10', '0x1.5f7cea3ca240cp-13'],
+        ['0x1.9c394650f94c9p-6', '0x1.c1182aa073be4p-6', '0x1.26f7227bd38dap-9', '0x1.63320ee790d8cp-13'],
+        ['0x1.9df610e8c4d44p-6', '0x1.cb73925887e05p-6', '0x1.6bec0b7e18600p-9', '0x1.97e0ddf6bda91p-13'],
+        ['0x1.a02a4437f6f37p-6', '0x1.d338215c3c3f1p-6', '0x1.986ee9222a5cdp-9', '0x1.b1bfe56b71888p-13'],
+        ['0x1.a07608315364ap-6', '0x1.dd93caf84c8ecp-6', '0x1.e8ee1637c950fp-9', '0x1.a9d6645265b1bp-13'],
+        ['0x1.f3b5d14892c40p-13'],
+    ],
+}
+
+
+def test_hminus1_audit_numbers_are_pinned():
+    pot, model, ens = hminus1_run()
+    C = svi.default_constant(model)
+    x0 = ens.states[0, 0]
+    smooth = GridFunction(ens.grid, np.full(24, 0.25), "Hminus1")
+    drifted = svi.TestProcess.from_function(smooth, G=np.tile(0.1 * x0, (ens.n_steps, 1)))
+    reports = svi.audit(ens, pot, model, C, {"solution": svi.SolutionTestProcess(ens, model), "drifted": drifted})
+    assert {name: hex_report(rep) for name, rep in reports.items()} == HMINUS1_AUDIT_GOLDEN
+    assert float.hex(reports["energy"].smallest_constant) == '0x1.dcd3596876bc8p-5'
+
+
+@pytest.mark.parametrize("rows", [20, 3])
+def test_audit_refuses_a_drift_whose_rows_are_not_the_steps(rows):
+    # 20 rows were silently cut to the 8 steps; 3 rows raised a bare IndexError
+    g, pot, model, ens, x0 = setup_run(n=16, steps=8, paths=4)
+    Z = svi.TestProcess.from_function(x0, G=np.zeros((rows, 16)))
+    with pytest.raises(ValueError, match=f"G has {rows} rows for 8 steps"):
+        svi.audit(ens, pot, model, 1.0, {"drifted": Z})
+
+
+@pytest.mark.parametrize("z0, G, match", [
+    pytest.param(np.full(16, np.nan), None, "finite", id="nan-z0"),
+    pytest.param(np.zeros(16), np.where(np.eye(8, 16) > 0, np.nan, 0.0), "finite", id="nan-G"),
+    pytest.param(np.zeros(10), None, "10 values for 16 cells", id="short-z0"),
+    pytest.param(np.zeros(16), np.zeros(16), r"shape \(steps, 16\)", id="1d-G"),
+    pytest.param(np.zeros(16), np.zeros((8, 10)), r"shape \(steps, 16\)", id="narrow-G"),
+])
+def test_test_process_refuses_bad_data(z0, G, match):
+    # NaN data used to give NaN margins and the verdict "fail"; a short z0 a
+    # numpy broadcast error inside the audit
+    with pytest.raises(ValueError, match=match):
+        svi.TestProcess(interval_grid(16), "L2", z0, G=G)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bisect_root
+from oracles import bisect_root, phi_delta, phi_min_norm, psi_delta, psi_value, resolvent_radial
 from spdelab import yosida
 
 rng = np.random.default_rng(2024)
@@ -13,13 +13,13 @@ EPS = np.finfo(float).eps
 
 
 def test_soft_threshold_closed_form():
-    out = yosida.resolvent_radial(1.0, 0.5, np.array([2.0, 0.0]))
+    out = resolvent_radial(1.0, 0.5, np.array([2.0, 0.0]))
     assert out == pytest.approx([1.5, 0.0])
 
 
 @pytest.mark.parametrize("p", [1.0, 1.3, 1.5, 1.8, 2.0])
 def test_zero_is_fixed_point(p):
-    out = yosida.resolvent_radial(p, 0.2, np.zeros(3))
+    out = resolvent_radial(p, 0.2, np.zeros(3))
     assert np.all(out == 0.0)
 
 
@@ -41,17 +41,17 @@ def test_radius_random_powers_residual():
 
 
 def test_phi_delta_closed_forms():
-    assert yosida.phi_delta(1.0, 0.5, np.array([0.25, 0.0])) == pytest.approx([0.5, 0.0])
-    assert yosida.phi_delta(1.0, 0.5, np.array([2.0, 0.0])) == pytest.approx([1.0, 0.0])
+    assert phi_delta(1.0, 0.5, np.array([0.25, 0.0])) == pytest.approx([0.5, 0.0])
+    assert phi_delta(1.0, 0.5, np.array([2.0, 0.0])) == pytest.approx([1.0, 0.0])
     xi = rng.standard_normal(5)
-    assert yosida.phi_delta(2.0, 0.3, xi, axis=None) == pytest.approx(xi / 1.3)
+    assert phi_delta(2.0, 0.3, xi, axis=None) == pytest.approx(xi / 1.3)
 
 
 def test_phi_delta_bounded_by_minimal_section():
     for p in (1.0, 1.4, 1.8, 2.0):
         xi = rng.standard_normal((200, 2)) * 3.0
-        phi = np.linalg.norm(yosida.phi_delta(p, 0.05, xi), axis=-1)
-        bound = yosida.phi_min_norm(p, xi)
+        phi = np.linalg.norm(phi_delta(p, 0.05, xi), axis=-1)
+        bound = phi_min_norm(p, xi)
         assert np.all(phi <= bound + 1e-12)
 
 
@@ -60,7 +60,7 @@ def test_phi_delta_monotone_in_xi():
     xi = rng.standard_normal((300, 2))
     zeta = rng.standard_normal((300, 2))
     lhs = np.sum(
-        (yosida.phi_delta(p, delta, xi) - yosida.phi_delta(p, delta, zeta)) * (xi - zeta), axis=-1
+        (phi_delta(p, delta, xi) - phi_delta(p, delta, zeta)) * (xi - zeta), axis=-1
     )
     assert np.all(lhs >= -1e-12)
 
@@ -71,7 +71,7 @@ def test_cross_delta_monotonicity_bound_with_explicit_constant():
             xi = rng.standard_normal((400, 2)) * 2.0
             zeta = rng.standard_normal((400, 2)) * 2.0
             lhs = np.sum(
-                (yosida.phi_delta(p, d1, xi) - yosida.phi_delta(p, d2, zeta)) * (xi - zeta),
+                (phi_delta(p, d1, xi) - phi_delta(p, d2, zeta)) * (xi - zeta),
                 axis=-1,
             )
             bound = -2.0 * (d1 + d2) * (
@@ -82,13 +82,13 @@ def test_cross_delta_monotonicity_bound_with_explicit_constant():
 
 def test_psi_delta_quadratic_closed_form():
     xi = np.array([3.0, 4.0])
-    assert yosida.psi_delta(2.0, 0.3, xi) == pytest.approx(25.0 / (2.0 * 1.3))
+    assert psi_delta(2.0, 0.3, xi) == pytest.approx(25.0 / (2.0 * 1.3))
 
 
 def test_psi_delta_p1_example():
     # threshold 0.5 leaves magnitude 1.5: value = 0.5/2 * 1 + 1.5
-    assert yosida.psi_delta(1.0, 0.5, np.array([2.0, 0.0])) == pytest.approx(1.75)
-    assert yosida.psi_value(1.0, np.array([2.0, 0.0])) == pytest.approx(2.0)
+    assert psi_delta(1.0, 0.5, np.array([2.0, 0.0])) == pytest.approx(1.75)
+    assert psi_value(1.0, np.array([2.0, 0.0])) == pytest.approx(2.0)
 
 
 def test_envelope_identity_from_parts():
@@ -96,22 +96,22 @@ def test_envelope_identity_from_parts():
     for p in (1.0, 1.2, 1.7, 2.0):
         delta = 10 ** rng.uniform(-3, -0.5)
         xi = rng.standard_normal((100, 2)) * 5.0
-        res = yosida.resolvent_radial(p, delta, xi)
+        res = resolvent_radial(p, delta, xi)
         slope = (xi - res) / delta
-        direct = 0.5 * delta * np.sum(slope**2, axis=-1) + yosida.psi_value(p, res)
-        assert yosida.psi_delta(p, delta, xi) == pytest.approx(direct, abs=1e-12)
+        direct = 0.5 * delta * np.sum(slope**2, axis=-1) + psi_value(p, res)
+        assert psi_delta(p, delta, xi) == pytest.approx(direct, abs=1e-12)
 
 
 def test_sandwich_and_gap_bounds():
     p = 1.5
     xi = rng.standard_normal((1000, 2)) * 4.0
-    psi = yosida.psi_value(p, xi)
+    psi = psi_value(p, xi)
     for delta in (1e-1, 1e-2, 1e-3):
-        res = yosida.resolvent_radial(p, delta, xi)
-        env = yosida.psi_delta(p, delta, xi)
-        assert np.all(yosida.psi_value(p, res) <= env + 1e-13)
+        res = resolvent_radial(p, delta, xi)
+        env = psi_delta(p, delta, xi)
+        assert np.all(psi_value(p, res) <= env + 1e-13)
         assert np.all(env <= psi + 1e-13)
-        gap_bound = delta * yosida.phi_min_norm(p, xi) ** 2
+        gap_bound = delta * phi_min_norm(p, xi) ** 2
         assert np.all(psi - env <= gap_bound + 1e-12)
 
 
@@ -120,12 +120,12 @@ def test_phi_delta_is_gradient_of_psi_delta():
     xi = rng.standard_normal((40, 2)) * 2.0 + 0.5
     direction = rng.standard_normal((40, 2))
     direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
-    slope = np.sum(yosida.phi_delta(p, delta, xi) * direction, axis=-1)
+    slope = np.sum(phi_delta(p, delta, xi) * direction, axis=-1)
     errs = []
     for h in (1e-4, 1e-5):
         fd = (
-            yosida.psi_delta(p, delta, xi + h * direction)
-            - yosida.psi_delta(p, delta, xi - h * direction)
+            psi_delta(p, delta, xi + h * direction)
+            - psi_delta(p, delta, xi - h * direction)
         ) / (2 * h)
         errs.append(np.abs(fd - slope).max())
     assert errs[0] < 1e-6
@@ -138,7 +138,7 @@ def test_resolvent_firmly_nonexpansive():
         xi = rng.standard_normal((300, 2)) * 3.0
         zeta = rng.standard_normal((300, 2)) * 3.0
         d_res = np.linalg.norm(
-            yosida.resolvent_radial(p, 0.2, xi) - yosida.resolvent_radial(p, 0.2, zeta), axis=-1
+            resolvent_radial(p, 0.2, xi) - resolvent_radial(p, 0.2, zeta), axis=-1
         )
         d_arg = np.linalg.norm(xi - zeta, axis=-1)
         assert np.all(d_res <= d_arg + 1e-12)
@@ -147,14 +147,14 @@ def test_resolvent_firmly_nonexpansive():
 def test_envelope_ordering_in_delta():
     p = 1.3
     xi = rng.standard_normal((200, 2)) * 3.0
-    small = yosida.psi_delta(p, 1e-3, xi)
-    large = yosida.psi_delta(p, 1e-1, xi)
+    small = psi_delta(p, 1e-3, xi)
+    large = psi_delta(p, 1e-1, xi)
     assert np.all(large <= small + 1e-13)
 
 
 def test_resolvent_shrinks_magnitude_and_keeps_direction():
     xi = rng.standard_normal((100, 2)) * 2.0
-    out = yosida.resolvent_radial(1.5, 0.3, xi)
+    out = resolvent_radial(1.5, 0.3, xi)
     assert np.all(np.linalg.norm(out, axis=-1) <= np.linalg.norm(xi, axis=-1) + 1e-14)
     cross = out[:, 0] * xi[:, 1] - out[:, 1] * xi[:, 0]
     assert np.abs(cross).max() < 1e-12
