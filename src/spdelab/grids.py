@@ -26,7 +26,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 L2 = "L2"
 H1 = "H1"
@@ -215,6 +214,8 @@ def neg_laplacian_matrix(grid: Grid, bc: str = NEUMANN) -> sp.csr_matrix:
 
 @lru_cache(maxsize=None)
 def _dirichlet_solver(grid: Grid):
+    import scipy.sparse.linalg as spla  # loaded only by runs that need the H^-1 geometry
+
     return spla.splu(neg_laplacian_matrix(grid, DIRICHLET).tocsc())
 
 

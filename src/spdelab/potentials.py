@@ -35,9 +35,10 @@ and nonlocal stencils the two primal Newton systems, ``I + K^T diag(c) K``
 and fast diffusion's ``I + L diag(c)`` in a symmetric form, are positive
 definite banded solves (LAPACK ``pbsv``), one call per step for all live
 rows, and so are both face duals: edges ordered by lower cell make ``K K^T``
-banded too.  Every returned minimizer carries a certificate: the max
+banded too.  Fast diffusion's H^-1 Newton solves the Dirichlet system once
+per step.  ``prox`` returns the minimizer at once; its certificate, the max
 violation of the variational inequality over a probe panel plus the solver's
-own optimality residual.
+own optimality residual, is computed when first read.
 
 On a finite grid every function has finite energy, so the
 lower-semicontinuous-hull construction that extends these energies to the
@@ -46,8 +47,7 @@ full continuum spaces needs no discrete counterpart: ``eval`` is total.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -93,12 +93,21 @@ class ProxDidNotConverge(RuntimeError):
         self.rows = tuple(int(r) for r in rows)
 
 
-@dataclass
 class ProxResult:
-    minimizer: GridFunction
-    objective_value: float
-    kkt_residual: float
-    iterations: int
+    """Minimizer and iteration count of a prox; the certificate is computed on first read."""
+
+    def __init__(self, pot, lam, f, z, residual, iterations):
+        self.minimizer, self.iterations, self._call = z, iterations, (pot, lam, f, residual)
+
+    @cached_property
+    def kkt_residual(self) -> float:
+        pot, lam, f, residual = self._call
+        return residual + pot._probe_violation(lam, f, self.minimizer)
+
+    @cached_property
+    def objective_value(self) -> float:
+        pot, lam, f, _ = self._call
+        return 0.5 * inner(f - self.minimizer, f - self.minimizer) + lam * pot.eval(self.minimizer)
 
 
 def _prox_rows(lam: float, F, tol: float) -> np.ndarray:
@@ -181,10 +190,7 @@ class Potential:
             )
         Z, residual, iters = self.prox_batch(lam, f.flat[None, :], tol=tol)
         z = GridFunction(self.grid, Z[0].reshape(self.grid.shape), self.space)
-        kkt = residual + self._probe_violation(lam, f, z)
-        diff = f - z
-        obj = 0.5 * inner(diff, diff) + lam * self.eval(z)
-        return ProxResult(minimizer=z, objective_value=obj, kkt_residual=kkt, iterations=iters)
+        return ProxResult(self, lam, f, z, residual, iters)
 
     def _probe_violation(self, lam: float, f: GridFunction, z: GridFunction) -> float:
         """Max violation of ``(f - z, v - z)_H <= lam (eval(v) - eval(z))``.
@@ -329,7 +335,8 @@ def _damped_newton(evaluate, X, residual, direction, accept, cap, t_min, patienc
     """Batched damped Newton with a per-row halving line search.
 
     Rows with ``resid > threshold`` are live, and the callbacks see only the
-    live sub-batch, ``rows`` its batch indices for per-row data:
+    live sub-batch, ``rows`` its batch indices for per-row data (the slice
+    ``slice(None)`` while every row is live, so indexing by it copies nothing):
     ``evaluate(X, rows)`` gives the state ``(X, obj, *maps)`` at the
     (projected) iterates X, ``residual(state, rows)`` gives ``(resid,
     threshold, grad)`` and ``direction(state, grad)`` the step.  A live row
@@ -342,7 +349,7 @@ def _damped_newton(evaluate, X, residual, direction, accept, cap, t_min, patienc
     batch indices of the rows still unconverged at the end (empty when all
     converged).
     """
-    rows = np.arange(X.shape[0])
+    rows = slice(None)
     state = evaluate(X, rows)
     out = state[0]
     resid = np.full(X.shape[0], np.inf)
@@ -352,10 +359,11 @@ def _damped_newton(evaluate, X, residual, direction, accept, cap, t_min, patienc
         resid[rows] = res
         live = res > threshold
         if not live.all():
+            rows = np.arange(X.shape[0])[rows]
             out[rows[~live]] = state[0][~live]
             rows, grad, state = rows[live], grad[live], tuple(a[live] for a in state)
-        if rows.size == 0:
-            break
+            if rows.size == 0:
+                break
         worst = resid.max()
         if worst < 0.9 * best:
             best, stagnant = worst, 0
@@ -372,7 +380,7 @@ def _damped_newton(evaluate, X, residual, direction, accept, cap, t_min, patienc
             new = evaluate(state[0] + t[:, None] * step, rows)
         state = new
     out[rows] = state[0]
-    return out, float(resid.max()), iters, rows
+    return out, float(resid.max()), iters, np.arange(X.shape[0])[rows]
 
 
 def _armijo(new, obj, t, gd):
@@ -427,12 +435,13 @@ def _newton_difference(core, lam, F, tol, warm):
 
     def residual(state, rows):
         _, _, G, slope, _, E = state
-        grad = E + core._div(W * (np.sign(G) * slope) + Q * G)
+        coeff = W * (np.sign(G) * slope)
+        grad = E + core._div(coeff + Q * G if core._quad else coeff)
         return np.sqrt((grad**2).sum(axis=1)) * scale, target[rows], grad
 
     def direction(state, grad):
         """Solve ``(I + K^T diag(c) K) x = -grad`` per batch row."""
-        curv = W * state[4] + Q
+        curv = W * state[4] + Q if core._quad else W * state[4]
         if core._tridiagonal:
             c = -(curv * core._scale_sq)  # couplings -c_e s_e^2; s_e = 1/h on grids
             d = np.ones(grad.shape)
@@ -659,16 +668,19 @@ class FastDiffusionPotential(Potential):
         target = 0.25 * tol * (1.0 + self._hminus1_res(F))
 
         def evaluate(Zv, rows):
-            """H^-1 merit per row, plus the profile slope and curvature at |z|."""
+            """H^-1 merit per row, plus the slope and curvature at |z| and ``L^-1 (z - f)``."""
             E = Zv - F[rows]
             GE = lu.solve(E.T).T
             value, slope, curv = prof.maps(np.abs(Zv))
-            return Zv, 0.5 * np.einsum("ij,ij->i", E, GE) + lam * (value @ a), slope, curv
+            return Zv, 0.5 * np.einsum("ij,ij->i", E, GE) + lam * (value @ a), slope, curv, GE
 
         def residual(state, rows):
-            Zv, _, slope, _ = state
-            R = Zv - F[rows] + lam * (L @ (a * (np.sign(Zv) * slope)).T).T
-            return self._hminus1_res(R), target[rows], R
+            # R = z - f + lam L(a phi), so L^-1 R = GE + lam a phi: its H^-1 norm takes no solve
+            Zv, _, slope, _, GE = state
+            aphi = a * (np.sign(Zv) * slope)
+            R = Zv - F[rows] + lam * (L @ aphi.T).T
+            norm_sq = self.grid.cell_volume * np.einsum("ij,ij->i", R, GE + lam * aphi)
+            return np.sqrt(np.maximum(norm_sq, 0.0)), target[rows], R
 
         def direction(state, R):
             c = lam * a * state[3]

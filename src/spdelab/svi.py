@@ -86,7 +86,8 @@ class SolutionTestProcess(TestProcess):
     With the implicit scheme the realized drift rows
     ``(X_{s+1} - X_s - B(X_s) dW_s) / dt`` are exact negative subgradients at
     X_{s+1} (prox optimality), so this process satisfies the decomposition
-    identity to machine precision on the stored grid.
+    identity to machine precision on the stored grid.  Audited against its own
+    ensemble it checks nothing: ``X - Z = 0`` makes margin and SE exactly 0.
     """
 
     def __init__(self, ens: TrajectoryEnsemble, model: NemytskiiNoise):

@@ -346,12 +346,17 @@ def test_criterion_10_svi_audit():
     all_pass = all(np.all(rep.margin >= -3.0 * rep.se) for rep in reports.values())
     elapsed = time.perf_counter() - t0
     ok = all_pass and elapsed < 600.0
-    worst = min(float(np.min(rep.margin + 3.0 * rep.se)) for rep in reports.values())
+    # the solution process audited on its own ensemble has margin and SE 0 by
+    # construction, so the worst case is taken over the other reports and the
+    # solution process is shown apart, as an identity check
+    checked = [rep for name, rep in reports.items() if name != "solution"]
+    worst = min(float(np.min(rep.margin + 3.0 * rep.se)) for rep in checked)
+    identity = float(np.max(np.abs(reports["solution"].margin)))
     _report(
         10,
         ok,
-        f"energy + {len(family)} test processes, min(margin+3SE)={worst:.3e} (>=0), "
-        f"500 paths, {elapsed:.0f}s (<600s)",
+        f"energy + {len(checked) - 1} F = 0 test processes, min(margin+3SE)={worst:.3e} (>=0); "
+        f"solution process max|margin|={identity:.1e} (identity); 500 paths, {elapsed:.0f}s (<600s)",
     )
 
 

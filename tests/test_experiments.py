@@ -271,6 +271,20 @@ def test_import_loads_no_quadrature_or_optimizer():
     assert done.stdout.strip() == "[]"
 
 
+def test_import_leaves_the_sparse_factorization_to_hminus1_runs():
+    # only the H^-1 geometry factors the Dirichlet Laplacian; L2 runs never
+    # load scipy.sparse.linalg, and the first Dirichlet solve loads it
+    code = ("import sys, numpy as np, spdelab.cli\n"
+            "from spdelab import grids\n"
+            "print('scipy.sparse.linalg' in sys.modules)\n"
+            "g = grids.box_grid((4, 4)); b = np.arange(16.0)\n"
+            "w = grids.dirichlet_solve(g, b)\n"
+            "print(np.abs(grids.neg_laplacian_matrix(g, grids.DIRICHLET) @ w - b).max() < 1e-12)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.split() == ["False", "True"]
+
+
 def test_cli_bad_config_exit_code(tmp_path):
     bad = write_cfg(tmp_path, "[experiment]\nkind = nope\nseed = 1\noutput_dir = x\n")
     assert cli.main(["validate", str(bad)]) == 1

@@ -852,3 +852,55 @@ def test_probe_violation_matches_probe_by_probe_panel(make):
         expected = max(expected, inner(f - z, v - z) - 0.1 * (pot.eval(v) - ez))
     assert expected > 0.0
     assert pot._probe_violation(0.1, f, z) == pytest.approx(expected, rel=1e-12, abs=1e-14)
+
+
+# float.hex of ``prox``'s certificate, iteration count and minimizer on one
+# case per solver branch (tol 1e-9), recorded while ``prox`` still built the
+# certificate eagerly: reading it later must give the same bits.  The fast
+# diffusion kkt_residual was re-recorded when the H^-1 Newton began taking
+# its residual norm from the merit's own Dirichlet solve (0x1.ae2e1c755b524p-48
+# before, 1% apart at that rounding-level size; same minimizer and iterations)
+PROX_PINS = json.loads((Path(__file__).parent / "prox_pins.json").read_text())
+PROX_PIN_CASES = {
+    "yosida_primal_trig0": (lambda: potentials.p_dirichlet(interval_grid(64), 1.5, delta=0.025), "trig0", 1.0),
+    # the primal Newton stalls on this probe and prox_batch falls back to the smooth dual
+    "yosida_fallback_gauss0": (lambda: potentials.p_dirichlet(interval_grid(64), 1.5, delta=0.025), "gauss0", 1.0),
+    "smooth_dual_p1.5": (lambda: potentials.p_dirichlet(interval_grid(64), 1.5), "trig3", 1.0),
+    "box_dual_tv": (lambda: potentials.p_dirichlet(interval_grid(64), 1.0), "piecewise0", 0.1),
+    "gradient_8x8": (lambda: potentials.p_dirichlet(GRID_8X8, 1.5, delta=0.05), "gauss0", 0.5),
+    "fast_diffusion_1d": (lambda: potentials.fast_diffusion(interval_grid(32), 0.5, delta=0.05), "trig0", 0.1),
+}
+
+
+def prox_pin_record(case):
+    make, probe, lam = PROX_PIN_CASES[case]
+    pot = make()
+    res = pot.prox(lam, dict(mosco.default_probes(pot.grid, pot.space))[probe], tol=1e-9)
+    return {
+        "kkt_residual": float.hex(res.kkt_residual),
+        "objective_value": float.hex(res.objective_value),
+        "iterations": res.iterations,
+        "minimizer": [float.hex(v) for v in res.minimizer.flat.tolist()],
+    }
+
+
+@pytest.mark.parametrize("case", sorted(PROX_PIN_CASES))
+def test_prox_certificates_match_their_float_hex_pins(case):
+    assert prox_pin_record(case) == PROX_PINS[case]
+
+
+def test_prox_certificate_is_computed_on_first_read(monkeypatch):
+    calls = []
+    probe_violation = potentials.Potential._probe_violation
+
+    def counted(self, *args):
+        calls.append(args)
+        return probe_violation(self, *args)
+
+    monkeypatch.setattr(potentials.Potential, "_probe_violation", counted)
+    g = interval_grid(24)
+    res = potentials.p_dirichlet(g, 1.5, delta=0.05).prox(0.5, random_l2(g), tol=1e-9)
+    assert len(calls) == 0
+    first = res.kkt_residual
+    assert len(calls) == 1
+    assert res.kkt_residual == first and len(calls) == 1
