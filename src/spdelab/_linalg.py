@@ -6,6 +6,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, get_lapack_funcs
 
 _GTSV, _PBSV = get_lapack_funcs(("gtsv", "pbsv"), dtype=np.float64)
+_CHUNK_BYTES = 256 * 1024  # band buffer per pbsv call: a chunk of rows stays in cache
 
 
 def solve_tridiagonal(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -34,31 +35,34 @@ def solve_tridiagonal(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarr
     return x.reshape(b.shape)
 
 
-def solve_banded_spd(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Symmetric positive definite banded solve per batch row, in one LAPACK ``pbsv`` call.
+def solve_banded_spd(fill, kd: int, b: np.ndarray) -> np.ndarray:
+    """Symmetric positive definite banded solve per row of ``b``, shape
+    ``(m, n)``, by LAPACK ``pbsv`` on chunks of rows of about ``_CHUNK_BYTES``.
 
-    ``ab`` has shape ``(m, n, kd + 1)`` and holds each row's lower band,
-    ``ab[r, j, k] = A_r[j + k, j]``; entries with ``j + k >= n`` are ignored.
-    ``b`` has shape ``(m, n)``.  The rows lie end to end as independent
-    blocks of one band matrix, each followed by at least kd identity rows
-    and starting at a multiple of 32, the block size of LAPACK's blocked band
-    Cholesky.  So every row meets the same arithmetic wherever it sits in the
-    batch, and a row's solution is bit-identical to solving it alone.  The
-    buffer's ``(rows, kd + 1)`` reshape, transposed, is already the
-    Fortran-ordered band storage ``pbsv`` factors in place.  A system that
-    is not positive definite raises ``LinAlgError``.
+    ``fill(view, rows)`` writes the lower bands of the batch rows ``rows`` (a
+    slice) into the zeroed ``view`` of shape ``(len(rows), n, kd + 1)``,
+    ``view[r, j, k] = A[j + k, j]``, leaving the entries with ``j + k >= n``
+    zero.  The rows of a chunk lie end to end as independent blocks of one
+    band matrix, each followed by at least kd identity rows and starting at a
+    multiple of 32, the block size of LAPACK's blocked band Cholesky.  So
+    every row meets the same arithmetic wherever it sits, and its solution is
+    bit-identical to solving it alone, whatever the chunk.  The buffer's
+    ``(rows, kd + 1)`` reshape, transposed, is already the Fortran-ordered
+    band storage ``pbsv`` factors in place.  A system that is not positive
+    definite raises ``LinAlgError`` naming its batch row and cell.
     """
-    m, n, w = ab.shape
-    stride = n + w - 1 + (1 - n - w) % 32  # n cells, kd identity rows, up to a multiple of 32
-    buf = np.zeros((m, stride, w))
-    buf[:, :n] = ab
-    for k in range(1, w):
-        buf[:, max(n - k, 0) : n, k] = 0.0
-    buf[:, n:, 0] = 1.0
-    rhs = np.zeros((m, stride))
-    rhs[:, :n] = b
-    _, x, info = _PBSV(buf.reshape(m * stride, w).T, rhs.reshape(m * stride, 1),
-                       lower=1, overwrite_ab=1, overwrite_b=1)
-    if info:
-        raise LinAlgError(f"banded system not positive definite (pbsv info {info})")
-    return x.reshape(m, stride)[:, :n]
+    (m, n), w = b.shape, kd + 1
+    stride = n + kd + (-n - kd) % 32  # n cells, kd identity rows, up to a multiple of 32
+    per, x = max(_CHUNK_BYTES // (8 * stride * w), 1), np.empty((m, n))
+    for lo in range(0, m, per):
+        rows = slice(lo, min(lo + per, m))
+        buf, rhs = np.zeros((rows.stop - lo, stride, w)), np.zeros((rows.stop - lo, stride))
+        buf[:, n:, 0] = 1.0
+        fill(buf[:, :n], rows)
+        rhs[:, :n] = b[rows]
+        _, z, info = _PBSV(buf.reshape(-1, w).T, rhs.reshape(-1, 1), lower=1, overwrite_ab=1, overwrite_b=1)
+        if info:
+            raise LinAlgError(f"banded system not positive definite at row {lo + (info - 1) // stride}, "
+                              f"cell {(info - 1) % stride} (pbsv info {info})")
+        x[rows] = z.reshape(-1, stride)[:, :n]
+    return x

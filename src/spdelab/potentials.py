@@ -33,12 +33,13 @@ again.  The Newton systems are banded.  On 1D chains ``K`` and ``K^T`` are
 stencils and every system is tridiagonal (LAPACK ``gtsv``).  On 2D grids
 and nonlocal stencils the two primal Newton systems, ``I + K^T diag(c) K``
 and fast diffusion's ``I + L diag(c)`` in a symmetric form, are positive
-definite banded solves (LAPACK ``pbsv``), one call per step for all live
-rows, and so are both face duals: edges ordered by lower cell make ``K K^T``
-banded too.  Fast diffusion's H^-1 Newton solves the Dirichlet system once
-per step.  ``prox`` returns the minimizer at once; its certificate, the max
-violation of the variational inequality over a probe panel plus the solver's
-own optimality residual, is computed when first read.
+definite banded solves (LAPACK ``pbsv``, one call per cache-sized chunk of
+live rows, each band written in place), and so are both face duals: edges
+ordered by lower cell make ``K K^T`` banded too.  Fast diffusion's H^-1
+Newton solves the Dirichlet system once per step.  ``prox`` returns the
+minimizer at once; its certificate, the max violation of the variational
+inequality over a probe panel plus the solver's own optimality residual, is
+computed when first read.
 
 On a finite grid every function has finite energy, so the
 lower-semicontinuous-hull construction that extends these energies to the
@@ -390,13 +391,13 @@ def _armijo(new, obj, t, gd):
 
 
 def _hessian_band(core, curv):
-    """Lower bands of ``I + K^T diag(c) K``, one per row of ``curv``, laid out
-    for ``solve_banded_spd``.
+    """``(fill, kd)`` for ``solve_banded_spd``: the lower bands of
+    ``I + K^T diag(c) K``, one system per row of ``curv``.
 
     Edge e couples cells i < j through the entries s_i, s_j of K: it adds
     c_e s_i^2 and c_e s_j^2 to the diagonal at i and j, and c_e s_i s_j at
-    offset j - i in column i.  That scatter, with the bandwidth kd (the
-    largest cell gap of any edge), is built once per potential.
+    offset j - i in column i.  That scatter and kd, the largest cell gap of
+    any edge, are built once per potential; ``fill`` applies it per chunk.
     """
     if core._band is None:
         K = core.K.sorted_indices()
@@ -409,9 +410,12 @@ def _hessian_band(core, curv):
         coef = np.concatenate([si * si, sj * sj, si * sj])
         core._band = sp.csr_matrix((coef, (slots, edges)), shape=(K.shape[1] * (kd + 1), K.shape[0])), kd
     scatter, kd = core._band
-    ab = (scatter @ curv.T).T.reshape(curv.shape[0], -1, kd + 1)
-    ab[:, :, 0] += 1.0
-    return ab
+
+    def fill(view, rows):
+        view[:] = (scatter @ curv[rows].T).T.reshape(view.shape)
+        view[:, :, 0] += 1.0
+
+    return fill, kd
 
 
 def _newton_difference(core, lam, F, tol, warm):
@@ -448,7 +452,7 @@ def _newton_difference(core, lam, F, tol, warm):
             d[:, :-1] -= c  # diagonal 1 + c_i s_i^2 + c_(i-1) s_(i-1)^2
             d[:, 1:] -= c
             return solve_tridiagonal(c, d, c, -grad)
-        return solve_banded_spd(_hessian_band(core, curv), -grad)
+        return solve_banded_spd(*_hessian_band(core, curv), -grad)
 
     # Armijo backtracking per row (Hessian >= I, so full steps dominate)
     V, worst, iters, live = _damped_newton(
@@ -503,8 +507,8 @@ def _dual_newton(core, lam, F, tol, conj, bound=np.inf):
     box is pinned: it becomes an identity row of the Newton system, so its
     step is zero (projected Newton, Bertsekas 1982).  The system, the Gram
     plus the conjugate curvature, stays banded: tridiagonal on 1D chains,
-    the Gram band elsewhere, one LAPACK solve per batch.  Steps pass an
-    Armijo test along the projection arc.
+    the Gram band elsewhere, masked per chunk of rows straight into the
+    ``pbsv`` buffer.  Steps pass an Armijo test along the projection arc.
     """
     band, target, KF = _dual_start(core, F, tol)
     edge = bound * (1 - 1e-14)  # pinning threshold
@@ -529,12 +533,17 @@ def _dual_newton(core, lam, F, tol, conj, bound=np.inf):
         if core._tridiagonal:
             off = np.where(pinned[:, 1:] | pinned[:, :-1], 0.0, core._gram_off)
             return solve_tridiagonal(off, np.where(pinned, 1.0, 2.0 * core._scale_sq + curv), off, rhs)
-        free = np.pad(~pinned, ((0, 0), (0, band.shape[1] - 1)))  # free[r, j + k] at window k
-        ab = np.where(~pinned[:, :, None] & sliding_window_view(free, band.shape[1], axis=1), band, 0.0)
+        w = band.shape[1]
+        free = np.pad(~pinned, ((0, 0), (0, w - 1)))  # free[r, j + k] at window k
         diag = np.where(pinned, 0.0, band[:, 0] + curv)
         # the ridge keeps K K^T definite where the edges close a cycle
-        ab[:, :, 0] = np.where(pinned, 1.0, diag + 1e-13 * (1.0 + diag.max(axis=1, keepdims=True)))
-        return solve_banded_spd(ab, rhs)
+        diag = np.where(pinned, 1.0, diag + 1e-13 * (1.0 + diag.max(axis=1, keepdims=True)))
+
+        def fill(view, rows):
+            np.copyto(view, band, where=~pinned[rows, :, None] & sliding_window_view(free[rows], w, axis=1))
+            view[:, :, 0] = diag[rows]
+
+        return solve_banded_spd(fill, w - 1, rhs)
 
     Y, worst, iters, live = _damped_newton(
         evaluate, np.zeros(KF.shape), residual, direction, _armijo, DUAL_CAP, 1e-14
@@ -702,15 +711,17 @@ class FastDiffusionPotential(Potential):
         allowed), L the Dirichlet ``-Laplacian``.
 
         With ``S = diag(sqrt c)`` that is ``x = b - L S z`` with
-        ``(I + S L S) z = S b``, a symmetric positive definite banded system.
+        ``(I + S L S) z = S b``, positive definite, its band written per chunk.
         """
         sc = np.sqrt(c)
         n, diagonals = sc.shape[1], _laplacian_diagonals(self.grid)
-        ab = np.zeros((sc.shape[0], n, max(diagonals) + 1))
-        for k, d in diagonals.items():  # (S L S)[j + k, j] = s_(j+k) L[j + k, j] s_j
-            ab[:, : n - k, k] = sc[:, k:] * d * sc[:, : n - k]
-        ab[:, :, 0] += 1.0
-        z = solve_banded_spd(ab, sc * b)
+
+        def fill(view, rows):
+            for k, d in diagonals.items():  # (S L S)[j + k, j] = s_(j+k) L[j + k, j] s_j
+                view[:, : n - k, k] = sc[rows, k:] * d * sc[rows, : n - k]
+            view[:, :, 0] += 1.0
+
+        z = solve_banded_spd(fill, max(diagonals), sc * b)
         return b - (self._L @ (sc * z).T).T
 
     def _prox_fista(self, lam, F, tol, warm):

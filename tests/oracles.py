@@ -5,7 +5,10 @@ dynamic program enumerates a value lattice instead of solving optimality
 conditions, the bisection root solver ignores the Newton machinery, the
 Ornstein-Uhlenbeck recursions use dense eigendecompositions, and the kernel
 constants integrate ``Kernel.radial`` by adaptive quadrature instead of
-using the closed-form radial moments.
+using the closed-form radial moments.  The band oracles build a Newton
+system's bands for the whole batch in one array, where the solvers write
+them chunk by chunk into the LAPACK buffer; they share the solvers' formulas,
+so they check the chunking, not the algebra.
 
 The vector Moreau-Yosida maps (``resolvent_radial``, ``phi_delta``,
 ``psi_delta``, ...) and ``h1_resolvent_bound_check`` are test helpers, not
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.integrate as integrate
+import scipy.sparse as sp
 
 from spdelab import yosida
 from spdelab.grids import H1, space_norm_sq
@@ -77,6 +81,36 @@ def neumann_laplacian_dense(n: int, h: float) -> np.ndarray:
             A[i, i] += 1.0
             A[i, i + 1] -= 1.0
     return A / h**2
+
+
+def hessian_band(K, curv: np.ndarray) -> np.ndarray:
+    """Lower bands ``ab[r, j, k] = A_r[j + k, j]`` of ``I + K^T diag(c) K`` for
+    every row of ``curv`` at once: one CSR scatter product over the whole
+    batch, each slot summing its edges in CSR order.  ``K`` couples exactly
+    two cells per edge."""
+    K = sp.csr_matrix(K).sorted_indices()
+    (i, j), (si, sj) = K.indices.reshape(-1, 2).T, K.data.reshape(-1, 2).T
+    kd = int(np.max(j - i, initial=0))
+    slots = np.concatenate([i * (kd + 1), j * (kd + 1), i * (kd + 1) + j - i])
+    edges = np.tile(np.arange(K.shape[0]), 3)
+    coef = np.concatenate([si * si, sj * sj, si * sj])
+    scatter = sp.csr_matrix((coef, (slots, edges)), shape=(K.shape[1] * (kd + 1), K.shape[0]))
+    ab = (scatter @ curv.T).T.reshape(curv.shape[0], -1, kd + 1)
+    ab[:, :, 0] += 1.0
+    return ab
+
+
+def sls_band(L, c: np.ndarray) -> np.ndarray:
+    """Lower bands of ``I + S L S``, ``S = diag(sqrt c)``, for every row of
+    ``c`` at once, from the lower diagonals of the sparse symmetric ``L``."""
+    L = sp.dia_matrix(L)
+    sc, n = np.sqrt(c), c.shape[1]
+    lower = {-int(off): data[: n + off] for off, data in zip(L.offsets, L.data) if off <= 0}
+    ab = np.zeros((c.shape[0], n, max(lower) + 1))
+    for k, d in lower.items():
+        ab[:, : n - k, k] = sc[:, k:] * d * sc[:, : n - k]
+    ab[:, :, 0] += 1.0
+    return ab
 
 
 def ou_second_moment(A: np.ndarray, modes: np.ndarray, x0: np.ndarray, dt: float, steps: int,

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import chain_dp_prox
+from oracles import chain_dp_prox, hessian_band, sls_band
 from spdelab import _linalg, grids, kernels, mosco, potentials, profiles, yosida
 from spdelab.engine import SchemeParams
 from spdelab.grids import (
@@ -569,6 +570,110 @@ def test_hessian_band_needs_two_cells_per_edge():
     pot = potentials._DifferencePenaltyPotential(g, K, ones, 0 * ones, PowerProfile(2.0), "dirichlet", False)
     with pytest.raises(ValueError, match="exactly two cells"):
         potentials._hessian_band(pot, ones[None, :])
+
+
+def _chunk_budget(n, kd, rows):
+    """A ``_linalg._CHUNK_BYTES`` that puts ``rows`` systems of n cells and
+    bandwidth kd in each ``pbsv`` call."""
+    return rows * 8 * (n + kd + (-n - kd) % 32) * (kd + 1)
+
+
+def _recorded_solves(run):
+    """The ``(fill, kd, b)`` of every banded solve that ``run()`` makes."""
+    seen = []
+
+    def recording(fill, kd, b):
+        seen.append((fill, kd, b))
+        return _linalg.solve_banded_spd(fill, kd, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(potentials, "solve_banded_spd", recording)
+        run()
+    return seen
+
+
+def _band_case(case):
+    """Seven banded Newton systems of one potential: ``(fill, kd, b, oracle)``,
+    ``fill`` the solver's per-chunk band writer and ``oracle`` the whole
+    batch's band built at once (None for the box dual).  The curvatures hold
+    exact zeros; the box dual's step has unknowns pinned on the bound."""
+    gen = np.random.default_rng(24)
+    if case == "box_dual_8x8":
+        F = 5.0 * gen.standard_normal((7, 64))
+        steps = _recorded_solves(lambda: potentials.p_dirichlet(GRID_8X8, 1.0).prox_batch(0.1, F, tol=1e-9))
+        fill, kd, b = [step for step in steps if len(step[2]) == 7 and np.any(step[2] == 0.0)][-1]
+        return fill, kd, b, None
+    if case == "fastdiff_16x16":
+        pot = potentials.fast_diffusion(grids.box_grid((16, 16)), 0.5, delta=0.05)
+        c = gen.uniform(-0.5, 2.0, (7, 256)).clip(0.0)
+        (fill, kd, b), = _recorded_solves(lambda: pot._newton_solve(c, gen.standard_normal((7, 256))))
+        return fill, kd, b, sls_band(pot._L, c)
+    if case == "gradient_16x16_weighted_visc":
+        g = grids.box_grid((16, 16))
+        pot = potentials.p_dirichlet(g, 1.5, weight=gen.uniform(0.5, 2.0, g.shape), delta=0.05, visc=0.1)
+    else:
+        pot = potentials.nonlocal_p(interval_grid(32), BUMP_1D, 0.25, 1.5, delta=0.05)
+    c = gen.uniform(-0.5, 2.0, (7, pot.K.shape[0])).clip(0.0)
+    return *potentials._hessian_band(pot, c), gen.standard_normal((7, pot.grid.num_cells)), hessian_band(pot.K, c)
+
+
+BAND_CASES = ["gradient_16x16_weighted_visc", "nonlocal_bump", "fastdiff_16x16"]
+
+
+@pytest.mark.parametrize("case", BAND_CASES + ["box_dual_8x8"])
+def test_banded_newton_solutions_do_not_depend_on_the_chunking(case, monkeypatch):
+    fill, kd, b, _ = _band_case(case)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].shape[0])
+        return pbsv(*args, **kwargs)
+
+    pbsv = _linalg._PBSV
+    monkeypatch.setattr(_linalg, "_PBSV", counting)
+    monkeypatch.setattr(_linalg, "_CHUNK_BYTES", _chunk_budget(b.shape[1], kd, 7))
+    whole = _linalg.solve_banded_spd(fill, kd, b)
+    monkeypatch.setattr(_linalg, "_CHUNK_BYTES", _chunk_budget(b.shape[1], kd, 3))
+    split = _linalg.solve_banded_spd(fill, kd, b)
+    stride = calls[0] // 7
+    assert calls == [7 * stride, 3 * stride, 3 * stride, stride]
+    assert split.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("case", BAND_CASES)
+def test_chunk_bands_equal_the_whole_batch_band(case):
+    # each chunk writes into a strided view, as into the padded LAPACK buffer
+    fill, kd, b, oracle = _band_case(case)
+    n = b.shape[1]
+    buf = np.zeros((7, n + 5, kd + 1))
+    for lo, hi in ((0, 3), (3, 6), (6, 7)):
+        fill(buf[lo:hi, :n], slice(lo, hi))
+    assert buf[:, :n].tobytes() == oracle.tobytes()
+    assert not buf[:, n:].any()
+
+
+@pytest.mark.parametrize("make,limit_mb", [
+    (lambda g: potentials.p_dirichlet(g, 1.5, delta=1e-2), 24),
+    (lambda g: potentials.fast_diffusion(g, 0.5, delta=1e-2), 16),
+], ids=["p_dirichlet", "fast_diffusion"])
+def test_banded_newton_memory_stays_bounded(make, limit_mb):
+    # 64 rows on 32x32: one band for the whole batch would take 17.8 MB alone
+    g = grids.box_grid((32, 32))
+    pot = make(g)
+    bump = np.ones(g.shape)
+    for a, x in enumerate(g.centers()):
+        bump = bump * np.sin(np.pi * x / g.extents[a])
+    gen = np.random.default_rng(64)
+    X = gen.uniform(0.5, 1.5, (64, 1)) * bump.reshape(1, -1)
+    F = X + 0.05 * gen.standard_normal(X.shape)
+    pot.prox_batch(1e-3, F[:1], warm=X[:1])  # builds the cached operators before tracing
+    tracemalloc.start()
+    try:
+        pot.prox_batch(1e-3, F, warm=X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 1e6
 
 
 # the non-chain families, built once each: primal Newton for the Yosida 2D

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import LinAlgError, solve_banded
 
-from spdelab import yosida
+from spdelab import _linalg, yosida
 from spdelab._linalg import solve_banded_spd, solve_tridiagonal
 from spdelab.profiles import (
     CURVATURE_CAP,
@@ -240,6 +240,18 @@ def _spd_bands(gen, m, n, kd):
     return ab, A
 
 
+def _fill(ab):
+    """The ``solve_banded_spd`` fill and kd of the bands ``ab``: it copies a
+    chunk's rows and leaves the entries past the last cell zero."""
+    n, w = ab.shape[1:]
+    inside = np.arange(n)[:, None] + np.arange(w) < n
+
+    def fill(view, rows):
+        view[:] = np.where(inside, ab[rows], 0.0)
+
+    return fill, w - 1
+
+
 @settings(max_examples=100, deadline=None)
 @given(m=st.integers(1, 5), n=st.integers(1, 24), kd_frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
 @example(m=1, n=12, kd_frac=0.5, seed=0)
@@ -249,7 +261,8 @@ def test_solve_banded_spd_matches_dense_solve(m, n, kd_frac, seed):
     gen = np.random.default_rng(seed)
     ab, A = _spd_bands(gen, m, n, int(kd_frac * (n - 1)))
     b = gen.standard_normal((m, n))
-    x = solve_banded_spd(ab, b.copy())
+    fill, kd = _fill(ab)
+    x = solve_banded_spd(fill, kd, b.copy())
     assert x.shape == (m, n)
     np.testing.assert_allclose(x, np.linalg.solve(A, b[..., None])[..., 0], rtol=1e-11, atol=1e-12)
     if n == 1:
@@ -257,21 +270,27 @@ def test_solve_banded_spd_matches_dense_solve(m, n, kd_frac, seed):
 
 
 @pytest.mark.parametrize("n,kd", [(24, 3), (64, 8), (40, 39), (96, 32), (200, 70)])
-def test_solve_banded_spd_rows_together_equal_rows_alone(n, kd):
+def test_solve_banded_spd_rows_together_equal_rows_alone(n, kd, monkeypatch):
     # the identity rows between blocks keep each row's arithmetic its own,
     # also where the band triangular solve (kd >= 32) or the blocked Cholesky
-    # (kd > 64) would round a row by its neighbours
+    # (kd > 64) would round a row by its neighbours; a budget this large puts
+    # all six rows in one pbsv call
+    monkeypatch.setattr(_linalg, "_CHUNK_BYTES", 1 << 30)
     gen = np.random.default_rng(n + kd)
     ab, _ = _spd_bands(gen, 6, n, kd)
     b = gen.standard_normal((6, n))
-    together = solve_banded_spd(ab.copy(), b)
+    fill, kd = _fill(ab)
+    together = solve_banded_spd(fill, kd, b)
     for r in range(6):
-        assert solve_banded_spd(ab[r : r + 1].copy(), b[r : r + 1]).tobytes() == together[r : r + 1].tobytes()
+        alone = solve_banded_spd(_fill(ab[r : r + 1])[0], kd, b[r : r + 1])
+        assert alone.tobytes() == together[r : r + 1].tobytes()
 
 
-def test_solve_banded_spd_indefinite_band_raises():
+def test_solve_banded_spd_indefinite_band_raises(monkeypatch):
     ab = np.zeros((2, 3, 2))
     ab[:, :, 0], ab[:, :, 1] = 1.0, 0.1
     ab[1, 1, 0] = -1.0
-    with pytest.raises(LinAlgError):
-        solve_banded_spd(ab, np.ones((2, 3)))
+    for budget in (1 << 30, 1):  # both rows in one pbsv call, then one call per row
+        monkeypatch.setattr(_linalg, "_CHUNK_BYTES", budget)
+        with pytest.raises(LinAlgError, match="row 1, cell 1"):
+            solve_banded_spd(*_fill(ab), np.ones((2, 3)))
