@@ -41,7 +41,7 @@ from .engine import (
     TrajectoryEnsemble,
     simulate,
 )
-from .mosco import MoscoReport, condition_n_check, mosco_trend, resolvent_distance
+from .mosco import MoscoReport, condition_n_check, mosco_trend, resolvent_table
 from .svi import (
     SVIReport,
     SolutionTestProcess,

@@ -9,7 +9,9 @@ per schedule element:
 
 plus per-module reports (resolvent tables, audit reports) and a manifest
 capturing the config hash, seed and tolerances.  Identical config + seed
-give byte-identical outputs.
+give byte-identical outputs.  A schedule kind supplies only ``make(value,
+delta)``, which builds its potentials; one runner simulates them and takes
+both resolvent columns from ``mosco.resolvent_table``.
 
 Config files are INI-style text.  ``CONFIG_KEYS`` declares the keys each kind
 reads, with their parsers and defaults; any other key, a missing required key
@@ -19,6 +21,7 @@ or a rejected value is a ``ConfigError``, so no key is silently ignored.
 from __future__ import annotations
 
 import configparser
+import functools
 import hashlib
 import math
 import time
@@ -314,18 +317,6 @@ class ConvergenceTable:
                 fh.write(",".join(base) + "\n")
 
 
-def _mean_resolvent_distance(pot_seq_el, target, probes, lam=1.0) -> float:
-    ds = [mosco.resolvent_distance(pot_seq_el, target, f, lam, tol=mosco.RESOLVENT_TOL) for _, f in probes]
-    return float(np.mean(ds))
-
-
-def _energy_gap(pot_el, target, probes) -> float:
-    gap = 0.0
-    for _, f in probes:
-        gap = max(gap, pot_el.eval(f) - target.eval(f))
-    return max(gap, 0.0)
-
-
 def _write_manifest(cfg: ExperimentConfig, outdir: Path):
     lines = [
         f"config_hash = {cfg.config_hash}",
@@ -348,36 +339,39 @@ def _write_manifest(cfg: ExperimentConfig, outdir: Path):
 # ---------------------------------------------------------------------------
 
 
-def _gradient_schedule(cfg, grid, delta=None):
-    """``(value, simulated potential, raw potential)`` per schedule element,
-    with the simulated and raw targets; ``[potential] visc`` enters every one.
-    The simulated ones carry ``delta``, None (raw) on mosco_table."""
+def _schedule_make(cfg, family, exponent):
+    """``make`` of the schedules over ``family(exponent, delta=...)``: a
+    ``power`` value replaces the target's exponent, a ``delta`` value its
+    regularization, and a ``viscosity`` value v adds 1/v to ``[potential] visc``."""
     kind = cfg.get("potential", "schedule_kind")
-    p_target = cfg.get("potential", "p")
-    visc = cfg.get("potential", "visc")
-    seq = []
-    for value in cfg.get("potential", "schedule"):
+
+    def make(value, delta):
+        if value is None:
+            return family(exponent, delta=delta)
         if kind == "power":
-            sim_pot = potentials.p_dirichlet(grid, value, delta=delta, visc=visc)
-            raw_pot = potentials.p_dirichlet(grid, value, visc=visc)
-        elif kind == "viscosity":  # psi + (1/value) |grad u|^2 / 2 on unit face weights
-            sim_pot = potentials.p_dirichlet(grid, p_target, delta=delta, visc=visc + 1.0 / value)
-            raw_pot = potentials.p_dirichlet(grid, p_target, visc=visc + 1.0 / value)
-        else:  # delta
-            sim_pot = raw_pot = potentials.p_dirichlet(grid, p_target, delta=value, visc=visc)
-        seq.append((value, sim_pot, raw_pot))
-    target_sim = potentials.p_dirichlet(grid, p_target, delta=delta, visc=visc)
-    target_raw = potentials.p_dirichlet(grid, p_target, visc=visc)
-    return seq, target_sim, target_raw
+            return family(value, delta=delta)
+        if kind == "viscosity":  # psi + (1/value) |grad u|^2 / 2 on unit face weights
+            return family(exponent, delta=delta, visc=cfg.get("potential", "visc") + 1.0 / value)
+        return family(exponent, delta=value)  # delta
+
+    return make
 
 
-def _run_schedule(cfg, grid, space, seq, target_sim, target_raw, probes=None, gap=_energy_gap,
-                  extras=None) -> ConvergenceTable:
-    """One table row per ``(value, sim_pot, raw_pot)`` of ``seq``: the weak
-    metric of the simulated ensemble against the target's on common noise,
-    the mean resolvent distance of the raw potentials over ``probes`` (8
-    default probes) and ``gap(raw_pot, target_raw, probes)`` (the largest
-    positive energy excess by default).  ``extras`` are constant columns."""
+def _gradient_make(cfg, grid):
+    """The p-Dirichlet schedule; ``[potential] visc`` enters every potential."""
+    family = functools.partial(potentials.p_dirichlet, grid, visc=cfg.get("potential", "visc"))
+    return _schedule_make(cfg, family, cfg.get("potential", "p"))
+
+
+def _run_schedule(cfg, grid, space, make, values, probes=None, gap=None, extras=None) -> ConvergenceTable:
+    """One table row per schedule value; ``make(value, delta)`` builds the
+    potentials, the target for ``value=None`` and raw for ``delta=None``.
+    A row holds the weak metric of the ensemble under ``[scheme] delta``
+    against the target's on common noise, then the mean resolvent distance
+    of the raw potential to the raw target over ``probes`` (8 default
+    probes) and its gap: the largest positive energy excess over them, or
+    ``gap(raw, raw_target)``.  ``extras`` are constant columns."""
+    delta = cfg.get("scheme", "delta")
     sp = _scheme(cfg)
     x0 = _initial_state(cfg, grid, space)
     model = _noise_model(cfg, grid, space)
@@ -385,89 +379,71 @@ def _run_schedule(cfg, grid, space, seq, target_sim, target_raw, probes=None, ga
         probes = mosco.default_probes(grid, space, count=8)
     extras = extras or {}
     fns = svi.default_test_functionals(grid)
-    ens_target = engine.simulate(x0, target_sim, model, sp, cfg.n_paths, cfg.seed)
+    ens_target = engine.simulate(x0, make(None, delta), model, sp, cfg.n_paths, cfg.seed)
+    target_raw = make(None, None)
     rows = []
-    for i, (value, sim_pot, raw_pot) in enumerate(seq):
+    for i, value in enumerate(values):
         t0 = time.perf_counter()
-        ens = engine.simulate(x0, sim_pot, model, sp, cfg.n_paths, cfg.seed)
+        ens = engine.simulate(x0, make(value, delta), model, sp, cfg.n_paths, cfg.seed)
         wm = svi.weak_convergence_metric(ens, ens_target, fns)
-        rd = _mean_resolvent_distance(raw_pot, target_raw, probes)
-        eg = gap(raw_pot, target_raw, probes)
-        rows.append(TableRow(i, float(value), wm, rd, eg, time.perf_counter() - t0, extras=extras))
+        raw = make(value, None)
+        distances, gaps = mosco.resolvent_table([raw], target_raw, probes, (1.0,))
+        eg = gaps[0] if gap is None else gap(raw, target_raw)
+        rows.append(TableRow(i, float(value), wm, float(distances.mean()), float(eg),
+                             time.perf_counter() - t0, extras=extras))
     return ConvergenceTable(rows, extra_columns=tuple(extras))
 
 
 def run_trotter_plaplace(cfg: ExperimentConfig, outdir: Path | None = None) -> ConvergenceTable:
     grid = _parse_grid(cfg)
-    return _run_schedule(cfg, grid, L2, *_gradient_schedule(cfg, grid, cfg.get("scheme", "delta")))
+    return _run_schedule(cfg, grid, L2, _gradient_make(cfg, grid), cfg.get("potential", "schedule"))
 
 
 def run_trotter_fastdiffusion(cfg: ExperimentConfig, outdir: Path | None = None) -> ConvergenceTable:
     grid = _parse_grid(cfg)
-    delta = cfg.get("scheme", "delta")
-    kind = cfg.get("potential", "schedule_kind")
-    m_target = cfg.get("potential", "m")
-    seq = []
-    for value in cfg.get("potential", "schedule"):
-        if kind == "power":
-            seq.append((value, potentials.fast_diffusion(grid, value, delta=delta),
-                        potentials.fast_diffusion(grid, value)))
-        else:  # delta
-            pot = potentials.fast_diffusion(grid, m_target, delta=value)
-            seq.append((value, pot, pot))
-    target_sim = potentials.fast_diffusion(grid, m_target, delta=delta)
-    return _run_schedule(cfg, grid, HMINUS1, seq, target_sim, potentials.fast_diffusion(grid, m_target))
+    make = _schedule_make(cfg, functools.partial(potentials.fast_diffusion, grid), cfg.get("potential", "m"))
+    return _run_schedule(cfg, grid, HMINUS1, make, cfg.get("potential", "schedule"))
 
 
 def run_nonlocal_to_local(cfg: ExperimentConfig, outdir: Path | None = None) -> ConvergenceTable:
+    """Rescaled nonlocal energies ``E_eps`` against the local p-Dirichlet
+    energy, on one sine probe; the gap is ``|E_eps(probe) - E(probe)|``."""
     grid = _parse_grid(cfg)
     p = cfg.get("potential", "p")
-    delta = cfg.get("scheme", "delta")
     kern = Kernel(cfg.get("kernel", "profile"), grid.dim, cfg.get("kernel", "support_radius"))
     xs = grid.centers()[0]
     probe = GridFunction(grid, np.sin(np.pi * xs / grid.extents[0]), L2)
 
-    def element(eps):
-        nl_sim = potentials.nonlocal_p(grid, kern, eps, p, delta=delta)
-        return eps, nl_sim, potentials.nonlocal_p(grid, kern, eps, p)
+    def make(eps, delta):
+        if eps is None:
+            return potentials.p_dirichlet(grid, p, delta=delta)
+        return potentials.nonlocal_p(grid, kern, eps, p, delta=delta)
 
-    def gap(nl_raw, local_raw, probes):
+    def gap(nl_raw, local_raw):
         return abs(nonlocal_energy(nl_raw.rescaled, probe) - local_raw.eval(probe))
 
-    seq = map(element, cfg.get("kernel", "eps_schedule"))
-    local_sim = potentials.p_dirichlet(grid, p, delta=delta)
-    local_raw = potentials.p_dirichlet(grid, p)
-    return _run_schedule(cfg, grid, L2, seq, local_sim, local_raw, probes=[("sine", probe)], gap=gap)
+    return _run_schedule(cfg, grid, L2, make, cfg.get("kernel", "eps_schedule"),
+                         probes=[("sine", probe)], gap=gap)
 
 
-def _homogenize(cfg, space, make, extras) -> ConvergenceTable:
-    """Oscillating weights ``a(x/eps)`` against their cell average; ``make(grid,
-    weight, delta)`` builds the potential, raw when delta is None."""
+def _homogenize(cfg, space, family, extras) -> ConvergenceTable:
+    """Oscillating weights ``a(x/eps)`` against their cell average, each
+    potential ``family(grid, weight=..., delta=...)``."""
     grid = _parse_grid(cfg)
-    delta = cfg.get("scheme", "delta")
     a = cfg.get("potential", "weight")
     mean_weight = cell_average_over_period(a)
     xs = grid.centers()[0]
 
-    def element(eps):
-        w = a(xs / eps)
-        return eps, make(grid, w, delta), make(grid, w, None)
+    def make(eps, delta):
+        weight = np.full(grid.shape, mean_weight) if eps is None else a(xs / eps)
+        return family(grid, weight=weight, delta=delta)
 
-    seq = map(element, cfg.get("kernel", "eps_schedule"))
-    avg_weight = np.full(grid.shape, mean_weight)
-    target_sim = make(grid, avg_weight, delta)
-    target_raw = make(grid, avg_weight, None)
-    return _run_schedule(cfg, grid, space, seq, target_sim, target_raw,
+    return _run_schedule(cfg, grid, space, make, cfg.get("kernel", "eps_schedule"),
                          extras={"mean_weight": mean_weight, **extras})
 
 
 def run_homogenize_plaplace(cfg: ExperimentConfig, outdir: Path | None = None) -> ConvergenceTable:
-    p = cfg.get("potential", "p")
-
-    def make(grid, weight, delta):
-        return potentials.p_dirichlet(grid, p, weight=weight, delta=delta)
-
-    return _homogenize(cfg, L2, make, {})
+    return _homogenize(cfg, L2, functools.partial(potentials.p_dirichlet, p=cfg.get("potential", "p")), {})
 
 
 def run_homogenize_fastdiffusion(cfg: ExperimentConfig, outdir: Path | None = None) -> ConvergenceTable:
@@ -477,11 +453,8 @@ def run_homogenize_fastdiffusion(cfg: ExperimentConfig, outdir: Path | None = No
     # signed Jensen diagnostic: published direction says avg(a^{-1/m}) <= avg(a)^{-1/m},
     # convexity of t^{-1/m} gives the reverse; report the signed gap as data
     jensen_gap = mean_weight ** (-1.0 / m) - cell_average_over_period(lambda y: a_fn(y) ** (-1.0 / m))
-
-    def make(grid, weight, delta):
-        return potentials.fast_diffusion(grid, m, weight=weight, delta=delta)
-
-    return _homogenize(cfg, HMINUS1, make, {"jensen_gap": jensen_gap})
+    family = functools.partial(potentials.fast_diffusion, m=m)
+    return _homogenize(cfg, HMINUS1, family, {"jensen_gap": jensen_gap})
 
 
 def _audit_problem(cfg, grid):
@@ -524,13 +497,14 @@ def structured_test_family(ens, model, x0):
 
 def run_mosco_table(cfg: ExperimentConfig, outdir: Path | None = None) -> ConvergenceTable:
     grid = _parse_grid(cfg)
-    seq, _, target = _gradient_schedule(cfg, grid)
-    report = mosco.mosco_trend([raw_pot for _, _, raw_pot in seq], target, lambdas=(1.0,))
+    make = _gradient_make(cfg, grid)
+    values = cfg.get("potential", "schedule")
+    report = mosco.mosco_trend([make(value, None) for value in values], make(None, None), lambdas=(1.0,))
     if outdir is not None:
         report.to_csv(outdir / "mosco_report.csv")
         (outdir / "mosco_summary.txt").write_text(report.summary() + "\n", encoding="utf-8")
     rows = []
-    for i, (value, _, _) in enumerate(seq):
+    for i, value in enumerate(values):
         rows.append(
             TableRow(i, float(value), 0.0, float(report.distances[i].mean()),
                      float(report.limsup_gaps[i]), 0.0)

@@ -5,9 +5,10 @@ convergence of the resolvents ``R_lam(f) = prox(lam, f)`` for all f plus a
 normalization condition that holds trivially whenever every functional has
 a subgradient zero at zero.  On a finite grid the "for all f" is sampled:
 the default probe panel mixes smooth trigonometric fields, piecewise
-constants and seeded Gaussian fields.  Reports always retain the raw
-distance tables; trend verdicts (halving with a 10% monotonicity slack) are
-explicitly labeled heuristics.
+constants and seeded Gaussian fields.  ``resolvent_table`` computes the raw
+distances and energy gaps for ``mosco_trend`` and the experiment runners.
+Reports always retain the raw tables; trend verdicts (halving with a 10%
+monotonicity slack) are explicitly labeled heuristics.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from .grids import GridFunction, Grid, L2, norm
 from .potentials import Potential
 
 CONDITION_N_LAMBDAS = (0.1, 1.0, 10.0)
+CONDITION_N_TOL = 1e-8  # largest norm of prox(lam, 0) that counts as zero
+CONDITION_N_PROX_TOL = 1e-10
 RESOLVENT_TOL = 1e-9  # prox tolerance of the resolvent-distance tables
 
 
@@ -56,18 +59,7 @@ class MoscoReport:
         )
 
 
-def resolvent_distance(
-    pot_a: Potential, pot_b: Potential, f: GridFunction, lam: float, tol: float = 1e-10
-) -> float:
-    """H-norm distance between the two resolvents at f."""
-    if pot_a.space != pot_b.space:
-        raise ValueError("potentials live in different Hilbert geometries")
-    za = pot_a.prox(lam, f, tol=tol).minimizer
-    zb = pot_b.prox(lam, f, tol=tol).minimizer
-    return norm(za - zb)
-
-
-def condition_n_check(pots, target: Potential | None = None, tol: float = 1e-8) -> bool:
+def condition_n_check(pots) -> bool:
     """Zero stays fixed: ``prox(lam, 0) = 0`` for each potential and lambda.
 
     This realizes the normalization condition that makes resolvent
@@ -75,16 +67,14 @@ def condition_n_check(pots, target: Potential | None = None, tol: float = 1e-8) 
     here since all energies are nonnegative with value 0 at 0.
     """
     pots = list(pots)
-    if target is not None:
-        pots = pots + [target]
     if not pots:
         warnings.warn("condition (N) checked on an empty sequence: vacuously true", stacklevel=2)
         return True
     for pot in pots:
         zero = GridFunction(pot.grid, np.zeros(pot.grid.shape), pot.space)
         for lam in CONDITION_N_LAMBDAS:
-            z = pot.prox(lam, zero, tol=max(tol * 1e-2, 1e-12)).minimizer
-            if norm(z) > tol:
+            z = pot.prox(lam, zero, tol=CONDITION_N_PROX_TOL).minimizer
+            if norm(z) > CONDITION_N_TOL:
                 return False
     return True
 
@@ -119,57 +109,59 @@ def default_probes(grid: Grid, space: str = L2, count: int = 16):
     return [(pid, GridFunction(grid, v, space)) for pid, v in probes[:count]]
 
 
-def mosco_trend(
-    pots,
-    target: Potential,
-    lambdas,
-    probes=None,
-    tol: float = RESOLVENT_TOL,
-) -> MoscoReport:
-    """Resolvent-distance table of a potential sequence against its target
-    at each resolvent parameter in ``lambdas``.
+def resolvent_table(pots, target: Potential, probes, lambdas, tol: float = RESOLVENT_TOL):
+    """Resolvent distances and energy gaps of a potential sequence against
+    its target on the probe panel ``probes`` (``(id, f)`` pairs).
 
-    Also reports the pointwise upper-bound surrogate
-    ``max_probes (eval_n(probe) - eval_target(probe))_+`` per sequence
-    element, the sampled stand-in for the limsup condition.
+    Returns ``(distances, gaps)``: ``distances[i, jp, jl]`` is the H-norm of
+    ``R_lam(f) - R_lam^target(f)`` for potential i, probe jp and
+    ``lam = lambdas[jl]``, and ``gaps[i] = max_probes (eval_i(f) -
+    eval_target(f))_+`` is the sampled stand-in for the limsup condition.
+    The target's resolvents are solved once per call.
     """
+    pots, lambdas = list(pots), np.asarray(lambdas, dtype=float)
+    for what, items in (("potential sequence", pots), ("probe panel", probes), ("lambdas", lambdas)):
+        if len(items) == 0:
+            raise ValueError(f"empty {what}")
+    if any(pot.space != target.space for pot in pots):
+        raise ValueError("potentials live in different Hilbert geometries")
+    target_min = [[target.prox(lam, f, tol=tol).minimizer for lam in lambdas] for _, f in probes]
+    distances = np.empty((len(pots), len(probes), len(lambdas)))
+    gaps = np.empty(len(pots))
+    for i, pot in enumerate(pots):
+        gap = 0.0
+        for jp, (_, f) in enumerate(probes):
+            gap = max(gap, pot.eval(f) - target.eval(f))
+            for jl, lam in enumerate(lambdas):
+                distances[i, jp, jl] = norm(pot.prox(lam, f, tol=tol).minimizer - target_min[jp][jl])
+        gaps[i] = max(gap, 0.0)
+    return distances, gaps
+
+
+def mosco_trend(pots, target: Potential, lambdas, probes=None) -> MoscoReport:
+    """``resolvent_table`` of a potential sequence against its target at each
+    resolvent parameter in ``lambdas`` (default probe panel unless
+    ``probes``), with per-probe trend verdicts and condition (N)."""
     pots = list(pots)
-    if not pots:
-        raise ValueError("empty potential sequence")
     if probes is None:
         probes = default_probes(target.grid, target.space)
     lambdas = np.asarray(lambdas, dtype=float)
-    n_seq, n_probes, n_lam = len(pots), len(probes), len(lambdas)
-    distances = np.empty((n_seq, n_probes, n_lam))
-    limsup_gaps = np.empty(n_seq)
-    target_prox = {}
-    for jp, (pid, f) in enumerate(probes):
-        for jl, lam in enumerate(lambdas):
-            target_prox[(jp, jl)] = target.prox(lam, f, tol=tol).minimizer
-    for i, pot in enumerate(pots):
-        gap = 0.0
-        for jp, (pid, f) in enumerate(probes):
-            gap = max(gap, pot.eval(f) - target.eval(f))
-            for jl, lam in enumerate(lambdas):
-                z = pot.prox(lam, f, tol=tol).minimizer
-                distances[i, jp, jl] = norm(z - target_prox[(jp, jl)])
-        limsup_gaps[i] = max(gap, 0.0)
+    distances, limsup_gaps = resolvent_table(pots, target, probes, lambdas)
     verdicts = []
-    for jp in range(n_probes):
+    for jp in range(len(probes)):
         trend = distances[:, jp, :].mean(axis=1)
-        if trend[0] <= max(10 * tol, 1e-12):
+        if trend[0] <= 10 * RESOLVENT_TOL:
             verdicts.append("flat")
             continue
         monotone = bool(np.all(trend[1:] <= 1.1 * trend[:-1]))
         halved = trend[-1] <= 0.5 * trend[0]
         verdicts.append("converging" if monotone and halved else "not-converging")
-    cond_n = condition_n_check(pots, target)
     return MoscoReport(
         probe_ids=[pid for pid, _ in probes],
         lambdas=lambdas,
         sequence_labels=[pot.label for pot in pots],
         distances=distances,
         limsup_gaps=limsup_gaps,
-        condition_n_ok=cond_n,
+        condition_n_ok=condition_n_check([*pots, target]),
         verdicts=verdicts,
     )

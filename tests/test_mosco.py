@@ -47,11 +47,17 @@ def smooth_probe(grid, k=1):
     return GridFunction(grid, np.sin(k * np.pi * x))
 
 
+def distance(pot, target, f, lam, tol=1e-10):
+    """One entry of the resolvent table: ``|R_lam(f) - R_lam^target(f)|``."""
+    distances, _ = mosco.resolvent_table([pot], target, [("f", f)], (lam,), tol=tol)
+    return distances[0, 0, 0]
+
+
 def test_resolvent_distance_is_zero_for_identical_potentials():
     g = interval_grid(32)
     pot = potentials.p_dirichlet(g, 1.5)
     f = smooth_probe(g)
-    assert mosco.resolvent_distance(pot, pot, f, 1.0) < 1e-10
+    assert distance(pot, pot, f, 1.0) < 1e-10
 
 
 def test_resolvent_distance_symmetry():
@@ -59,8 +65,8 @@ def test_resolvent_distance_symmetry():
     a = potentials.p_dirichlet(g, 1.4)
     b = potentials.p_dirichlet(g, 1.8)
     f = smooth_probe(g, 2)
-    d1 = mosco.resolvent_distance(a, b, f, 0.7)
-    d2 = mosco.resolvent_distance(b, a, f, 0.7)
+    d1 = distance(a, b, f, 0.7)
+    d2 = distance(b, a, f, 0.7)
     assert d1 == pytest.approx(d2, abs=1e-11)
 
 
@@ -74,7 +80,7 @@ def test_yosida_schedule_distance_shrinks_with_delta_linear_oracle():
     dists = []
     for delta in (1e-1, 1e-2, 1e-3):
         reg = potentials.p_dirichlet(g, 2.0, delta=delta)
-        d = mosco.resolvent_distance(raw, reg, f, lam)
+        d = distance(raw, reg, f, lam)
         # oracle: regularized quadratic profile scales the stiffness by 1/(1+delta)
         H_raw = sp.eye(48) + lam * K.T @ K
         H_reg = sp.eye(48) + lam / (1 + delta) * K.T @ K
@@ -95,7 +101,7 @@ def test_homogenization_resolvent_distances_decrease():
     for eps in (0.25, 0.125, 0.0625):
         w = 2.0 + np.cos(2 * np.pi * x / eps)
         pot = potentials.p_dirichlet(g, 2.0, weight=w)
-        dists.append(mosco.resolvent_distance(pot, target, f, 1.0))
+        dists.append(distance(pot, target, f, 1.0))
     assert dists[2] < dists[1] < dists[0]
 
 
@@ -151,6 +157,70 @@ def test_mosco_trend_constant_sequence_is_flat():
     assert report.condition_n_ok
 
 
+class CountingPotential:
+    """Forwards to ``base`` and records every ``(lam, probe)`` it is solved at."""
+
+    def __init__(self, base):
+        self.base, self.solved = base, []
+
+    def __getattr__(self, name):
+        return getattr(self.base, name)
+
+    def prox(self, lam, f, tol):
+        self.solved.append((float(lam), id(f)))
+        return self.base.prox(lam, f, tol=tol)
+
+
+def test_resolvent_table_contract():
+    g = interval_grid(16)
+    target = CountingPotential(potentials.p_dirichlet(g, 1.5))
+    pots = [CountingPotential(potentials.p_dirichlet(g, p)) for p in (1.9, 1.7, 1.6)]
+    probes = mosco.default_probes(g, count=4)
+    lambdas = (0.5, 1.0)
+    distances, gaps = mosco.resolvent_table(pots, target, probes, lambdas)
+    assert distances.shape == (3, 4, 2) and gaps.shape == (3,)
+    panel = sorted((lam, id(f)) for _, f in probes for lam in lambdas)
+    # the target once per probe and lambda, however long the sequence
+    for pot in (target, *pots):
+        assert sorted(pot.solved) == panel
+    tol = mosco.RESOLVENT_TOL
+    for i, pot in enumerate(pots):
+        excess = 0.0
+        for jp, (_, f) in enumerate(probes):
+            excess = max(excess, pot.eval(f) - target.eval(f))
+            for jl, lam in enumerate(lambdas):
+                d = norm(pot.prox(lam, f, tol).minimizer - target.prox(lam, f, tol).minimizer)
+                assert distances[i, jp, jl] == d
+        assert gaps[i] == max(excess, 0.0)
+
+
+@pytest.mark.parametrize("empty", ["potential sequence", "probe panel", "lambdas"])
+def test_resolvent_table_refuses_empty_panel(empty):
+    g = interval_grid(16)
+    target = potentials.p_dirichlet(g, 1.5)
+    args = {
+        "potential sequence": [potentials.p_dirichlet(g, 1.9)],
+        "probe panel": mosco.default_probes(g, count=2),
+        "lambdas": (1.0,),
+    }
+    args[empty] = []
+    with pytest.raises(ValueError, match=f"empty {empty}"):
+        mosco.resolvent_table(args["potential sequence"], target, args["probe panel"], args["lambdas"])
+
+
+def test_mosco_trend_refuses_empty_panel():
+    # an empty panel used to give NaN trends read as "not-converging" verdicts
+    g = interval_grid(16)
+    target = potentials.p_dirichlet(g, 1.5)
+    seq = [potentials.p_dirichlet(g, 1.9), potentials.p_dirichlet(g, 1.6)]
+    with pytest.raises(ValueError, match="empty lambdas"):
+        mosco.mosco_trend(seq, target, lambdas=())
+    with pytest.raises(ValueError, match="empty probe panel"):
+        mosco.mosco_trend(seq, target, lambdas=(1.0,), probes=[])
+    with pytest.raises(ValueError, match="empty potential sequence"):
+        mosco.mosco_trend([], target, lambdas=(1.0,))
+
+
 def test_resolvent_distance_cross_checked_by_lattice_search():
     # both resolvents recomputed by brute-force chain DP on a 4-cell grid
     from oracles import chain_dp_prox
@@ -162,7 +232,7 @@ def test_resolvent_distance_cross_checked_by_lattice_search():
     for p_a, p_b in ((1.9, 1.5), (1.0, 1.5)):
         a = potentials.p_dirichlet(g, p_a)
         b = potentials.p_dirichlet(g, p_b)
-        d = mosco.resolvent_distance(a, b, f, lam)
+        d = distance(a, b, f, lam)
         za = chain_dp_prox(f.flat, lam, p_a, h)
         zb = chain_dp_prox(f.flat, lam, p_b, h)
         d_oracle = np.sqrt(g.cell_volume * np.sum((za - zb) ** 2))
@@ -252,9 +322,8 @@ def test_hminus1_probe_panel_and_distance():
     a = potentials.fast_diffusion(g, 0.5, delta=1e-2)
     b = potentials.fast_diffusion(g, 0.5, delta=1e-3)
     probes = mosco.default_probes(g, HMINUS1, count=4)
-    for _, f in probes:
-        d = mosco.resolvent_distance(a, b, f, 1.0, tol=1e-8)
-        assert d >= 0.0
+    distances, _ = mosco.resolvent_table([a], b, probes, (1.0,), tol=1e-8)
+    assert np.all(distances >= 0.0)
 
 
 def test_mismatched_geometry_rejected():
@@ -262,4 +331,4 @@ def test_mismatched_geometry_rejected():
     a = potentials.p_dirichlet(g, 1.5)
     b = potentials.fast_diffusion(g, 0.5)
     with pytest.raises(ValueError):
-        mosco.resolvent_distance(a, b, smooth_probe(g), 1.0)
+        mosco.resolvent_table([a], b, [("sine", smooth_probe(g))], (1.0,), tol=1e-10)
