@@ -1,7 +1,7 @@
 """spdelab: a desk-scale laboratory for gradient-flow SPDEs.
 
-Grids with L2 / H1 / discrete H^-1 geometries, convex potentials with
-certified proximal maps, Moreau-Yosida regularization of singular power
+Grids with L2 / discrete H^-1 geometries, convex potentials with
+proximal maps, Moreau-Yosida regularization of singular power
 nonlinearities, rescaled nonlocal interaction kernels, a seeded
 Monte-Carlo time-stepping engine whose seed fixes the common noise, resolvent
 convergence probes and variational-inequality audits, all wired into a
@@ -10,7 +10,6 @@ config-driven experiment CLI.
 
 from .grids import (
     DIRICHLET,
-    H1,
     HMINUS1,
     L2,
     NEUMANN,
@@ -21,14 +20,13 @@ from .grids import (
     interval_grid,
     norm,
 )
-from .kernels import Kernel, RescaledKernel, c_jp, k_pd, nonlocal_energy
+from .kernels import Kernel, RescaledKernel, c_jp, k_pd
 from .profiles import PowerProfile, YosidaPowerProfile
 from .potentials import (
     FastDiffusionPotential,
     GradientPotential,
     NonlocalPotential,
     ProxDidNotConverge,
-    ProxResult,
     fast_diffusion,
     nonlocal_p,
     p_dirichlet,

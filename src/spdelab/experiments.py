@@ -32,7 +32,7 @@ import numpy as np
 
 from . import engine, mosco, potentials, svi
 from .grids import Grid, GridFunction, HMINUS1, L2, box_grid
-from .kernels import PROFILE_NAMES, Kernel, nonlocal_energy
+from .kernels import PROFILE_NAMES, Kernel
 
 
 class ConfigError(ValueError):
@@ -420,7 +420,7 @@ def run_nonlocal_to_local(cfg: ExperimentConfig, outdir: Path | None = None) -> 
         return potentials.nonlocal_p(grid, kern, eps, p, delta=delta)
 
     def gap(nl_raw, local_raw):
-        return abs(nonlocal_energy(nl_raw.rescaled, probe) - local_raw.eval(probe))
+        return abs(nl_raw.eval(probe) - local_raw.eval(probe))
 
     return _run_schedule(cfg, grid, L2, make, cfg.get("kernel", "eps_schedule"),
                          probes=[("sine", probe)], gap=gap)

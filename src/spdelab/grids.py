@@ -1,10 +1,9 @@
 """Discrete function spaces on rectangular, cell-centered grids.
 
-Three Hilbert-space geometries are supported and selected per function by a
+Two Hilbert-space geometries are supported and selected per function by a
 space tag:
 
 * ``L2``      -- cell-volume weighted dot product,
-* ``H1``      -- L2 product of values plus L2 product of face gradients,
 * ``Hminus1`` -- dual norm built on the inverse of the discrete Dirichlet
   Laplacian, ``(u, v) = (u, (-Dirichlet Laplacian)^{-1} v)_L2``.
 
@@ -28,9 +27,8 @@ import numpy as np
 import scipy.sparse as sp
 
 L2 = "L2"
-H1 = "H1"
 HMINUS1 = "Hminus1"
-_SPACES = (L2, H1, HMINUS1)
+_SPACES = (L2, HMINUS1)
 
 NEUMANN = "neumann"
 DIRICHLET = "dirichlet"
@@ -241,10 +239,6 @@ def inner(u: GridFunction, v: GridFunction) -> float:
     vol = u.grid.cell_volume
     if u.space == L2:
         return vol * float(np.dot(u.flat, v.flat))
-    if u.space == H1:
-        base = vol * float(np.dot(u.flat, v.flat))
-        K = face_difference_matrix(u.grid, NEUMANN)
-        return base + vol * float(np.dot(K @ u.flat, K @ v.flat))
     w = dirichlet_solve(u.grid, v.flat)
     return vol * float(np.dot(u.flat, w))
 
@@ -272,10 +266,4 @@ def space_norm_sq(grid: Grid, flat_values: np.ndarray, space: str) -> np.ndarray
     arr = np.asarray(flat_values, dtype=float)
     if space == L2:
         return l2_norm_sq(grid, arr)
-    if space == HMINUS1:
-        return hminus1_norm_sq(grid, arr)
-    K = face_difference_matrix(grid, NEUMANN)
-    flat = arr.reshape(-1, grid.num_cells)
-    grads = (K @ flat.T).T
-    out = grid.cell_volume * (np.sum(flat**2, axis=-1) + np.sum(grads**2, axis=-1))
-    return out.reshape(arr.shape[:-1])
+    return hminus1_norm_sq(grid, arr)

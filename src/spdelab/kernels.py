@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .grids import Grid, GridFunction
+from .grids import Grid
 
 PROFILE_NAMES = ("ball", "tent", "bump")
 
@@ -201,9 +201,3 @@ def pair_stencil(rk: RescaledKernel, grid: Grid):
         )
     return _pair_stencil_cached(rk.base, rk.eps, rk.p, grid)
 
-
-def nonlocal_energy(rk: RescaledKernel, u: GridFunction) -> float:
-    """Discrete rescaled interaction energy of u."""
-    P, w = pair_stencil(rk, u.grid)
-    d = P @ u.flat
-    return float(np.dot(w, np.abs(d) ** rk.p)) / rk.p

@@ -73,7 +73,7 @@ def condition_n_check(pots) -> bool:
     for pot in pots:
         zero = GridFunction(pot.grid, np.zeros(pot.grid.shape), pot.space)
         for lam in CONDITION_N_LAMBDAS:
-            z = pot.prox(lam, zero, tol=CONDITION_N_PROX_TOL).minimizer
+            z = pot.prox(lam, zero, tol=CONDITION_N_PROX_TOL)
             if norm(z) > CONDITION_N_TOL:
                 return False
     return True
@@ -117,7 +117,7 @@ def resolvent_table(pots, target: Potential, probes, lambdas, tol: float = RESOL
     ``R_lam(f) - R_lam^target(f)`` for potential i, probe jp and
     ``lam = lambdas[jl]``, and ``gaps[i] = max_probes (eval_i(f) -
     eval_target(f))_+`` is the sampled stand-in for the limsup condition.
-    The target's resolvents are solved once per call.
+    The target's resolvents and energies are computed once per call.
     """
     pots, lambdas = list(pots), np.asarray(lambdas, dtype=float)
     for what, items in (("potential sequence", pots), ("probe panel", probes), ("lambdas", lambdas)):
@@ -125,15 +125,16 @@ def resolvent_table(pots, target: Potential, probes, lambdas, tol: float = RESOL
             raise ValueError(f"empty {what}")
     if any(pot.space != target.space for pot in pots):
         raise ValueError("potentials live in different Hilbert geometries")
-    target_min = [[target.prox(lam, f, tol=tol).minimizer for lam in lambdas] for _, f in probes]
+    target_min = [[target.prox(lam, f, tol=tol) for lam in lambdas] for _, f in probes]
+    target_energy = [target.eval(f) for _, f in probes]
     distances = np.empty((len(pots), len(probes), len(lambdas)))
     gaps = np.empty(len(pots))
     for i, pot in enumerate(pots):
         gap = 0.0
         for jp, (_, f) in enumerate(probes):
-            gap = max(gap, pot.eval(f) - target.eval(f))
+            gap = max(gap, pot.eval(f) - target_energy[jp])
             for jl, lam in enumerate(lambdas):
-                distances[i, jp, jl] = norm(pot.prox(lam, f, tol=tol).minimizer - target_min[jp][jl])
+                distances[i, jp, jl] = norm(pot.prox(lam, f, tol=tol) - target_min[jp][jl])
         gaps[i] = max(gap, 0.0)
     return distances, gaps
 

@@ -37,9 +37,7 @@ definite banded solves (LAPACK ``pbsv``, one call per cache-sized chunk of
 live rows, each band written in place), and so are both face duals: edges
 ordered by lower cell make ``K K^T`` banded too.  Fast diffusion's H^-1
 Newton solves the Dirichlet system once per step.  ``prox`` returns the
-minimizer at once; its certificate, the max violation of the variational
-inequality over a probe panel plus the solver's own optimality residual, is
-computed when first read.
+minimizer alone; the tests certify it against the variational inequality.
 
 On a finite grid every function has finite energy, so the
 lower-semicontinuous-hull construction that extends these energies to the
@@ -48,7 +46,7 @@ full continuum spaces needs no discrete counterpart: ``eval`` is total.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,19 +56,15 @@ from . import kernels as kernels_mod
 from ._linalg import solve_banded_spd, solve_tridiagonal
 from .grids import (
     DIRICHLET,
-    H1,
     HMINUS1,
     L2,
     NEUMANN,
     Grid,
     GridFunction,
     _dirichlet_solver,
-    dirichlet_solve,
     face_difference_matrix,
     hminus1_norm_sq,
-    inner,
     neg_laplacian_matrix,
-    space_norm_sq,
 )
 from .profiles import EdgeConjugate, PowerProfile, RadialProfile, YosidaPowerProfile
 
@@ -80,7 +74,6 @@ NEWTON_CAP = 400
 DUAL_CAP = 500
 FD_NEWTON_CAP = 200
 FISTA_CAP = 10_000
-_PROBE_COUNT = 64
 
 
 class ProxDidNotConverge(RuntimeError):
@@ -92,23 +85,6 @@ class ProxDidNotConverge(RuntimeError):
         self.message = message
         self.residual = float(residual)
         self.rows = tuple(int(r) for r in rows)
-
-
-class ProxResult:
-    """Minimizer and iteration count of a prox; the certificate is computed on first read."""
-
-    def __init__(self, pot, lam, f, z, residual, iterations):
-        self.minimizer, self.iterations, self._call = z, iterations, (pot, lam, f, residual)
-
-    @cached_property
-    def kkt_residual(self) -> float:
-        pot, lam, f, residual = self._call
-        return residual + pot._probe_violation(lam, f, self.minimizer)
-
-    @cached_property
-    def objective_value(self) -> float:
-        pot, lam, f, _ = self._call
-        return 0.5 * inner(f - self.minimizer, f - self.minimizer) + lam * pot.eval(self.minimizer)
 
 
 def _prox_rows(lam: float, F, tol: float) -> np.ndarray:
@@ -156,13 +132,10 @@ class Potential:
     def eval_batch(self, U: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _accepts(self, space: str) -> bool:
-        raise NotImplementedError
-
     def eval(self, u: GridFunction) -> float:
         if u.grid != self.grid:
             raise ValueError("grid mismatch between potential and argument")
-        if not self._accepts(u.space):
+        if u.space != self.space:
             raise ValueError(f"{self.label} does not accept {u.space}-tagged functions")
         return float(self.eval_batch(u.flat[None, :])[0])
 
@@ -184,30 +157,14 @@ class Potential:
         """
         raise NotImplementedError
 
-    def prox(self, lam: float, f: GridFunction, tol: float = DEFAULT_TOL) -> ProxResult:
+    def prox(self, lam: float, f: GridFunction, tol: float = DEFAULT_TOL) -> GridFunction:
+        """The minimizer of ``1/2 ||v - f||_H^2 + lam * eval(v)``."""
         if f.grid != self.grid or f.space != self.space:
             raise ValueError(
                 f"prox of {self.label} needs a {self.space}-tagged function on its own grid"
             )
-        Z, residual, iters = self.prox_batch(lam, f.flat[None, :], tol=tol)
-        z = GridFunction(self.grid, Z[0].reshape(self.grid.shape), self.space)
-        return ProxResult(self, lam, f, z, residual, iters)
-
-    def _probe_violation(self, lam: float, f: GridFunction, z: GridFunction) -> float:
-        """Max violation of ``(f - z, v - z)_H <= lam (eval(v) - eval(z))``.
-
-        Probes: unit-H-norm random directions around z, plus v = f and v = 0,
-        evaluated as one stacked batch with z as its last row.
-        """
-        zf = z.flat
-        dirs = _probe_directions(self.grid, self.space, _PROBE_COUNT)
-        V = np.vstack([zf + dirs, f.flat, np.zeros_like(zf), zf])
-        ev = self.eval_batch(V)
-        # (f - z, w)_H = vol <rep, w> with rep the Riesz representative of f - z
-        fz = f.flat - zf
-        rep = dirichlet_solve(self.grid, fz) if self.space == HMINUS1 else fz
-        pairing = self.grid.cell_volume * ((V[:-1] - zf) @ rep)
-        return max(float(np.max(pairing - lam * (ev[:-1] - ev[-1]))), 0.0)
+        Z, _, _ = self.prox_batch(lam, f.flat[None, :], tol=tol)
+        return GridFunction(self.grid, Z[0].reshape(self.grid.shape), self.space)
 
     # -- drift ----------------------------------------------------------------
     def yosida_gradient_batch(self, U: np.ndarray) -> np.ndarray:
@@ -216,28 +173,6 @@ class Potential:
     def drift_lipschitz_bound(self) -> float | None:
         """Lipschitz bound of the drift, None when the drift is unbounded."""
         return None
-
-    def yosida_gradient(self, u: GridFunction) -> GridFunction:
-        """Gradient of ``eval`` in the potential's own geometry at u.
-
-        Requires a Yosida-regularized profile; globally Lipschitz with
-        constant O(1/delta) times grid constants.
-        """
-        if self.delta is None:
-            raise ValueError("yosida_gradient requires a Yosida-regularized potential")
-        if u.grid != self.grid:
-            raise ValueError("grid mismatch")
-        out = self.yosida_gradient_batch(u.flat[None, :])[0]
-        return GridFunction(self.grid, out.reshape(self.grid.shape), self.space)
-
-
-@lru_cache(maxsize=None)
-def _probe_directions(grid: Grid, space: str, count: int) -> np.ndarray:
-    """``count`` unit-H-norm random directions, one read-only flat row each."""
-    V = np.random.default_rng(20_240_501).standard_normal((count, grid.num_cells))
-    dirs = V / np.sqrt(space_norm_sq(grid, V, space))[:, None]
-    dirs.flags.writeable = False
-    return dirs
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +204,6 @@ class _DifferencePenaltyPotential(Potential):
             # the Gram K K^T has diagonal 2 s_e^2 and couplings -s_e s_(e+1)
             s = self._edge_scale = self.K[:, 1:].diagonal()
             self._scale_sq, self._gram_off = s**2, -(s[1:] * s[:-1])
-
-    def _accepts(self, space: str) -> bool:
-        return space in (L2, H1)
 
     def _grad(self, V: np.ndarray) -> np.ndarray:
         """``K v`` per row; on chains a stencil bit-identical to CSR, in its layout."""
@@ -602,7 +534,7 @@ class GradientPotential(_DifferencePenaltyPotential):
 
 
 class NonlocalPotential(_DifferencePenaltyPotential):
-    """Pairwise kernel interaction energy; equals ``kernels.nonlocal_energy``."""
+    """Pairwise kernel interaction energy ``sum_e w_e |P u|_e^p / p`` over ``kernels.pair_stencil``."""
 
     def __init__(self, grid: Grid, rescaled: kernels_mod.RescaledKernel, delta: float | None = None):
         P, w_pairs = kernels_mod.pair_stencil(rescaled, grid)
@@ -638,9 +570,6 @@ class FastDiffusionPotential(Potential):
         self._a = np.ones(grid.num_cells) if weight is None else self.weight.reshape(-1)
         self._L = neg_laplacian_matrix(grid, DIRICHLET)
         self.label = f"fastdiffusion[m={m}, delta={delta}]"
-
-    def _accepts(self, space: str) -> bool:
-        return space == HMINUS1
 
     def eval_batch(self, U: np.ndarray) -> np.ndarray:
         U = np.asarray(U, dtype=float)

@@ -13,17 +13,22 @@ so they check the chunking, not the algebra.
 The vector Moreau-Yosida maps (``resolvent_radial``, ``phi_delta``,
 ``psi_delta``, ...) and ``h1_resolvent_bound_check`` are test helpers, not
 independent oracles: the Yosida maps wrap ``yosida.prox_radius`` and the bound
-check wraps ``Potential.prox``, the code paths they exercise.
+check wraps ``Potential.prox``, the code paths they exercise.  So does
+``certified_prox``, the judge of every prox's minimizer.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
+from functools import lru_cache
 
 import numpy as np
 import scipy.integrate as integrate
 import scipy.sparse as sp
 
 from spdelab import yosida
-from spdelab.grids import H1, space_norm_sq
+from spdelab.grids import HMINUS1, NEUMANN, GridFunction, dirichlet_solve, face_difference_matrix, inner, space_norm_sq
+from spdelab.potentials import DEFAULT_TOL
 
 
 def bisect_root(fn, lo: float, hi: float, tol: float = 1e-13, max_iter: int = 200) -> float:
@@ -249,15 +254,53 @@ def phi_min_norm(p: float, xi, axis: int | None = -1) -> np.ndarray:
 
 
 def h1_norm(u) -> float:
-    """Full H1 norm regardless of the function's own tag."""
-    return float(np.sqrt(space_norm_sq(u.grid, u.flat, H1)))
+    """Full H1 norm ``sqrt(vol (|u|^2 + |K u|^2))``, Neumann faces, whatever the tag."""
+    grads = face_difference_matrix(u.grid, NEUMANN) @ u.flat
+    return float(np.sqrt(u.grid.cell_volume * (np.sum(u.flat**2) + np.sum(grads**2))))
 
 
 def h1_resolvent_bound_check(pot, f, tol: float = 1e-10) -> float:
     """Ratio ``||prox(1, f)||_H1 / ||f||_H1``; at most 1 for smooth
     weight-free gradient families with zero-flux faces."""
-    z = pot.prox(1.0, f, tol=tol).minimizer
+    z = pot.prox(1.0, f, tol=tol)
     denom = h1_norm(f)
     if denom == 0.0:
         raise ValueError("H1 bound check needs a nonzero probe")
     return h1_norm(z) / denom
+
+
+# -- the prox certificate: the minimizer against the variational inequality ----
+
+
+CertifiedProx = namedtuple("CertifiedProx", "minimizer kkt_residual objective_value iterations")
+
+
+@lru_cache(maxsize=None)
+def probe_directions(grid, space: str, count: int = 64) -> np.ndarray:
+    """``count`` unit-H-norm random directions, one read-only flat row each."""
+    V = np.random.default_rng(20_240_501).standard_normal((count, grid.num_cells))
+    dirs = V / np.sqrt(space_norm_sq(grid, V, space))[:, None]
+    dirs.flags.writeable = False
+    return dirs
+
+
+def probe_violation(pot, lam: float, f, z) -> float:
+    """Max violation of ``(f - z, v - z)_H <= lam (eval(v) - eval(z))`` over v = z + 64
+    unit-H-norm random directions, v = f and v = 0: one batch with z as its last row."""
+    zf = z.flat
+    V = np.vstack([zf + probe_directions(pot.grid, pot.space), f.flat, np.zeros_like(zf), zf])
+    ev = pot.eval_batch(V)
+    # (f - z, w)_H = vol <rep, w> with rep the Riesz representative of f - z
+    fz = f.flat - zf
+    rep = dirichlet_solve(pot.grid, fz) if pot.space == HMINUS1 else fz
+    pairing = pot.grid.cell_volume * ((V[:-1] - zf) @ rep)
+    return max(float(np.max(pairing - lam * (ev[:-1] - ev[-1]))), 0.0)
+
+
+def certified_prox(pot, lam: float, f, tol: float = DEFAULT_TOL) -> CertifiedProx:
+    """``prox(lam, f)`` as one ``prox_batch`` row, certified: ``kkt_residual`` is the
+    solver's residual plus the probe panel's violation."""
+    Z, residual, iterations = pot.prox_batch(lam, f.flat[None, :], tol=tol)
+    z = GridFunction(pot.grid, Z[0].reshape(pot.grid.shape), pot.space)
+    objective = 0.5 * inner(f - z, f - z) + lam * pot.eval(z)
+    return CertifiedProx(z, residual + probe_violation(pot, lam, f, z), objective, iterations)

@@ -289,7 +289,7 @@ def test_explicit_drift_matches_yosida_gradient_formula():
     dt = 1.9 / pot.drift_lipschitz_bound()  # simulate's explicit stability limit
     ens = simulate(x0, pot, model, SchemeParams(dt=dt, steps=1, delta=0.1, drift="explicit_yosida"), 1, seed=5)
     dW = ens.increments[:, 0, :]
-    expected = x0.flat + model.apply_batch(x0.flat[None, :], dW)[0] - dt * pot.yosida_gradient(x0).flat
+    expected = x0.flat + model.apply_batch(x0.flat[None, :], dW)[0] - dt * pot.yosida_gradient_batch(x0.flat[None, :])[0]
     assert ens.states[0, 1] == pytest.approx(expected, abs=1e-14)
 
 

@@ -428,6 +428,9 @@ def tiny_table(tmp_path, case):
 # curvature from t = r^(p-1)): rounding only, <= 7.8e-14 relative.
 # trotter_fastdiffusion's row-1 weak_metric was re-recorded (+2 ulp) when
 # tests/conftest.py fixed numpy's dispatch below AVX-512.
+# nonlocal_to_local's energy_gap was re-recorded when the gap took the nonlocal
+# energy from NonlocalPotential.eval instead of a second copy of the pair sum
+# (rounding only: +4 ulp on row 0, 7.2e-16 relative; +8 ulp on row 1, 1.3e-15).
 TINY_GOLDEN = {
     'homogenize_fastdiffusion': [
         ['0x1.0000000000000p-2', '0x1.8a356fa60098dp-18', '0x1.5e2327a007c8ep-14', '0x1.80bd26fc16200p-5', '0x1.0000000000000p+1', '-0x1.14468b980884cp-3'],
@@ -446,8 +449,8 @@ TINY_GOLDEN = {
         ['0x1.0000000000000p-1', '0x0.0p+0', '0x1.46d1dba812a98p-7', '0x0.0p+0'],
     ],
     'nonlocal_to_local': [
-        ['0x1.3333333333333p-2', '0x1.e81998cc42de8p-15', '0x1.97e72977fded3p-10', '0x1.3c7688020bdf0p-1'],
-        ['0x1.999999999999ap-3', '0x1.d3f7a533fa290p-16', '0x1.0f06292532a69p-11', '0x1.568d87f3bc300p-2'],
+        ['0x1.3333333333333p-2', '0x1.e81998cc42de8p-15', '0x1.97e72977fded3p-10', '0x1.3c7688020bdf4p-1'],
+        ['0x1.999999999999ap-3', '0x1.d3f7a533fa290p-16', '0x1.0f06292532a69p-11', '0x1.568d87f3bc308p-2'],
     ],
     'trotter_fastdiffusion': [
         ['0x1.ccccccccccccdp-1', '0x1.9a58d46dbc38bp-19', '0x1.b0578ba53331cp-8', '0x0.0p+0'],

@@ -150,10 +150,3 @@ def test_nonfinite_values_rejected():
     with pytest.raises(ValueError):
         GridFunction(g, [1.0, np.nan, 0.0, 0.0])
 
-
-def test_h1_inner_includes_gradient_energy():
-    g = interval_grid(40)
-    x = g.axis_centers(0)
-    u = GridFunction(g, np.sin(2 * np.pi * x), "H1")
-    l2_part = g.cell_volume * np.sum(u.values**2)
-    assert inner(u, u) > l2_part

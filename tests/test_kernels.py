@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from oracles import c_jp_direct, c_jp_radial, kernel_mass, sphere_moment
 
 from spdelab import kernels, potentials
+from spdelab.engine import AdditiveNoise, SchemeParams, simulate
 from spdelab.grids import GridFunction, Grid, inner, interval_grid, norm
 from spdelab.kernels import Kernel, RescaledKernel
 
@@ -85,7 +86,7 @@ def test_c_jp_dilation_scaling(profile):
 def test_nonlocal_energy_constant_is_zero():
     g = interval_grid(40)
     rk = RescaledKernel(Kernel("tent", 1), 0.2, 1.5)
-    assert kernels.nonlocal_energy(rk, GridFunction(g, np.full(40, 3.3))) == 0.0
+    assert potentials.NonlocalPotential(g, rk).eval(GridFunction(g, np.full(40, 3.3))) == 0.0
 
 
 def test_nonlocal_energy_matches_double_sum_oracle():
@@ -106,7 +107,7 @@ def test_nonlocal_energy_matches_double_sum_oracle():
                 * abs((u[j] - u[i])) ** p
             )
     oracle = rk.c_jp / (2 * p * eps ** (1 + p)) * total * vol**2
-    assert kernels.nonlocal_energy(rk, GridFunction(g, u)) == pytest.approx(oracle, rel=1e-12)
+    assert potentials.NonlocalPotential(g, rk).eval(GridFunction(g, u)) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_nonlocal_energy_ramp_approaches_local_limit():
@@ -115,7 +116,7 @@ def test_nonlocal_energy_ramp_approaches_local_limit():
     vals = []
     for eps in (0.2, 0.1, 0.05):
         rk = RescaledKernel(Kernel("ball", 1), eps, 2.0)
-        vals.append(kernels.nonlocal_energy(rk, u))
+        vals.append(potentials.NonlocalPotential(g, rk).eval(u))
     gaps = [abs(v - 0.5) for v in vals]
     assert gaps[2] < gaps[1] < gaps[0]
     assert gaps[2] < 0.1 * 0.5
@@ -178,7 +179,7 @@ def test_nonlocal_apply_matches_energy_gradient():
     delta = 0.02
     pot = potentials.nonlocal_p(g, Kernel("bump", 1), 0.3, 1.5, delta=delta)
     u = GridFunction(g, rng.standard_normal(20))
-    drift = -pot.yosida_gradient(u)
+    drift = -GridFunction(g, pot.yosida_gradient_batch(u.flat[None, :])[0])
     hdir = GridFunction(g, rng.standard_normal(20))
     h = 1e-6
     fd = (pot.eval(u + h * hdir) - pot.eval(u - h * hdir)) / (2 * h)
@@ -186,17 +187,20 @@ def test_nonlocal_apply_matches_energy_gradient():
 
 
 def test_p1_requires_regularization():
+    # simulate refuses the explicit Yosida drift on the raw p = 1 energy
     g = interval_grid(20)
     pot = potentials.nonlocal_p(g, Kernel("tent", 1), 0.25, 1.0)
-    with pytest.raises(ValueError):
-        pot.yosida_gradient(GridFunction(g, rng.standard_normal(20)))
+    sp_explicit = SchemeParams(dt=1e-3, steps=1, delta=1e-2, drift="explicit_yosida")
+    noise = AdditiveNoise([GridFunction(g, np.ones(20))])
+    with pytest.raises(ValueError, match="does not match the potential's regularization None"):
+        simulate(GridFunction(g, rng.standard_normal(20)), pot, noise, sp_explicit, 1, seed=0)
 
 
 def test_under_resolved_kernel_warns():
     g = interval_grid(8)
     rk = RescaledKernel(Kernel("tent", 1), 0.1, 1.5)  # eps below 2h = 0.25
     with pytest.warns(UserWarning):
-        kernels.nonlocal_energy(rk, GridFunction(g, np.zeros(8)))
+        potentials.NonlocalPotential(g, rk).eval(GridFunction(g, np.zeros(8)))
 
 
 def test_energy_comparability_with_local_energy():
@@ -211,7 +215,7 @@ def test_energy_comparability_with_local_energy():
         for eps in (0.1, 0.05):
             rk = RescaledKernel(Kernel("bump", 1), eps, p)
             u = GridFunction(g, bump)
-            ratio = kernels.nonlocal_energy(rk, u) / local.eval(u)
+            ratio = potentials.NonlocalPotential(g, rk).eval(u) / local.eval(u)
             assert ratio <= C * 1.05
 
 
@@ -219,7 +223,7 @@ def test_nonlocal_2d_smoke():
     g = Grid((1.0, 1.0), (12, 12))
     rk = RescaledKernel(Kernel("tent", 2), 0.25, 1.5)
     u = GridFunction(g, rng.standard_normal((12, 12)))
-    e = kernels.nonlocal_energy(rk, u)
+    e = potentials.NonlocalPotential(g, rk).eval(u)
     assert e > 0
     out = nonlocal_drift(g, "tent", 0.25, 1.5, 0.05, u.flat)
     assert abs(g.cell_volume * out.sum()) < 1e-10

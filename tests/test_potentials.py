@@ -9,9 +9,9 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import chain_dp_prox, hessian_band, sls_band
+from oracles import certified_prox, chain_dp_prox, hessian_band, probe_directions, probe_violation, sls_band
 from spdelab import _linalg, grids, kernels, mosco, potentials, profiles, yosida
-from spdelab.engine import SchemeParams
+from spdelab.engine import AdditiveNoise, SchemeParams, simulate
 from spdelab.grids import (
     DIRICHLET,
     HMINUS1,
@@ -107,7 +107,7 @@ def test_prox_of_constant_is_identity():
     c = GridFunction(g, np.full(18, -0.7))
     for pot in (potentials.p_dirichlet(g, 1.0), potentials.p_dirichlet(g, 1.6),
                 potentials.p_dirichlet(g, 1.2, delta=0.01)):
-        res = pot.prox(0.3, c)
+        res = certified_prox(pot, 0.3, c)
         assert np.abs(res.minimizer.values + 0.7).max() < 1e-10
         assert res.kkt_residual <= 1e-10
 
@@ -117,11 +117,11 @@ def test_p2_prox_matches_direct_sparse_solve():
     pot = potentials.p_dirichlet(g, 2.0)
     f = random_l2(g)
     lam = 0.37
-    res = pot.prox(lam, f)
+    z = pot.prox(lam, f)
     K = face_difference_matrix(g, NEUMANN)
     H = sp.eye(64) + lam * (K.T @ K)
     oracle = spla.spsolve(H.tocsc(), f.flat)
-    assert res.minimizer.flat == pytest.approx(oracle, abs=1e-12)
+    assert z.flat == pytest.approx(oracle, abs=1e-12)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5])
@@ -132,9 +132,9 @@ def test_prox_matches_chain_dp_oracle(p):
     for _ in range(4):
         fv = 0.5 * rng.standard_normal(4)
         lam = 10 ** rng.uniform(-2.5, -0.5)
-        res = pot.prox(lam, GridFunction(g, fv), tol=1e-9)
+        z = pot.prox(lam, GridFunction(g, fv), tol=1e-9)
         lattice = chain_dp_prox(fv, lam, p, h)
-        assert np.abs(res.minimizer.flat - lattice).max() < 2e-3
+        assert np.abs(z.flat - lattice).max() < 2e-3
 
 
 def test_fast_diffusion_m1_prox_matches_linear_solve():
@@ -142,10 +142,10 @@ def test_fast_diffusion_m1_prox_matches_linear_solve():
     pot = potentials.fast_diffusion(g, 1.0)
     f = GridFunction(g, rng.standard_normal(48), HMINUS1)
     lam = 0.2
-    res = pot.prox(lam, f)
+    z = pot.prox(lam, f)
     L = neg_laplacian_matrix(g, DIRICHLET)
     oracle = spla.spsolve((sp.eye(48) + lam * L).tocsc(), f.flat)
-    assert res.minimizer.flat == pytest.approx(oracle, abs=1e-10)
+    assert z.flat == pytest.approx(oracle, abs=1e-10)
 
 
 def test_weighted_p2_prox_matches_weighted_solve():
@@ -154,12 +154,12 @@ def test_weighted_p2_prox_matches_weighted_solve():
     pot = potentials.p_dirichlet(g, 2.0, weight=w)
     f = random_l2(g)
     lam = 0.5
-    res = pot.prox(lam, f)
+    z = pot.prox(lam, f)
     K = face_difference_matrix(g, NEUMANN)
     wf = potentials.face_weights(g, w)
     H = sp.eye(32) + lam * (K.T @ sp.diags(wf) @ K)
     oracle = spla.spsolve(H.tocsc(), f.flat)
-    assert res.minimizer.flat == pytest.approx(oracle, abs=1e-11)
+    assert z.flat == pytest.approx(oracle, abs=1e-11)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +180,7 @@ POT_FACTORIES = [
 def test_prox_certificate_within_tolerance(factory):
     g = interval_grid(24)
     pot = factory(g)
-    res = pot.prox(0.2, random_l2(g), tol=1e-9)
+    res = certified_prox(pot, 0.2, random_l2(g), tol=1e-9)
     assert res.kkt_residual <= 1e-9
     assert res.iterations >= 1
     assert res.objective_value >= 0.0
@@ -191,18 +191,18 @@ def test_prox_contraction(factory):
     g = interval_grid(24)
     pot = factory(g)
     f1, f2 = random_l2(g), random_l2(g)
-    z1 = pot.prox(0.3, f1).minimizer
-    z2 = pot.prox(0.3, f2).minimizer
+    z1 = pot.prox(0.3, f1)
+    z2 = pot.prox(0.3, f2)
     assert norm(z1 - z2) <= norm(f1 - f2) + 1e-9
 
 
 def test_prox_yosida_consistency_as_delta_vanishes():
     g = interval_grid(32)
     f = GridFunction(g, np.sin(3 * np.pi * g.axis_centers(0)))
-    raw = potentials.p_dirichlet(g, 1.0).prox(0.1, f).minimizer
+    raw = potentials.p_dirichlet(g, 1.0).prox(0.1, f)
     gaps = []
     for delta in (1e-1, 1e-2, 1e-3):
-        reg = potentials.p_dirichlet(g, 1.0, delta=delta).prox(0.1, f).minimizer
+        reg = potentials.p_dirichlet(g, 1.0, delta=delta).prox(0.1, f)
         gaps.append(norm(reg - raw))
     assert gaps[2] < gaps[1] < gaps[0]
     assert gaps[2] < 0.05 * gaps[0]
@@ -311,10 +311,15 @@ def test_prox_nonconvergence_raises_with_residual(one_iteration_caps):
 # ---------------------------------------------------------------------------
 
 
+def yosida_gradient(pot, u):
+    """``yosida_gradient_batch`` at one state, as a function in the potential's space."""
+    return GridFunction(pot.grid, pot.yosida_gradient_batch(u.flat[None, :])[0], pot.space)
+
+
 def test_yosida_gradient_of_constant_vanishes():
     g = interval_grid(20)
     pot = potentials.p_dirichlet(g, 1.0, delta=0.05)
-    out = pot.yosida_gradient(GridFunction(g, np.full(20, 1.3)))
+    out = yosida_gradient(pot, GridFunction(g, np.full(20, 1.3)))
     assert np.abs(out.values).max() == 0.0
 
 
@@ -331,7 +336,7 @@ def test_yosida_gradient_is_directional_derivative(factory):
     pot = factory(g)
     u = GridFunction(g, np.sin(2 * np.pi * g.axis_centers(0)))
     hdir = random_l2(g)
-    pairing = inner(pot.yosida_gradient(u), hdir)
+    pairing = inner(yosida_gradient(pot, u), hdir)
     errs = []
     for h in (1e-5, 5e-6):
         fd = (pot.eval(u + h * hdir) - pot.eval(u - h * hdir)) / (2 * h)
@@ -340,9 +345,12 @@ def test_yosida_gradient_is_directional_derivative(factory):
 
 
 def test_yosida_gradient_requires_regularization():
+    # simulate refuses the explicit Yosida drift on a raw potential
     g = interval_grid(8)
-    with pytest.raises(ValueError):
-        potentials.p_dirichlet(g, 1.5).yosida_gradient(GridFunction(g, np.zeros(8)))
+    sp_explicit = SchemeParams(dt=1e-3, steps=1, delta=1e-2, drift="explicit_yosida")
+    noise = AdditiveNoise([GridFunction(g, np.ones(8))])
+    with pytest.raises(ValueError, match="does not match the potential's regularization None"):
+        simulate(GridFunction(g, np.zeros(8)), potentials.p_dirichlet(g, 1.5), noise, sp_explicit, 1, seed=0)
 
 
 def test_nonlocal_drift_conserves_mass():
@@ -350,7 +358,7 @@ def test_nonlocal_drift_conserves_mass():
     pot = potentials.nonlocal_p(g, Kernel("bump", 1), 0.2, 1.3, delta=0.01)
     u = random_l2(g)
     one = GridFunction(g, np.ones(40))
-    assert abs(inner(pot.yosida_gradient(u), one)) < 1e-10
+    assert abs(inner(yosida_gradient(pot, u), one)) < 1e-10
 
 
 def test_fast_diffusion_yosida_gradient_in_hminus1():
@@ -358,7 +366,7 @@ def test_fast_diffusion_yosida_gradient_in_hminus1():
     pot = potentials.fast_diffusion(g, 0.5, delta=0.01)
     u = GridFunction(g, rng.standard_normal(24), HMINUS1)
     hdir = GridFunction(g, rng.standard_normal(24), HMINUS1)
-    pairing = inner(pot.yosida_gradient(u), hdir)
+    pairing = inner(yosida_gradient(pot, u), hdir)
     h = 1e-6
     fd = (pot.eval(u + h * hdir) - pot.eval(u - h * hdir)) / (2 * h)
     assert pairing == pytest.approx(fd, rel=1e-5, abs=1e-8)
@@ -374,7 +382,7 @@ def test_fast_diffusion_prox_certificate(m, delta):
     g = interval_grid(32)
     pot = potentials.fast_diffusion(g, m, delta=delta)
     f = GridFunction(g, rng.standard_normal(32), HMINUS1)
-    res = pot.prox(0.1, f, tol=1e-8)
+    res = certified_prox(pot, 0.1, f, tol=1e-8)
     assert res.kkt_residual <= 1e-8
 
 
@@ -384,17 +392,17 @@ def test_fast_diffusion_weighted_prox_matches_linear_solve():
     pot = potentials.fast_diffusion(g, 1.0, weight=w)
     f = GridFunction(g, rng.standard_normal(24), HMINUS1)
     lam = 0.15
-    res = pot.prox(lam, f)
+    z = pot.prox(lam, f)
     L = neg_laplacian_matrix(g, DIRICHLET)
     oracle = spla.spsolve((sp.eye(24) + lam * (L @ sp.diags(w))).tocsc(), f.flat)
-    assert res.minimizer.flat == pytest.approx(oracle, abs=1e-10)
+    assert z.flat == pytest.approx(oracle, abs=1e-10)
 
 
 def test_two_dimensional_gradient_prox_smoke():
     g = grids.Grid((1.0, 1.0), (8, 8))
     pot = potentials.p_dirichlet(g, 1.5, delta=0.05)
     f = GridFunction(g, rng.standard_normal((8, 8)))
-    res = pot.prox(0.1, f, tol=1e-8)
+    res = certified_prox(pot, 0.1, f, tol=1e-8)
     assert res.kkt_residual <= 1e-8
 
 
@@ -456,12 +464,12 @@ def test_sparse_path_prox_certificate(make, iters):
     pot = make()
     g = pot.grid
     f = GridFunction(g, np.random.default_rng(11).standard_normal(g.shape), pot.space)
-    res = pot.prox(0.1, f, tol=1e-8)
+    res = certified_prox(pot, 0.1, f, tol=1e-8)
     assert res.kkt_residual <= 1e-8
     assert res.iterations == iters
     if pot.space == L2:
         c = GridFunction(g, np.full(g.shape, 0.3))
-        assert np.array_equal(pot.prox(0.1, c, tol=1e-8).minimizer.values, c.values)
+        assert np.array_equal(pot.prox(0.1, c, tol=1e-8).values, c.values)
 
 
 def test_fast_diffusion_spd_newton_solve_matches_sparse_solve():
@@ -705,7 +713,7 @@ def test_non_chain_prox_is_certified_and_firmly_nonexpansive(family, lam, scale,
     pot = NON_CHAIN_FAMILIES[family]
     g, gen, tol = pot.grid, np.random.default_rng(seed), 1e-9
     f1, f2 = (GridFunction(g, scale * gen.standard_normal(g.shape), pot.space) for _ in range(2))
-    r1, r2 = pot.prox(lam, f1, tol=tol), pot.prox(lam, f2, tol=tol)
+    r1, r2 = certified_prox(pot, lam, f1, tol=tol), certified_prox(pot, lam, f2, tol=tol)
     power = 2 if family in ("p15_2d_raw", "tv_2d_raw", "nonlocal_p1_raw", "tv_2d_visc") else 1
     for f, r in ((f1, r1), (f2, r2)):
         assert r.kkt_residual <= tol * (1.0 + norm(f)) ** power
@@ -720,7 +728,7 @@ def test_smooth_dual_certificate_meets_the_primal_scale():
     # tol (1 + ||f||)
     pot = NON_CHAIN_FAMILIES["p15_2d_raw"]
     f = GridFunction(GRID_8X8, 20.0 * np.random.default_rng(6).standard_normal((8, 8)))
-    assert pot.prox(1.0, f, tol=1e-7).kkt_residual <= 1e-7 * (1.0 + norm(f))
+    assert certified_prox(pot, 1.0, f, tol=1e-7).kkt_residual <= 1e-7 * (1.0 + norm(f))
 
 
 @pytest.mark.parametrize("probe", [
@@ -781,8 +789,7 @@ def test_traced_solver_entry_points_keep_names_results_and_nesting(monkeypatch):
     FD = potentials.FastDiffusionPotential
     for owner, name in [(potentials, "_newton_difference"), (potentials, "_dual_newton_smooth"),
                         (potentials, "_dual_projected_newton"), (FD, "_prox_newton"),
-                        (FD, "_prox_fista"), (potentials.Potential, "_probe_violation"),
-                        (profiles.EdgeConjugate, "_radius")]:
+                        (FD, "_prox_fista"), (profiles.EdgeConjugate, "_radius")]:
         assert callable(getattr(owner, name, None)), name
     g = interval_grid(12)
     F = np.random.default_rng(3).standard_normal((2, 12))
@@ -925,7 +932,7 @@ def test_kinked_viscous_profile_takes_smooth_dual(lam, monkeypatch):
     g = interval_grid(48)
     pot = potentials.p_dirichlet(g, 1.0, visc=0.1)
     f = GridFunction(g, np.random.default_rng(11).standard_normal(48))
-    assert pot.prox(lam, f, tol=1e-9).kkt_residual <= 1e-8
+    assert certified_prox(pot, lam, f, tol=1e-9).kkt_residual <= 1e-8
 
 
 @pytest.mark.parametrize("shape", [(64,), (16, 16), (20, 10)])
@@ -948,20 +955,21 @@ def test_probe_violation_matches_probe_by_probe_panel(make):
     g = pot.grid
     gen = np.random.default_rng(8)
     f = GridFunction(g, gen.standard_normal(g.shape), pot.space)
-    z = GridFunction(g, pot.prox(0.1, f).minimizer.values + 0.1 * gen.standard_normal(g.shape), pot.space)
+    z = GridFunction(g, pot.prox(0.1, f).values + 0.1 * gen.standard_normal(g.shape), pot.space)
     ez = pot.eval(z)
-    probes = [z.flat + d for d in potentials._probe_directions(g, pot.space, potentials._PROBE_COUNT)]
+    probes = [z.flat + d for d in probe_directions(g, pot.space)]
     expected = 0.0
     for vals in probes + [f.flat, np.zeros(g.num_cells)]:
         v = GridFunction(g, vals.reshape(g.shape), pot.space)
         expected = max(expected, inner(f - z, v - z) - 0.1 * (pot.eval(v) - ez))
     assert expected > 0.0
-    assert pot._probe_violation(0.1, f, z) == pytest.approx(expected, rel=1e-12, abs=1e-14)
+    assert probe_violation(pot, 0.1, f, z) == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
 
-# float.hex of ``prox``'s certificate, iteration count and minimizer on one
-# case per solver branch (tol 1e-9), recorded while ``prox`` still built the
-# certificate eagerly: reading it later must give the same bits.  The fast
+# float.hex of ``certified_prox``'s certificate, iteration count and minimizer
+# on one case per solver branch (tol 1e-9), recorded while ``prox`` still built
+# the certificate eagerly; the oracle computes it with the same arithmetic,
+# so it must give the same bits.  The fast
 # diffusion kkt_residual was re-recorded when the H^-1 Newton began taking
 # its residual norm from the merit's own Dirichlet solve (0x1.ae2e1c755b524p-48
 # before, 1% apart at that rounding-level size; same minimizer and iterations)
@@ -980,7 +988,7 @@ PROX_PIN_CASES = {
 def prox_pin_record(case):
     make, probe, lam = PROX_PIN_CASES[case]
     pot = make()
-    res = pot.prox(lam, dict(mosco.default_probes(pot.grid, pot.space))[probe], tol=1e-9)
+    res = certified_prox(pot, lam, dict(mosco.default_probes(pot.grid, pot.space))[probe], tol=1e-9)
     return {
         "kkt_residual": float.hex(res.kkt_residual),
         "objective_value": float.hex(res.objective_value),
@@ -994,18 +1002,14 @@ def test_prox_certificates_match_their_float_hex_pins(case):
     assert prox_pin_record(case) == PROX_PINS[case]
 
 
-def test_prox_certificate_is_computed_on_first_read(monkeypatch):
-    calls = []
-    probe_violation = potentials.Potential._probe_violation
+def test_prox_returns_its_minimizer_without_a_certificate(monkeypatch):
+    # the certificate lives in the tests: prox evaluates no probe panel and no objective
+    def refuse(self, U):
+        raise AssertionError("prox evaluated the potential")
 
-    def counted(self, *args):
-        calls.append(args)
-        return probe_violation(self, *args)
-
-    monkeypatch.setattr(potentials.Potential, "_probe_violation", counted)
+    monkeypatch.setattr(potentials._DifferencePenaltyPotential, "eval_batch", refuse)
     g = interval_grid(24)
-    res = potentials.p_dirichlet(g, 1.5, delta=0.05).prox(0.5, random_l2(g), tol=1e-9)
-    assert len(calls) == 0
-    first = res.kkt_residual
-    assert len(calls) == 1
-    assert res.kkt_residual == first and len(calls) == 1
+    pot, f = potentials.p_dirichlet(g, 1.5, delta=0.05), random_l2(g)
+    z = pot.prox(0.5, f, tol=1e-9)
+    assert isinstance(z, GridFunction) and z.grid == g and z.space == L2
+    assert z.flat.tobytes() == pot.prox_batch(0.5, f.flat[None, :], tol=1e-9)[0][0].tobytes()
