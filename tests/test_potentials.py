@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import certified_prox, chain_dp_prox, hessian_band, probe_directions, probe_violation, sls_band
 from spdelab import _linalg, grids, kernels, mosco, potentials, profiles, yosida
-from spdelab.engine import AdditiveNoise, SchemeParams, simulate
+from spdelab.engine import SchemeParams
 from spdelab.grids import (
     DIRICHLET,
     HMINUS1,
@@ -345,12 +345,11 @@ def test_yosida_gradient_is_directional_derivative(factory):
 
 
 def test_yosida_gradient_requires_regularization():
-    # simulate refuses the explicit Yosida drift on a raw potential
+    # the raw slope |s|^(p-1) has no Lipschitz bound, so only the Yosida
+    # drift can step explicitly
     g = interval_grid(8)
-    sp_explicit = SchemeParams(dt=1e-3, steps=1, delta=1e-2, drift="explicit_yosida")
-    noise = AdditiveNoise([GridFunction(g, np.ones(8))])
-    with pytest.raises(ValueError, match="does not match the potential's regularization None"):
-        simulate(GridFunction(g, np.zeros(8)), potentials.p_dirichlet(g, 1.5), noise, sp_explicit, 1, seed=0)
+    assert potentials.p_dirichlet(g, 1.5).drift_lipschitz_bound() is None
+    assert 0 < potentials.p_dirichlet(g, 1.5, delta=1e-2).drift_lipschitz_bound() < np.inf
 
 
 def test_nonlocal_drift_conserves_mass():
