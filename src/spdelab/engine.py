@@ -208,15 +208,12 @@ def gaussian_increments(seed: int, n_paths: int, steps: int, modes: int, dt: flo
 
 
 def _check_scheme_potential(pot: Potential, sp: SchemeParams):
-    if sp.delta is not None:
-        # relative only: an absolute floor would accept delta=1e-8 for 1e-9
-        if pot.delta is None or not math.isclose(pot.delta, sp.delta):
-            raise ValueError(
-                f"scheme delta {sp.delta} does not match the potential's "
-                f"regularization {pot.delta}"
-            )
-    elif pot.delta is None and not pot.profile.curvature_bounded and sp.drift == "explicit_yosida":
-        raise ValueError("explicit drift needs a Yosida-regularized potential")
+    # relative only: an absolute floor would accept delta=1e-8 for 1e-9
+    if sp.delta is not None and (pot.delta is None or not math.isclose(pot.delta, sp.delta)):
+        raise ValueError(
+            f"scheme delta {sp.delta} does not match the potential's "
+            f"regularization {pot.delta}"
+        )
 
 
 def _advance(X: np.ndarray, pot: Potential, model: NemytskiiNoise, sp: SchemeParams, dW: np.ndarray) -> np.ndarray:

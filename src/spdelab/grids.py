@@ -15,7 +15,10 @@ so the summation-by-parts identity
     (K u) . y == u . (K^T y)
 
 is exact matrix adjointness rather than an approximation, which the
-proximal solvers depend on.
+proximal solvers depend on.  Every difference operator takes its cell pairs
+from ``_cell_pairs``, which defines their order: the rows of ``K``, the face
+weights of ``face_weights`` and the kernel pair stencils of
+``kernels.pair_stencil``.
 """
 
 from __future__ import annotations
@@ -156,51 +159,66 @@ def _check_bc(bc: str):
 # -- assembled operators ------------------------------------------------------
 
 
+def _cell_pairs(grid: Grid, offset) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices ``(left, right)`` of the cell pairs ``right = left + offset``.
+
+    The pair order of every difference operator is defined here: pairs run
+    in C order of ``left``.  Offset components may be negative; an offset
+    that reaches past an axis gives empty arrays.
+    """
+    idx = np.arange(grid.num_cells).reshape(grid.shape)
+    lo, hi = [], []
+    for n, o in zip(grid.shape, offset):
+        o = max(-n, min(o, n))
+        lo.append(slice(max(-o, 0), n - max(o, 0)))
+        hi.append(slice(max(o, 0), n - max(-o, 0)))
+    return idx[tuple(lo)].reshape(-1), idx[tuple(hi)].reshape(-1)
+
+
 @lru_cache(maxsize=None)
 def face_difference_matrix(grid: Grid, bc: str = NEUMANN) -> sp.csr_matrix:
     """Sparse matrix K with one row per face mapping cell values to ``grad``.
 
-    Rows are scaled by 1/h so ``K u`` stacks the face gradients of all axes.
-    Neumann keeps interior faces only; Dirichlet includes boundary faces with
-    the ghost-zero convention.  ``K^T K`` is the (negative) Laplacian for the
-    respective boundary condition.
+    Rows are scaled by 1/h so ``K u`` stacks the face gradients of all axes:
+    per axis its interior faces, in the order of ``_cell_pairs`` at the unit
+    offset, then under Dirichlet the boundary faces at the first and at the
+    last cells of that axis, with the ghost-zero convention.  ``K^T K`` is
+    the (negative) Laplacian for the respective boundary condition.
     """
     _check_bc(bc)
-    rows_i = []
-    rows_j = []
-    vals = []
-    row = 0
-    idx = np.arange(grid.num_cells).reshape(grid.shape)
-    for a in range(grid.dim):
+    blocks = []  # per block of face rows, its entries as (cells, coefficient)
+    for a, unit in enumerate(np.eye(grid.dim, dtype=int)):
         h = grid.spacing[a]
-        lo = [slice(None)] * grid.dim
-        lo[a] = slice(0, grid.shape[a] - 1)
-        hi = [slice(None)] * grid.dim
-        hi[a] = slice(1, grid.shape[a])
-        left = idx[tuple(lo)].reshape(-1)
-        right = idx[tuple(hi)].reshape(-1)
-        m = left.size
-        r = np.arange(row, row + m)
-        rows_i.extend([r, r])
-        rows_j.extend([left, right])
-        vals.extend([np.full(m, -1.0 / h), np.full(m, 1.0 / h)])
-        row += m
+        left, right = _cell_pairs(grid, unit)
+        blocks.append([(left, -1.0 / h), (right, 1.0 / h)])
         if bc == DIRICHLET:
-            first = [slice(None)] * grid.dim
-            first[a] = 0
-            last = [slice(None)] * grid.dim
-            last[a] = grid.shape[a] - 1
-            for edge, sign in ((idx[tuple(first)].reshape(-1), 1.0), (idx[tuple(last)].reshape(-1), -1.0)):
-                m = edge.size
-                r = np.arange(row, row + m)
-                rows_i.append(r)
-                rows_j.append(edge)
-                vals.append(np.full(m, sign / h))
-                row += m
-    i = np.concatenate(rows_i)
-    j = np.concatenate(rows_j)
-    v = np.concatenate(vals)
+            # the cells an axis length apart are the first and the last
+            first, last = _cell_pairs(grid, (grid.shape[a] - 1) * unit)
+            blocks += [[(first, 1.0 / h)], [(last, -1.0 / h)]]
+    i, j, v, row = [], [], [], 0
+    for block in blocks:
+        for cells, coef in block:
+            i.append(np.arange(row, row + cells.size))
+            j.append(cells)
+            v.append(np.full(cells.size, coef))
+        row += cells.size
+    i, j, v = np.concatenate(i), np.concatenate(j), np.concatenate(v)
     return sp.csr_matrix((v, (i, j)), shape=(row, grid.num_cells))
+
+
+def face_weights(grid: Grid, cell_weight: np.ndarray | None) -> np.ndarray:
+    """Per-face weights in the Neumann row order of ``face_difference_matrix``.
+
+    A piecewise-constant cell weight contributes the arithmetic mean of the
+    two adjacent cells to their shared face; ``None`` gives unit weights.
+    """
+    faces = [_cell_pairs(grid, unit) for unit in np.eye(grid.dim, dtype=int)]
+    if cell_weight is None:
+        return np.ones(sum(left.size for left, _ in faces))
+    w = np.asarray(cell_weight, dtype=float).reshape(grid.num_cells)
+    if not np.all(w > 0):
+        raise ValueError("cell weights must be strictly positive")
+    return np.concatenate([0.5 * (w[left] + w[right]) for left, right in faces])
 
 
 @lru_cache(maxsize=None)

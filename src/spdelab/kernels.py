@@ -14,7 +14,10 @@ a polynomial in r on its support, so one radial moment per profile gives both
 its unit-mass constant and ``C_{J,p}`` in closed form, and ``K_{p,d}`` is a
 Beta integral: the runtime uses no quadrature.  Discretely the double
 integral becomes a midpoint sum over unordered cell pairs inside the
-support; the pair stencil is precomputed and cached per grid.
+support; the pair stencil is precomputed and cached per grid.  Its rows run
+offset by offset, over the lexicographically positive offsets in
+lexicographic order, each offset's pairs in the order ``grids._cell_pairs``
+defines.
 
 The named profiles: "ball" (normalized indicator -- discontinuous at its
 support edge, kept as a stress-test profile), "tent" and "bump".
@@ -22,6 +25,7 @@ support edge, kept as a stress-test profile), "tent" and "bump".
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -30,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .grids import Grid
+from .grids import Grid, _cell_pairs
 
 PROFILE_NAMES = ("ball", "tent", "bump")
 
@@ -126,63 +130,24 @@ def _pair_stencil_cached(base: Kernel, eps: float, p: float, grid: Grid):
         raise ValueError(f"kernel dimension {base.dim} does not match grid dimension {grid.dim}")
     reach = eps * base.support_radius
     h = grid.spacing
-    idx = np.arange(grid.num_cells).reshape(grid.shape)
-    offsets = []
-    if grid.dim == 1:
-        kmax = int(np.floor(reach / h[0] + 1e-12))
-        offsets = [(k,) for k in range(1, kmax + 1)]
-    else:
-        kx = int(np.floor(reach / h[0] + 1e-12))
-        ky = int(np.floor(reach / h[1] + 1e-12))
-        for dx in range(0, kx + 1):
-            for dy in range(-ky, ky + 1):
-                if dx == 0 and dy <= 0:
-                    continue
-                if np.hypot(dx * h[0], dy * h[1]) <= reach + 1e-12:
-                    offsets.append((dx, dy))
-    rows_i, rows_j, dists = [], [], []
-    for off in offsets:
-        dist = float(np.linalg.norm([o * hh for o, hh in zip(off, h)]))
-        if dist > reach + 1e-12:
-            continue
-        sl_lo, sl_hi = [], []
-        for a, o in enumerate(off):
-            n = grid.shape[a]
-            if o >= 0:
-                sl_lo.append(slice(0, max(n - o, 0)))
-                sl_hi.append(slice(min(o, n), n))
-            else:
-                sl_lo.append(slice(min(-o, n), n))
-                sl_hi.append(slice(0, max(n + o, 0)))
-        left = idx[tuple(sl_lo)].reshape(-1)
-        right = idx[tuple(sl_hi)].reshape(-1)
-        if left.size == 0:
-            continue
-        rows_i.append(left)
-        rows_j.append(right)
-        dists.append(np.full(left.size, dist))
-    if rows_i:
-        i = np.concatenate(rows_i)
-        j = np.concatenate(rows_j)
-        dist = np.concatenate(dists)
-    else:
-        i = np.zeros(0, dtype=int)
-        j = np.zeros(0, dtype=int)
-        dist = np.zeros(0)
+    kmax = [int(np.floor(reach / hh + 1e-12)) for hh in h]
+    # one offset per unordered pair: the lexicographically positive ones in the
+    # box; those past the support are skipped, as J would be 0 on their pairs
+    box = itertools.product(range(kmax[0] + 1), *(range(-k, k + 1) for k in kmax[1:]))
+    pairs = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))]  # an empty stencil concatenates too
+    for off in box:
+        dist = float(np.linalg.norm(np.multiply(off, h)))
+        if off > (0,) * grid.dim and dist <= reach + 1e-12:
+            left, right = _cell_pairs(grid, off)
+            pairs.append((left, right, np.full(left.size, dist)))
+    i, j, dist = (np.concatenate(a) for a in zip(*pairs))
     jvals = base.radial(dist / eps)
     keep = jvals > 0.0
     i, j, jvals = i[keep], j[keep], jvals[keep]
     m = i.size
-    rows = np.repeat(np.arange(m), 2)
-    cols = np.empty(2 * m, dtype=int)
-    cols[0::2] = i
-    cols[1::2] = j
-    vals = np.empty(2 * m)
-    vals[0::2] = -1.0
-    vals[1::2] = 1.0
-    P = sp.csr_matrix((vals, (rows, cols)), shape=(m, grid.num_cells))
-    ck = c_jp(base, p)
-    weights = ck / eps ** (grid.dim + p) * jvals * grid.cell_volume**2
+    cols = np.stack([i, j], axis=1).reshape(-1)  # row e holds -1 at i_e, +1 at j_e > i_e
+    P = sp.csr_matrix((np.tile([-1.0, 1.0], m), cols, np.arange(0, 2 * m + 1, 2)), shape=(m, grid.num_cells))
+    weights = c_jp(base, p) / eps ** (grid.dim + p) * jvals * grid.cell_volume**2
     return P, weights
 
 

@@ -63,6 +63,7 @@ from .grids import (
     GridFunction,
     _dirichlet_solver,
     face_difference_matrix,
+    face_weights,
     hminus1_norm_sq,
     neg_laplacian_matrix,
 )
@@ -96,28 +97,6 @@ def _prox_rows(lam: float, F, tol: float) -> np.ndarray:
     if not 0 < tol < np.inf:
         raise ValueError(f"prox tolerance must be positive and finite, got {tol}")
     return np.asarray(F, dtype=float)
-
-
-def face_weights(grid: Grid, cell_weight: np.ndarray | None) -> np.ndarray:
-    """Per-face weights for the Neumann face layout (interior faces only).
-
-    A piecewise-constant cell weight contributes the arithmetic mean of the
-    two adjacent cells to their shared face; ``None`` gives unit weights.
-    """
-    K = face_difference_matrix(grid, NEUMANN)
-    if cell_weight is None:
-        return np.ones(K.shape[0])
-    w = np.asarray(cell_weight, dtype=float).reshape(grid.shape)
-    if not np.all(w > 0):
-        raise ValueError("cell weights must be strictly positive")
-    parts = []
-    for a in range(grid.dim):
-        lo = [slice(None)] * grid.dim
-        lo[a] = slice(0, grid.shape[a] - 1)
-        hi = [slice(None)] * grid.dim
-        hi[a] = slice(1, grid.shape[a])
-        parts.append(0.5 * (w[tuple(lo)] + w[tuple(hi)]).reshape(-1))
-    return np.concatenate(parts)
 
 
 class Potential:
@@ -264,10 +243,16 @@ class _DifferencePenaltyPotential(Potential):
         return _dual_newton_smooth(self, lam, F, tol)
 
 
+def _settled(res, threshold):
+    """Rows whose residual meets a finite threshold: a NaN residual, or an
+    infinite one against a threshold that overflowed, settles nothing."""
+    return (res <= threshold) & np.isfinite(threshold)
+
+
 def _damped_newton(evaluate, X, residual, direction, accept, cap, t_min, patience=0):
     """Batched damped Newton with a per-row halving line search.
 
-    Rows with ``resid > threshold`` are live, and the callbacks see only the
+    Rows not ``_settled`` are live, and the callbacks see only the
     live sub-batch, ``rows`` its batch indices for per-row data (the slice
     ``slice(None)`` while every row is live, so indexing by it copies nothing):
     ``evaluate(X, rows)`` gives the state ``(X, obj, *maps)`` at the
@@ -290,7 +275,7 @@ def _damped_newton(evaluate, X, residual, direction, accept, cap, t_min, patienc
     for iters in range(1, cap + 1):
         res, threshold, grad = residual(state, rows)
         resid[rows] = res
-        live = res > threshold
+        live = ~_settled(res, threshold)
         if not live.all():
             rows = np.arange(X.shape[0])[rows]
             out[rows[~live]] = state[0][~live]
@@ -685,12 +670,12 @@ class FastDiffusionPotential(Potential):
                 # fixed-point residual of the prox-gradient map, zero at optimum
                 fp = (Z_new - prox_grad_step(Z_new)) / t_step
                 resid = self._hminus1_res(fp)
-                if np.all(resid <= target):
+                if np.all(_settled(resid, target)):
                     Z = Z_new
                     break
             Y = Z_new + beta * (Z_new - Z)
             Z = Z_new
-        stalled = np.flatnonzero(resid > np.maximum(target, 0.25 * tol))
+        stalled = np.flatnonzero(~_settled(resid, np.maximum(target, 0.25 * tol)))
         if stalled.size:
             raise ProxDidNotConverge(f"FISTA prox of {self.label} stalled", float(np.max(resid)), stalled)
         return Z, float(np.max(resid)), it

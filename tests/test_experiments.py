@@ -336,6 +336,16 @@ def test_cli_stalled_prox_names_its_step_and_paths(tmp_path, monkeypatch, capsys
     assert re.search(r"FISTA prox of p_dirichlet\[.*\] stalled at step 1 on paths \[4\]", capsys.readouterr().err)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+def test_cli_overflowed_noise_exit_code(tmp_path, capsys):
+    # the overflowed rows used to settle as converged: exit 0, weak_metric 0
+    text = edit(BASE.format(kind="trotter_plaplace", outdir=tmp_path / "o", schedule="1.6"),
+                set_=[("grid", "cells", "8x8"), ("experiment", "n_paths", "2"),
+                      ("noise", "amplitude", "1e200"), ("scheme", "steps", "3")])
+    assert cli.main(["run", str(write_cfg(tmp_path, text))]) == 2
+    assert "stalled at step 1 on paths [0, 1]" in capsys.readouterr().err
+
+
 def test_svi_audit_needs_two_paths(tmp_path, capsys):
     # one path validated, then every standard error came out NaN and every
     # verdict "fail"; mosco_table simulates nothing and keeps n_paths = 1

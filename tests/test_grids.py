@@ -1,13 +1,19 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from spdelab import kernels
 from spdelab.grids import (
     DIRICHLET,
     HMINUS1,
     NEUMANN,
     Grid,
     GridFunction,
+    _cell_pairs,
+    box_grid,
     face_difference_matrix,
+    face_weights,
     inner,
     interval_grid,
     neg_laplacian_matrix,
@@ -150,3 +156,91 @@ def test_nonfinite_values_rejected():
     with pytest.raises(ValueError):
         GridFunction(g, [1.0, np.nan, 0.0, 0.0])
 
+
+# -- layout pins --------------------------------------------------------------
+# sha256 (first 16 hex digits) of the bytes, dtype and shape of every array
+# that makes up the difference operators, so any change to the order of
+# faces or kernel pairs shows up even where the assembled energies agree.
+
+LAYOUT_GRIDS = {
+    "7": interval_grid(7),
+    "64": interval_grid(64),
+    "5x3": Grid((1.0, 0.7), (5, 3)),
+    "32x32": box_grid((32, 32)),
+    "1x4": box_grid((1, 4)),
+    "4x1": box_grid((4, 1)),
+}
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()[:16]
+
+
+def _csr(M):
+    return M.data, M.indices, M.indptr, np.array(M.shape)
+
+
+def layout_digests(grid) -> dict[str, str]:
+    """Digests of the face matrices (both conditions), the face weights
+    (seeded and ``None``) and the ball, tent and bump pair stencils at
+    eps in {0.05, 0.3, 3.0}, p = 1.5."""
+    weight = np.random.default_rng(29).uniform(0.5, 2.0, grid.shape)
+    out = {
+        "faces": _digest(*_csr(face_difference_matrix(grid, NEUMANN)),
+                         *_csr(face_difference_matrix(grid, DIRICHLET))),
+        "weights": _digest(face_weights(grid, weight), face_weights(grid, None)),
+    }
+    for profile in kernels.PROFILE_NAMES:
+        base = kernels.Kernel(profile, grid.dim)
+        parts = []
+        for eps in (0.05, 0.3, 3.0):
+            P, w = kernels._pair_stencil_cached(base, eps, 1.5, grid)
+            parts.extend([*_csr(P), w])
+        out[profile] = _digest(*parts)
+    return out
+
+
+LAYOUT_PINS = {
+    "7": {"faces": "ab77a8971a736ca6", "weights": "54ade66ac646a222",
+          "ball": "b57763fad9e88991", "tent": "9eb4c3502af421c9", "bump": "6853b40f28cfbf58"},
+    "64": {"faces": "6639e3b701bf6d92", "weights": "8bd43bb82d9d47da",
+           "ball": "da1e0640300759ab", "tent": "70d7701c7ef40a95", "bump": "7cc9a7744b28ba87"},
+    "5x3": {"faces": "f44aa6503e336310", "weights": "196dc03b5b59a509",
+            "ball": "26efc76af99b6e4d", "tent": "f065d6974d466c2c", "bump": "6fee6cded9b2e904"},
+    "32x32": {"faces": "7fb1073d28622d8c", "weights": "95bf7b44608b2a7d",
+              "ball": "65cc1615859fe6d2", "tent": "29a2169e6e3e49ca", "bump": "039675028a3a5b39"},
+    "1x4": {"faces": "eac55ad57cd02d1a", "weights": "bd0d7a7018431af7",
+            "ball": "02a85c23ff99c468", "tent": "98f48540a7ac1f97", "bump": "d81d5a6d2c0507a4"},
+    "4x1": {"faces": "41d09666ee5f34b4", "weights": "bd0d7a7018431af7",
+            "ball": "02a85c23ff99c468", "tent": "98f48540a7ac1f97", "bump": "d81d5a6d2c0507a4"},
+}
+
+
+@pytest.mark.parametrize("name", LAYOUT_GRIDS)
+def test_operator_layouts_are_pinned(name):
+    # covers the empty stencil (eps = 0.05 on 7 cells), offsets past an axis
+    # (eps = 3.0, 1x4, 4x1) and 2D offsets with negative dy
+    assert layout_digests(LAYOUT_GRIDS[name]) == LAYOUT_PINS[name]
+
+
+@pytest.mark.parametrize("offset", [(7,), (9,), (0, 4), (-2, -5), (6, 1)])
+def test_cell_pairs_past_an_axis_are_empty(offset):
+    grid = interval_grid(7) if len(offset) == 1 else box_grid((6, 4))
+    left, right = _cell_pairs(grid, offset)
+    assert left.size == right.size == 0
+
+
+@pytest.mark.parametrize("grid, offset", [(interval_grid(7), (3,)), (box_grid((6, 4)), (2, -1)),
+                                          (box_grid((6, 4)), (0, 3)), (box_grid((1, 4)), (0, 1))])
+def test_cell_pairs_negated_offset_swaps_left_and_right(grid, offset):
+    left, right = _cell_pairs(grid, offset)
+    back_left, back_right = _cell_pairs(grid, tuple(-o for o in offset))
+    assert left.size > 0
+    assert np.array_equal(back_left, right) and np.array_equal(back_right, left)
+    cells = np.unravel_index(right, grid.shape)
+    assert np.array_equal(np.ravel_multi_index(tuple(c - o for c, o in zip(cells, offset)), grid.shape), left)

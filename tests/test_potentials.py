@@ -275,6 +275,23 @@ def test_prox_batch_refuses_a_bad_lam(build, lam):
         pot.prox_batch(lam, rng.standard_normal((2, pot.grid.num_cells)), tol=1e-9)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+@pytest.mark.parametrize("build", [
+    lambda g: potentials.p_dirichlet(g, 1.5, delta=1e-2),
+    lambda g: potentials.p_dirichlet(g, 1.5),
+    lambda g: potentials.p_dirichlet(g, 1.0),
+    lambda g: potentials.fast_diffusion(g, 0.5, delta=1e-2),
+    lambda g: potentials.fast_diffusion(g, 0.5),
+], ids=["yosida", "raw", "total_variation", "fastdiff_yosida", "fastdiff_raw"])
+def test_overflowed_row_is_not_settled(build):
+    # residual inf against an inf target, or NaN, counted as settled: the row
+    # came back unchanged after one iteration as if converged
+    g = interval_grid(16)
+    F = 1e200 * np.sin(np.linspace(0.0, 3.0, 16))[None, :]
+    with pytest.raises(potentials.ProxDidNotConverge):
+        build(g).prox_batch(0.1, F, tol=1e-9)
+
+
 @pytest.fixture
 def one_iteration_caps(monkeypatch):
     """Every prox solver stops after one iteration."""
