@@ -44,6 +44,7 @@ __all__ = [
     "NumericalFailure",
     "SchemeParams",
     "TrajectoryEnsemble",
+    "check_scheme",
     "gaussian_increments",
     "simulate",
 ]
@@ -207,13 +208,21 @@ def gaussian_increments(seed: int, n_paths: int, steps: int, modes: int, dt: flo
     return out
 
 
-def _check_scheme_potential(pot: Potential, sp: SchemeParams):
+def check_scheme(pot: Potential, sp: SchemeParams) -> float | None:
+    """``dt`` times the drift's Lipschitz bound (None without one); refuses a
+    scheme ``delta`` that does not match the potential's regularization and
+    the explicit drift past the explicit Euler limit ``dt * Lip <= 2``."""
     # relative only: an absolute floor would accept delta=1e-8 for 1e-9
     if sp.delta is not None and (pot.delta is None or not math.isclose(pot.delta, sp.delta)):
         raise ValueError(
             f"scheme delta {sp.delta} does not match the potential's "
             f"regularization {pot.delta}"
         )
+    drift_bound = pot.drift_lipschitz_bound()
+    dt_lip = sp.dt * drift_bound if drift_bound is not None else None
+    if sp.drift == "explicit_yosida" and (dt_lip is None or dt_lip > 2.0):
+        raise ValueError(f"explicit Yosida drift needs dt * Lip <= 2 for stability, got {dt_lip}")
+    return dt_lip
 
 
 def _advance(X: np.ndarray, pot: Potential, model: NemytskiiNoise, sp: SchemeParams, dW: np.ndarray) -> np.ndarray:
@@ -234,19 +243,15 @@ def simulate(
 ) -> TrajectoryEnsemble:
     """Monte-Carlo ensemble of the scheme from ``x0``; stores all states and increments.
 
-    The explicit drift is refused unless ``dt`` times the drift's Lipschitz
-    bound is at most 2, and a non-finite state raises ``NumericalFailure``;
-    a stalled prox is re-raised naming its solver, step and paths.  Two
-    calls with equal ``seed``, ``dt`` and mode count draw identical
-    increments on each path, so they are coupled on common noise.
+    The scheme must pass ``check_scheme``, a non-finite state raises
+    ``NumericalFailure`` and a stalled prox is re-raised naming its solver,
+    step and paths.  Two calls with equal ``seed``, ``dt`` and mode count
+    draw identical increments on each path, so they are coupled on common
+    noise.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be at least 1, got {n_paths}")
-    _check_scheme_potential(pot, sp)
-    drift_bound = pot.drift_lipschitz_bound()
-    dt_lip = sp.dt * drift_bound if drift_bound is not None else None
-    if sp.drift == "explicit_yosida" and (dt_lip is None or dt_lip > 2.0):
-        raise ValueError(f"explicit Yosida drift needs dt * Lip <= 2 for stability, got {dt_lip}")
+    dt_lip = check_scheme(pot, sp)
     grid = pot.grid
     if x0.grid != grid or x0.space != pot.space:
         raise ValueError("initial state must live on the potential's grid and space")

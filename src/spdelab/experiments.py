@@ -224,14 +224,10 @@ def _validate(cfg: ExperimentConfig):
     if not ok:
         raise ConfigError(f"{kind}: bad value for [potential] schedule = {schedule} with schedule_kind = {schedule_kind}")
     if cfg.values["scheme"].get("drift") == "explicit_yosida":  # svi_audit_run alone accepts it
-        try:
-            pot, sp = _audit_problem(cfg, grid)
-        except ValueError as exc:  # SchemeParams wants dt <= delta/4
-            raise ConfigError(f"{kind}: bad [scheme] dt for drift = explicit_yosida: {exc}") from exc
-        # simulate refuses the explicit drift past the explicit Euler limit
-        dt_lip = sp.dt * pot.drift_lipschitz_bound()
-        if dt_lip > 2.0:
-            raise ConfigError(f"{kind}: [scheme] dt with drift = explicit_yosida needs dt * Lip <= 2, got {dt_lip:g}")
+        try:  # SchemeParams wants dt <= delta/4, simulate's check dt * Lip <= 2
+            engine.check_scheme(*_audit_problem(cfg, grid))
+        except ValueError as exc:
+            raise ConfigError(f"{kind}: [scheme] dt with drift = explicit_yosida: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

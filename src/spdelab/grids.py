@@ -251,14 +251,21 @@ def dirichlet_solve(grid: Grid, rhs: np.ndarray) -> np.ndarray:
 # -- inner products -----------------------------------------------------------
 
 
+def inner_batch(grid: Grid, space: str, A: np.ndarray, B) -> np.ndarray:
+    """Inner products in ``space`` along the last axis: rowwise for
+    ``(rows, num_cells)`` arrays ``A`` and ``B``, or of every row of ``A``
+    (any leading axes) with one ``(num_cells,)`` vector ``B``."""
+    vol = grid.cell_volume
+    if space == HMINUS1:
+        sol = dirichlet_solve(grid, np.asarray(B, dtype=float).T)
+        return vol * (A @ sol if sol.ndim == 1 else np.einsum("ij,ji->i", A, sol))
+    return vol * (A @ B if np.ndim(B) == 1 else np.einsum("ij,ij->i", A, B))
+
+
 def inner(u: GridFunction, v: GridFunction) -> float:
     """Inner product in the common space tag of ``u`` and ``v``."""
     u._check_compatible(v)
-    vol = u.grid.cell_volume
-    if u.space == L2:
-        return vol * float(np.dot(u.flat, v.flat))
-    w = dirichlet_solve(u.grid, v.flat)
-    return vol * float(np.dot(u.flat, w))
+    return float(inner_batch(u.grid, u.space, u.flat, v.flat))
 
 
 def norm(u: GridFunction) -> float:
@@ -270,18 +277,10 @@ def l2_norm_sq(grid: Grid, flat_values: np.ndarray) -> np.ndarray:
     return grid.cell_volume * np.sum(np.asarray(flat_values) ** 2, axis=-1)
 
 
-def hminus1_norm_sq(grid: Grid, flat_values: np.ndarray) -> np.ndarray:
-    """Batched squared discrete H^-1 norms along the last axis."""
-    arr = np.asarray(flat_values, dtype=float)
-    flat = arr.reshape(-1, grid.num_cells)
-    sol = dirichlet_solve(grid, flat.T)
-    out = grid.cell_volume * np.einsum("ij,ji->i", flat, sol)
-    return out.reshape(arr.shape[:-1])
-
-
 def space_norm_sq(grid: Grid, flat_values: np.ndarray, space: str) -> np.ndarray:
     """Batched squared norms in the requested geometry, last axis = cells."""
     arr = np.asarray(flat_values, dtype=float)
     if space == L2:
         return l2_norm_sq(grid, arr)
-    return hminus1_norm_sq(grid, arr)
+    flat = arr.reshape(-1, grid.num_cells)
+    return inner_batch(grid, space, flat, flat).reshape(arr.shape[:-1])

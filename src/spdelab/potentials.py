@@ -64,7 +64,7 @@ from .grids import (
     _dirichlet_solver,
     face_difference_matrix,
     face_weights,
-    hminus1_norm_sq,
+    inner_batch,
     neg_laplacian_matrix,
 )
 from .profiles import EdgeConjugate, PowerProfile, RadialProfile, YosidaPowerProfile
@@ -263,9 +263,9 @@ def _damped_newton(evaluate, X, residual, direction, accept, cap, t_min, patienc
     next state.  A row's iterate is written into the returned X once, when
     it settles or the loop ends.  With ``patience`` the loop stops once the
     worst residual has not dropped below 0.9 of its best for that many
-    iterations.  Returns ``(X, worst residual, iters, live)``, ``live`` the
-    batch indices of the rows still unconverged at the end (empty when all
-    converged).
+    iterations, and a NaN residual stops it at once.  Returns ``(X, worst
+    residual, iters, live)``, ``live`` the batch indices of the rows still
+    unconverged at the end (empty when all converged).
     """
     rows = slice(None)
     state = evaluate(X, rows)
@@ -285,6 +285,8 @@ def _damped_newton(evaluate, X, residual, direction, accept, cap, t_min, patienc
         worst = resid.max()
         if worst < 0.9 * best:
             best, stagnant = worst, 0
+        elif np.isnan(worst):  # a NaN row never settles: the call has failed
+            break
         else:
             stagnant += 1
         if patience and stagnant >= patience:
@@ -572,7 +574,7 @@ class FastDiffusionPotential(Potential):
         return float(np.max(np.abs(M).sum(axis=1)))
 
     def _hminus1_res(self, R: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.maximum(hminus1_norm_sq(self.grid, R), 0.0))
+        return np.sqrt(np.maximum(inner_batch(self.grid, HMINUS1, R, R), 0.0))
 
     def prox_batch(self, lam, F, tol=DEFAULT_TOL, warm=None):
         F = _prox_rows(lam, F, tol)
@@ -673,9 +675,11 @@ class FastDiffusionPotential(Potential):
                 if np.all(_settled(resid, target)):
                     Z = Z_new
                     break
+                if np.isnan(resid).any():  # a NaN row never settles
+                    break
             Y = Z_new + beta * (Z_new - Z)
             Z = Z_new
-        stalled = np.flatnonzero(~_settled(resid, np.maximum(target, 0.25 * tol)))
+        stalled = np.flatnonzero(~_settled(resid, target))
         if stalled.size:
             raise ProxDidNotConverge(f"FISTA prox of {self.label} stalled", float(np.max(resid)), stalled)
         return Z, float(np.max(resid)), it

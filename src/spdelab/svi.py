@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import NemytskiiNoise, TrajectoryEnsemble
-from .grids import GridFunction, dirichlet_solve, space_norm_sq, HMINUS1
+from .grids import GridFunction, inner_batch, space_norm_sq
 from .potentials import Potential
 
 CHECKPOINTS = 8
@@ -154,14 +154,6 @@ def _quad_error_estimate(values: np.ndarray, dt: float) -> float:
     return float(abs(full - coarse))
 
 
-def _batched_inner(grid, space, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Rowwise H inner products of (paths, cells) arrays."""
-    if space == HMINUS1:
-        sol = dirichlet_solve(grid, B.T)
-        return grid.cell_volume * np.einsum("ij,ji->i", A, sol)
-    return grid.cell_volume * np.einsum("ij,ij->i", A, B)
-
-
 def _report(times, lhs, rhs, margin, per_path, C, quad_err, smallest=None) -> SVIReport:
     """Report whose standard errors come from the (paths, checkpoints) ``per_path``;
     a checkpoint passes when its margin is at least -3 SE."""
@@ -211,7 +203,7 @@ def audit(
             t[0, :, s] = space_norm_sq(grid, diff, space)
             t[1, :, s] = energies[:, s] if name in own else pot.eval_batch(Z)
             if G is not None:
-                t[2, :, s] = _batched_inner(grid, space, G, diff)
+                t[2, :, s] = inner_batch(grid, space, G, diff)
             if s < n_steps and name not in solution:
                 # F = 0 here; the solution's F = B(Z) makes the term zero
                 t[3, :, s] = model.hs_norm_sq_batch(Z)
@@ -264,17 +256,18 @@ def weak_convergence_metric(
     grid, space, dt = ens_a.grid, ens_a.space, ens_a.dt
     diff = ens_a.states - ens_b.states  # (paths, steps+1, cells)
     times = ens_a.times()
+    pairs = {}  # (X^a - X^b, h)_H per distinct mode h, shared by its weights
     vals = []
     for h, gamma in test_functionals:
         hv = h.flat if isinstance(h, GridFunction) else np.asarray(h, dtype=float)
-        if space == HMINUS1:
-            hsolve = dirichlet_solve(grid, hv)
-            pair = grid.cell_volume * (diff @ hsolve)
-        else:
-            pair = grid.cell_volume * (diff @ hv)
+        key = hv.tobytes()
+        if key not in pairs:
+            pairs[key] = inner_batch(grid, space, diff, hv)
         gam = gamma(times) if callable(gamma) else np.asarray(gamma, dtype=float)
-        per_path = np.trapezoid(pair * gam[None, :], dx=dt, axis=1)
+        per_path = np.trapezoid(pairs[key] * gam[None, :], dx=dt, axis=1)
         vals.append(abs(float(np.mean(per_path))))
+    if not vals:
+        raise ValueError("weak metric: the test dictionary is empty")
     return float(np.max(vals))
 
 

@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spdelab import cli, experiments, mosco, potentials
+from spdelab import cli, engine, experiments, mosco, potentials
 from spdelab.experiments import ConfigError, cell_average_over_period, parse_config, weight_function
-from spdelab.grids import box_grid
+from spdelab.grids import GridFunction, box_grid
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -259,6 +259,26 @@ def test_explicit_drift_past_the_step_bound_is_a_config_error(tmp_path, capsys):
     path = explicit_audit_config(tmp_path, 8, explicit_step_limit(8))
     assert cli.main(["validate", str(path)]) == 0
     assert cli.main(["run", str(path)]) == 0
+
+
+@pytest.mark.parametrize("ratio", [0.99, 1.0, 1.01])
+def test_validate_and_simulate_share_the_explicit_step_bound(tmp_path, ratio):
+    # dt * Lip = 2 * ratio on 8 cells; at ratio 1 both sides round alike
+    grid = box_grid((8,))
+    pot = potentials.p_dirichlet(grid, 1.5, delta=1e-2)
+    dt = 2.0 * ratio / pot.drift_lipschitz_bound()
+    validated = cli.main(["validate", str(explicit_audit_config(tmp_path, 8, dt))]) == 0
+    sp = engine.SchemeParams(dt=dt, steps=1, delta=1e-2, drift="explicit_yosida")
+    noise = engine.AdditiveNoise([GridFunction(grid, np.ones(8))])
+    try:
+        engine.simulate(GridFunction(grid, np.zeros(8)), pot, noise, sp, 1, seed=3)
+        simulated = True
+    except ValueError as exc:
+        assert "dt * Lip <= 2" in str(exc)
+        simulated = False
+    assert validated == simulated
+    if ratio != 1.0:
+        assert validated == (ratio < 1.0)
 
 
 def test_import_loads_no_quadrature_or_optimizer():

@@ -7,6 +7,7 @@ from spdelab import kernels
 from spdelab.grids import (
     DIRICHLET,
     HMINUS1,
+    L2,
     NEUMANN,
     Grid,
     GridFunction,
@@ -15,8 +16,10 @@ from spdelab.grids import (
     face_difference_matrix,
     face_weights,
     inner,
+    inner_batch,
     interval_grid,
     neg_laplacian_matrix,
+    space_norm_sq,
 )
 
 rng = np.random.default_rng(101)
@@ -53,6 +56,19 @@ def test_hminus1_positive_definite():
     for _ in range(5):
         u = GridFunction(g, rng.standard_normal(32), HMINUS1)
         assert inner(u, u) > 0.0
+
+
+@pytest.mark.parametrize("space", [L2, HMINUS1])
+def test_inner_batch_pairs_rows_and_one_vector(space):
+    g = Grid((1.0, 0.7), (5, 3))
+    A, B = rng.standard_normal((2, 4, g.num_cells))
+    rowwise = inner_batch(g, space, A, B)
+    single = [inner(GridFunction(g, a, space), GridFunction(g, b, space)) for a, b in zip(A, B)]
+    np.testing.assert_allclose(rowwise, single, rtol=1e-13)
+    # one vector against every row of a stack with leading axes
+    stacked = inner_batch(g, space, A.reshape(2, 2, -1), B[0])
+    np.testing.assert_allclose(stacked.reshape(-1), inner_batch(g, space, A, np.tile(B[0], (4, 1))), rtol=1e-13)
+    np.testing.assert_allclose(space_norm_sq(g, A, space), inner_batch(g, space, A, A), rtol=1e-13)
 
 
 @pytest.mark.parametrize("grid", [interval_grid(64), Grid((1.0, 0.7), (12, 9))])

@@ -292,6 +292,36 @@ def test_overflowed_row_is_not_settled(build):
         build(g).prox_batch(0.1, F, tol=1e-9)
 
 
+def test_damped_newton_stops_at_a_nan_residual():
+    # a NaN row never settles, so no further step can help; the loop used to
+    # run on to its cap
+    def residual(state, rows):
+        res = np.array([0.0, np.nan])[rows]
+        return res, np.ones_like(res), np.zeros_like(state[0])
+
+    def direction(state, grad):
+        pytest.fail("stepped past a NaN residual")
+
+    X, worst, iters, live = potentials._damped_newton(
+        lambda X, rows: (X, np.zeros(X.shape[0])), np.ones((2, 3)), residual, direction,
+        lambda *args: True, 50, 1e-12)
+    assert iters == 1 and np.isnan(worst) and list(live) == [1]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the inf entry itself
+def test_fista_stops_at_a_nan_residual(monkeypatch):
+    # the first residual check sees the NaN row; FISTA used to run to its cap
+    F = np.zeros((2, 16))
+    F[1, 3] = np.inf
+    calls = []
+    res = potentials.FastDiffusionPotential._hminus1_res
+    monkeypatch.setattr(potentials.FastDiffusionPotential, "_hminus1_res",
+                        lambda self, R: calls.append(1) or res(self, R))
+    with pytest.raises(potentials.ProxDidNotConverge) as info:
+        potentials.fast_diffusion(interval_grid(16), 0.5).prox_batch(0.1, F, tol=1e-9)
+    assert info.value.rows == (1,) and len(calls) == 2  # the stop target, then one check
+
+
 @pytest.fixture
 def one_iteration_caps(monkeypatch):
     """Every prox solver stops after one iteration."""

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import neumann_laplacian_dense, ou_second_moment
-from spdelab import engine, potentials, svi
+from spdelab import engine, grids, potentials, svi
 from spdelab.engine import AdditiveNoise, SchemeParams, simulate
 from spdelab.grids import GridFunction, interval_grid, space_norm_sq
 
@@ -153,6 +153,12 @@ def test_weak_metric_shape_mismatch_rejected():
         svi.weak_convergence_metric(ens, short, svi.default_test_functionals(g))
 
 
+def test_weak_metric_refuses_an_empty_dictionary():
+    g, pot, model, ens, _ = setup_run(paths=4, steps=5)
+    with pytest.raises(ValueError, match="test dictionary is empty"):
+        svi.weak_convergence_metric(ens, ens, [])
+
+
 def test_report_csv(tmp_path):
     g, pot, model, ens, _ = setup_run(paths=10, steps=10)
     rep = svi.audit(ens, pot, model, 2.0, {})["energy"]
@@ -181,6 +187,25 @@ def test_hminus1_audit_smoke():
     assert reports["energy"].passed
     rep = reports["solution"]
     assert np.abs(rep.margin).max() < 1e-12
+
+
+def test_weak_metric_solves_once_per_mode(monkeypatch):
+    # the default dictionary crosses 8 modes with 4 time weights: one
+    # Dirichlet solve per mode, each shared by its weights, changes no value
+    pot, model, ens = hminus1_run()
+    other = simulate(GridFunction(ens.grid, ens.states[0, 0], "Hminus1"), pot, model, ens.scheme, 25, seed=9)
+    fns = svi.default_test_functionals(ens.grid)
+    diff = ens.states - other.states
+    direct = max(
+        abs(float(np.mean(np.trapezoid(ens.grid.cell_volume * (diff @ grids.dirichlet_solve(ens.grid, h))
+                                       * gamma(ens.times())[None, :], dx=ens.dt, axis=1))))
+        for h, gamma in fns
+    )
+    solves = []
+    solve = grids.dirichlet_solve
+    monkeypatch.setattr(grids, "dirichlet_solve", lambda grid, rhs: solves.append(rhs) or solve(grid, rhs))
+    assert svi.weak_convergence_metric(ens, other, fns) == direct
+    assert len(fns) == 32 and len(solves) == 8
 
 
 def hex_report(rep):
