@@ -29,8 +29,9 @@ profile with ``q_e > 0``, and for total variation the box
 Newton.
 The driver alone tracks which batch rows are live: the callbacks see only
 the unconverged sub-batch, so a settled row is not evaluated or solved
-again.  The Newton systems are banded.  On 1D chains ``K`` and ``K^T`` are
-stencils and every system is tridiagonal (LAPACK ``gtsv``).  On 2D grids
+again.  ``K`` and ``K^T`` are CSR matrices on every family, ``K^T`` built
+once per potential.  The Newton systems are banded.  On 1D chains every
+system is tridiagonal (LAPACK ``gtsv``).  On 2D grids
 and nonlocal stencils the two primal Newton systems, ``I + K^T diag(c) K``
 and fast diffusion's ``I + L diag(c)`` in a symmetric form, are positive
 definite banded solves (LAPACK ``pbsv``, one call per cache-sized chunk of
@@ -177,32 +178,21 @@ class _DifferencePenaltyPotential(Potential):
         self.label = label
         self._tridiagonal = tridiagonal
         self._quad = bool(self.edge_q.any())
+        self._KT = self.K.T.tocsr()  # K^T as CSR: a row per cell, summed in edge order
         self._gram_band = self._band = None
         if tridiagonal:
             # chain structure: edge e couples cells (e, e+1) with -s_e and s_e;
             # the Gram K K^T has diagonal 2 s_e^2 and couplings -s_e s_(e+1)
-            s = self._edge_scale = self.K[:, 1:].diagonal()
+            s = self.K[:, 1:].diagonal()
             self._scale_sq, self._gram_off = s**2, -(s[1:] * s[:-1])
 
     def _grad(self, V: np.ndarray) -> np.ndarray:
-        """``K v`` per row; on chains a stencil bit-identical to CSR, in its layout."""
-        if not self._tridiagonal:
-            return (self.K @ V.T).T
-        s, Vt = self._edge_scale[:, None], np.ascontiguousarray(V.T)  # a column per batch row
-        G = s * Vt[1:]
-        G -= s * Vt[:-1]
-        G += 0.0  # CSR sums start from +0, so an exact zero is +0 there too
-        return G.T
+        """``K v`` per row."""
+        return (self.K @ V.T).T
 
     def _div(self, Y: np.ndarray) -> np.ndarray:
-        """``K^T y`` per row; on chains edge e scatters into cell e + 1, then e."""
-        if not self._tridiagonal:
-            return (self.K.T @ Y.T).T
-        sY = self._edge_scale[:, None] * np.ascontiguousarray(Y.T)
-        out = np.zeros((sY.shape[0] + 1, sY.shape[1]))
-        out[1:] += sY
-        out[:-1] -= sY
-        return out.T
+        """``K^T y`` per row."""
+        return (self._KT @ Y.T).T
 
     def eval_batch(self, U: np.ndarray) -> np.ndarray:
         G = self._grad(np.asarray(U, dtype=float))

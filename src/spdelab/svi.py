@@ -182,8 +182,10 @@ def audit(
     """
     if ens.n_paths < 2:
         raise ValueError(f"an audit's standard errors need at least 2 paths, got {ens.n_paths}")
-    if any(Z.grid != ens.grid or Z.space != ens.space for Z in family.values()):
-        raise ValueError("test process must live in the ensemble's geometry")
+    for name, part in {"potential": pot, "noise": model, **family}.items():
+        if part.grid != ens.grid or part.space != ens.space:
+            raise ValueError(f"audit: {name} lives on {part.grid} in {part.space}, "
+                             f"the ensemble on {ens.grid} in {ens.space}")
     grid, space, dt, n_steps = ens.grid, ens.space, ens.dt, ens.n_steps
     shape = (ens.n_paths, n_steps + 1)
     norms, energies = np.empty(shape), np.empty(shape)
@@ -249,10 +251,14 @@ def weak_convergence_metric(
     """Max over (h, gamma) pairs of ``|E int gamma(t) (X^a_t - X^b_t, h)_H dt|``.
 
     The fixed dictionary of space-time pairings is the desk-scale surrogate
-    for weak convergence in L^2([0,T] x Omega; H).
+    for weak convergence in L^2([0,T] x Omega; H).  The two ensembles must
+    share grid, space, ``dt`` and shape.
     """
     if ens_a.states.shape != ens_b.states.shape:
         raise ValueError("ensembles must share shape for the weak metric")
+    if (ens_a.grid, ens_a.space, ens_a.dt) != (ens_b.grid, ens_b.space, ens_b.dt):
+        raise ValueError(f"weak metric: ensembles on {ens_a.grid} in {ens_a.space} at dt {ens_a.dt!r} "
+                         f"and on {ens_b.grid} in {ens_b.space} at dt {ens_b.dt!r}")
     grid, space, dt = ens_a.grid, ens_a.space, ens_a.dt
     diff = ens_a.states - ens_b.states  # (paths, steps+1, cells)
     times = ens_a.times()

@@ -9,8 +9,12 @@ AVX-512 targets disabled and OpenBLAS on its Haswell (AVX2) kernels, so they
 mean the same thing on any x86-64 CPU with AVX2.  Both libraries read their
 variable once, when they are loaded; a session that imported numpy earlier
 under another setting is refused instead of failing on a pin.
+
+The pins live in the ledger under ``tests/pins/`` (see ``tests/ledger.py``);
+a test reads its own through the ``pinned`` fixture.
 """
 
+import functools
 import os
 import sys
 
@@ -28,3 +32,12 @@ for _variable, _setting in _SETTINGS.items():
             f"(it is {os.environ.get(_variable)!r}); set it in the environment that starts pytest"
         )
     os.environ[_variable] = _setting
+
+pytest.register_assert_rewrite("ledger")
+import ledger  # noqa: E402  (imports no numpy)
+
+
+@pytest.fixture
+def pinned(request):
+    """``pinned(value)`` asserts that ``value`` equals this test's entry in the pin ledger."""
+    return functools.partial(ledger.compare, request.config, request.node.nodeid)
